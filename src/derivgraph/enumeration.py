@@ -2,10 +2,10 @@
 
 Composite graphs are grown inductively: differentiating a function vertex
 raises its derivative order by one and attaches a fresh first-derivative
-chain descending to one base variable, after which the frontier is
-canonicalized and deduplicated.  ODE trees grow by attaching one vertex at
-every position; inverse trees are assembled from multisets of subtrees so
-that every internal vertex keeps degree >= 2.
+chain descending to one base variable.  ODE trees grow by attaching one
+vertex at every position.  Both build each successor canonical directly and
+deduplicate the frontier.  Inverse trees are assembled from multisets of
+subtrees so that every internal vertex keeps degree >= 2.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cache, lru_cache
 
 from .skeletons import Skeleton, base_variables
-from .trees import LEAF, Colour, Tree, canonicalize, entrance_count, sort_key
+from .trees import LEAF, Colour, Tree, canonicalize, sort_key
 
 
 class Regime(str, Enum):
@@ -40,11 +40,9 @@ class DerivativeGraph:
 
     @property
     def order(self) -> int:
-        from .trees import cardinality
-
         if self.regime is Regime.ODE:
-            return cardinality(self.tree)
-        return entrance_count(self.tree)
+            return self.tree.vertices
+        return self.tree.entrances
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +55,8 @@ class CompositeContext:
     Base variables get the lowest colour ranks in order of first appearance,
     followed by function positions in preorder.  A function name occurring at
     several positions is disambiguated with an ordinal suffix (f, f.2, ...).
+    A position is named by its path: the argument indices leading to it from
+    the root, () for the root itself.
     """
 
     def __init__(self, skeleton: Skeleton):
@@ -68,11 +68,11 @@ class CompositeContext:
             self.palette[name] = Colour(len(self.palette), name)
         self.variable_colours = frozenset(c.index for c in self.palette.values())
 
-        self._node_colour: dict[int, Colour] = {}  # id(node) -> colour
+        self._colour_at: dict[tuple[int, ...], Colour] = {}  # path -> colour
         self.node_by_colour: dict[int, Skeleton] = {}
         name_count: dict[str, int] = {}
 
-        def assign(node: Skeleton) -> None:
+        def assign(node: Skeleton, path: tuple[int, ...]) -> None:
             if node.is_variable:
                 return
             name_count[node.name] = name_count.get(node.name, 0) + 1
@@ -81,22 +81,24 @@ class CompositeContext:
                 label = f"{node.name}.{name_count[node.name]}"
             colour = Colour(len(self.palette), label)
             self.palette[label] = colour
-            self._node_colour[id(node)] = colour
+            self._colour_at[path] = colour
             self.node_by_colour[colour.index] = node
-            for c in node.children:
-                assign(c)
+            for i, c in enumerate(node.children):
+                assign(c, path + (i,))
 
-        assign(skeleton)
-        self.root_colour = self._node_colour[id(skeleton)]
+        assign(skeleton, ())
+        self.root_colour = self._colour_at[()]
 
         # Differentiation chains per function colour: one branch per path
         # from an argument down to a base variable.
         self.branches: dict[int, tuple[Tree, ...]] = {}
-        for colour_index, node in self.node_by_colour.items():
-            out: list[Tree] = []
-            for child in node.children:
-                out.extend(self._chains(child))
-            self.branches[colour_index] = tuple(out)
+        for path, colour in self._colour_at.items():
+            node = self.node_by_colour[colour.index]
+            self.branches[colour.index] = tuple(
+                b
+                for i, child in enumerate(node.children)
+                for b in self._chains(child, path + (i,))
+            )
 
         # Evaluation-point expressions (the undifferentiated sub-skeletons).
         self.point: dict[int, str] = {
@@ -105,32 +107,42 @@ class CompositeContext:
         }
 
         # Root colour of a branch descending through each argument slot.
-        self.slot_root: dict[int, tuple[int, ...]] = {}
-        for ci, node in self.node_by_colour.items():
-            roots = []
-            for child in node.children:
-                if child.is_variable:
-                    roots.append(self.palette[child.name].index)
-                else:
-                    roots.append(self._node_colour[id(child)].index)
-            self.slot_root[ci] = tuple(roots)
+        self.slot_root: dict[int, tuple[int, ...]] = {
+            colour.index: tuple(
+                self._position_colour(child, path + (i,)).index
+                for i, child in enumerate(self.node_by_colour[colour.index].children)
+            )
+            for path, colour in self._colour_at.items()
+        }
 
-    def _chains(self, node: Skeleton) -> list[Tree]:
+    def _position_colour(self, node: Skeleton, path: tuple[int, ...]) -> Colour:
+        return self.palette[node.name] if node.is_variable else self._colour_at[path]
+
+    def _chains(self, node: Skeleton, path: tuple[int, ...]) -> list[Tree]:
+        colour = self._position_colour(node, path)
         if node.is_variable:
-            return [Tree(self.palette[node.name])]
-        colour = self._node_colour[id(node)]
-        out = []
-        for child in node.children:
-            for sub in self._chains(child):
-                out.append(Tree(colour, (sub,)))
-        return out
+            return [Tree(colour)]
+        return [
+            Tree(colour, (sub,))
+            for i, child in enumerate(node.children)
+            for sub in self._chains(child, path + (i,))
+        ]
 
     def colour_of(self, name: str) -> Colour:
         return self.palette[name]
 
-    def node_colour(self, node: Skeleton) -> Colour:
-        """Colour of one skeleton position (identity, not equality, based)."""
-        return self._node_colour[id(node)]
+    def node_colour(self, position: Skeleton | tuple[int, ...]) -> Colour:
+        """Colour of one function position of the skeleton.
+
+        ``position`` is a path of argument indices from the root, or a
+        sub-skeleton equal to the one at exactly one function position.
+        """
+        if not isinstance(position, Skeleton):
+            return self._colour_at[position]
+        found = [c for c in self._colour_at.values() if self.node_by_colour[c.index] == position]
+        if len(found) != 1:
+            raise KeyError(f"{position} is at {len(found)} function positions; pass a path")
+        return found[0]
 
 
 @lru_cache(maxsize=None)
@@ -138,13 +150,33 @@ def composite_context(skeleton: Skeleton) -> CompositeContext:
     return CompositeContext(skeleton)
 
 
-def _expansions(t: Tree, branches: dict[int, tuple[Tree, ...]]):
-    """All single-differentiation successors of one derivative graph."""
+def _successors(t: Tree, branches: dict[int, tuple[Tree, ...]]):
+    """Canonical trees one step larger than canonical ``t``.
+
+    A step attaches one of ``branches[colour]`` under a vertex of that
+    colour.  Children are canonical already, so each rebuilt level needs one
+    sort.  Of a run of equal siblings only the first is grown: growing any
+    other gives the same tree.
+    """
+    kids = t.children
     for b in branches.get(t.colour.index, ()):
-        yield Tree(t.colour, t.children + (b,))
-    for i, c in enumerate(t.children):
-        for grown in _expansions(c, branches):
-            yield Tree(t.colour, t.children[:i] + (grown,) + t.children[i + 1 :])
+        yield Tree(t.colour, tuple(sorted(kids + (b,), key=sort_key)))
+    prev = None
+    for i, c in enumerate(kids):
+        if c is prev:
+            continue
+        prev = c
+        for grown in _successors(c, branches):
+            rest = kids[:i] + (grown,) + kids[i + 1 :]
+            yield Tree(t.colour, tuple(sorted(rest, key=sort_key)))
+
+
+def _grow(seed: Tree, branches: dict[int, tuple[Tree, ...]], steps: int) -> list[Tree]:
+    """All distinct trees ``steps`` steps larger than ``seed``, sorted."""
+    frontier = {seed}
+    for _ in range(steps):
+        frontier = {g for t in frontier for g in _successors(t, branches)}
+    return sorted(frontier, key=sort_key)
 
 
 def enumerate_composite(skeleton: Skeleton, n: int) -> list[DerivativeGraph]:
@@ -156,19 +188,8 @@ def enumerate_composite(skeleton: Skeleton, n: int) -> list[DerivativeGraph]:
     if n < 1:
         raise ValueError("derivative order must be >= 1")
     ctx = composite_context(skeleton)
-    frontier = {
-        canonicalize(Tree(ctx.root_colour, (b,)))
-        for b in ctx.branches[ctx.root_colour.index]
-    }
-    if not frontier:
-        return []  # nullary skeleton: constant, no derivatives
-    for _ in range(n - 1):
-        nxt: set[Tree] = set()
-        for t in frontier:
-            for grown in _expansions(t, ctx.branches):
-                nxt.add(canonicalize(grown))
-        frontier = nxt
-    trees = sorted(frontier, key=sort_key)
+    # A nullary skeleton has no branches: constant, no derivatives.
+    trees = _grow(Tree(ctx.root_colour), ctx.branches, n)
     return [DerivativeGraph(t, Regime.COMPOSITE, skeleton) for t in trees]
 
 
@@ -177,21 +198,14 @@ def enumerate_composite(skeleton: Skeleton, n: int) -> list[DerivativeGraph]:
 # carries the k-th derivative of the field.
 
 
-def _attachments(t: Tree):
-    yield Tree(t.colour, t.children + (LEAF,))
-    for i, c in enumerate(t.children):
-        for grown in _attachments(c):
-            yield Tree(t.colour, t.children[:i] + (grown,) + t.children[i + 1 :])
+_ODE_BRANCHES = {LEAF.colour.index: (LEAF,)}
 
 
 def enumerate_ode(n: int) -> list[DerivativeGraph]:
     """All rooted trees with n vertices, isomorph-free, in natural order."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    frontier = {LEAF}
-    for _ in range(n - 1):
-        frontier = {canonicalize(g) for t in frontier for g in _attachments(t)}
-    return [DerivativeGraph(t, Regime.ODE) for t in sorted(frontier, key=sort_key)]
+    return [DerivativeGraph(t, Regime.ODE) for t in _grow(LEAF, _ODE_BRANCHES, n - 1)]
 
 
 # ---------------------------------------------------------------------------

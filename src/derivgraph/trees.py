@@ -5,14 +5,20 @@ exactly one representative per class: children are stored sorted under the
 total order :func:`compare_trees`, so structural equality of canonical trees
 coincides with isomorphism of the classes they represent.  Leaves are the
 entrances of a graph, the root is its outlet.
+
+Trees are hash-consed: ``Tree(colour, children)`` returns the one live node
+with that colour and those (already interned) children, so structural
+equality is identity and ``==`` is ``is``.  Each node computes its
+natural-order key and its structural numbers once, from its children's
+(Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
-from math import factorial
+from operator import attrgetter
+from weakref import WeakValueDictionary
 
 
 @dataclass(frozen=True)
@@ -29,13 +35,103 @@ class Colour:
 
 DEFAULT_COLOUR = Colour(0, "*")
 
+# (colour, children) -> the live node.  Children are interned, so the key
+# hashes them by identity; a node leaves the table when it is collected.
+_INTERNED: WeakValueDictionary[tuple, Tree] = WeakValueDictionary()
 
-@dataclass(frozen=True)
+
 class Tree:
-    """Coloured rooted tree.  Canonical iff every child tuple is sorted."""
+    """Interned coloured rooted tree.  Canonical iff every child tuple is sorted.
 
-    colour: Colour = DEFAULT_COLOUR
-    children: tuple["Tree", ...] = ()
+    Fields are computed once when the node is first built and never change:
+
+    - ``key``: the natural-order sort key (colour index, colour name, degree,
+      children's keys left to right)
+    - ``vertices``, ``entrances`` and ``internal`` (non-leaf vertex) counts
+    - ``symmetry``: S, the order of the colour-preserving automorphism group
+      (meaningful for canonical trees)
+    - ``complexity``: tau, the product over all vertices of the
+      cardinalities of their child subtrees
+    - ``canonical``: every child tuple in the tree is sorted by ``key``
+    """
+
+    __slots__ = (
+        "colour",
+        "children",
+        "key",
+        "vertices",
+        "entrances",
+        "internal",
+        "symmetry",
+        "complexity",
+        "canonical",
+        "__weakref__",
+    )
+
+    colour: Colour
+    children: tuple[Tree, ...]
+    key: tuple
+    vertices: int
+    entrances: int
+    internal: int
+    symmetry: int
+    complexity: int
+    canonical: bool
+
+    def __new__(cls, colour: Colour = DEFAULT_COLOUR, children: tuple[Tree, ...] = ()):
+        children = tuple(children)
+        ident = (colour, children)
+        node = _INTERNED.get(ident)
+        if node is not None:
+            return node
+
+        vertices, entrances, internal, complexity = 1, 0, 0, 1
+        symmetry, run, canonical, prev = 1, 0, True, None
+        for c in children:
+            vertices += c.vertices
+            entrances += c.entrances
+            internal += c.internal
+            complexity *= c.vertices * c.complexity
+            symmetry *= c.symmetry
+            # Equal siblings are adjacent in a canonical child tuple; each
+            # run of k of them contributes k! automorphisms.
+            if c is prev:
+                run += 1
+                symmetry *= run
+            else:
+                run = 1
+                if prev is not None and c.key < prev.key:
+                    canonical = False
+            canonical = canonical and c.canonical
+            prev = c
+
+        node = object.__new__(cls)
+        init = object.__setattr__
+        init(node, "colour", colour)
+        init(node, "children", children)
+        key = (colour.index, colour.name, len(children), tuple(c.key for c in children))
+        init(node, "key", key)
+        init(node, "vertices", vertices)
+        init(node, "entrances", entrances or 1)
+        init(node, "internal", internal + 1 if children else 0)
+        init(node, "symmetry", symmetry)
+        init(node, "complexity", complexity)
+        init(node, "canonical", canonical)
+        _INTERNED[ident] = node
+        return node
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Tree nodes are interned and immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Tree nodes are interned and immutable")
+
+    def __reduce__(self):
+        # Copies and unpickled trees go back through the intern table.
+        return (Tree, (self.colour, self.children))
+
+    def __repr__(self) -> str:
+        return f"Tree({self.colour!r}, {self.children!r})"
 
     @property
     def degree(self) -> int:
@@ -52,45 +148,38 @@ class Tree:
 LEAF = Tree()
 
 
-@cache
-def _key(t: Tree) -> tuple:
-    # Lexicographic: colour rank first, then degree, then children left to
-    # right (children of a canonical tree are already sorted).
-    return (t.colour.index, len(t.children), tuple(_key(c) for c in t.children))
-
-
 def compare_trees(a: Tree, b: Tree) -> int:
-    """Total order on trees: -1, 0 or +1.  Zero iff isomorphic."""
-    ka, kb = _key(a), _key(b)
+    """Total order on trees: -1, 0 or +1.  Zero iff ``a is b``.
+
+    Lexicographic: colour rank first, then colour name (a tie-break; ranks
+    are unique within a palette), then degree, then children left to right.
+    On canonical trees, zero means isomorphic.
+    """
+    ka, kb = a.key, b.key
     return (ka > kb) - (ka < kb)
 
 
-def sort_key(t: Tree) -> tuple:
-    """Sort key realising the :func:`compare_trees` order."""
-    return _key(t)
+# Sort key realising the compare_trees order.
+sort_key = attrgetter("key")
 
 
 def canonicalize(raw: Tree) -> Tree:
     """Sort children recursively; idempotent, isomorphism-invariant."""
-    children = sorted((canonicalize(c) for c in raw.children), key=_key)
-    return Tree(raw.colour, tuple(children))
+    if raw.canonical:
+        return raw
+    return Tree(raw.colour, tuple(sorted(map(canonicalize, raw.children), key=sort_key)))
 
 
-@cache
 def cardinality(t: Tree) -> int:
     """Number of vertices."""
-    return 1 + sum(cardinality(c) for c in t.children)
+    return t.vertices
 
 
-@cache
 def entrance_count(t: Tree) -> int:
     """Number of leaves; a lone vertex is its own entrance."""
-    if not t.children:
-        return 1
-    return sum(entrance_count(c) for c in t.children)
+    return t.entrances
 
 
-@cache
 def symmetry_number(t: Tree) -> int:
     """Order of the colour-preserving automorphism group of a canonical tree.
 
@@ -99,27 +188,12 @@ def symmetry_number(t: Tree) -> int:
     own symmetry numbers.  When all siblings are isomorphic everywhere this
     reduces to the product of degree factorials.
     """
-    s = 1
-    cs = t.children
-    i = 0
-    while i < len(cs):
-        j = i
-        while j < len(cs) and compare_trees(cs[i], cs[j]) == 0:
-            j += 1
-        s *= factorial(j - i)
-        i = j
-    for c in cs:
-        s *= symmetry_number(c)
-    return s
+    return t.symmetry
 
 
-@cache
 def complexity_number(t: Tree) -> int:
     """Product over all vertices of the cardinalities of their child subtrees."""
-    tau = 1
-    for c in t.children:
-        tau *= cardinality(c) * complexity_number(c)
-    return tau
+    return t.complexity
 
 
 # ---------------------------------------------------------------------------

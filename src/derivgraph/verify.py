@@ -264,11 +264,11 @@ class _CompositeTrial:
             else:
                 biv[ci] = _random_bivariate(rng, self.n)
 
-        def evaluate(node: Skeleton) -> Jet:
+        def evaluate(node: Skeleton, path: tuple[int, ...] = ()) -> Jet:
             if node.is_variable:
                 return identity_jet(self.n)
-            ci = self.ctx.node_colour(node).index
-            args = [evaluate(c) for c in node.children]
+            ci = self.ctx.node_colour(path).index
+            args = [evaluate(c, path + (i,)) for i, c in enumerate(node.children)]
             if node.arity == 1:
                 return jet_compose(uni[ci], args[0])
             return bivariate_compose(biv[ci], args[0], args[1])

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .enumeration import DerivativeGraph, Regime
-from .trees import Tree, complexity_number, symmetry_number
+from .trees import complexity_number, symmetry_number
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,6 @@ class WeightedGraph:
     weight: Fraction
 
 
-def _internal_vertices(t: Tree) -> int:
-    if not t.children:
-        return 0
-    return 1 + sum(_internal_vertices(c) for c in t.children)
-
-
 def weigh(graph: DerivativeGraph) -> WeightedGraph:
     """Attach the regime weight and sign to a canonical graph."""
     n = graph.order
@@ -47,7 +41,7 @@ def weigh(graph: DerivativeGraph) -> WeightedGraph:
         sign = 1
     else:
         weight = Fraction(factorial(n), s)
-        sign = (-1) ** _internal_vertices(graph.tree) if graph.regime is Regime.INVERSE else 1
+        sign = (-1) ** graph.tree.internal if graph.regime is Regime.INVERSE else 1
     return WeightedGraph(graph, StructuralSummary(n, s, tau), sign, weight)
 
 

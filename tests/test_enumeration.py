@@ -84,6 +84,20 @@ class TestComposite:
     def test_no_duplicates(self):
         assert_no_duplicates(enumerate_composite(TWO_COLOUR, 6))
 
+    def test_context_of_an_equal_skeleton_finds_its_positions(self):
+        # composite_context is cached by skeleton value; a caller's own copy
+        # of the skeleton must still resolve.
+        ctx = composite_context(parse_skeleton("f(g(x))"))
+        assert ctx.node_colour(parse_skeleton("f(g(x))")) == ctx.root_colour
+        assert ctx.node_colour(()) == ctx.root_colour
+        assert ctx.node_colour((0,)).name == "g"
+
+    def test_repeated_function_positions_are_named_by_path(self):
+        ctx = composite_context(parse_skeleton("F(f(x),f(x))"))
+        assert [ctx.node_colour((i,)).name for i in (0, 1)] == ["f", "f.2"]
+        with pytest.raises(KeyError):
+            ctx.node_colour(parse_skeleton("f(x)"))
+
 
 def _entrance_deletions(t: Tree):
     """Each tree reachable by removing one entrance and its unary stem."""

@@ -1,9 +1,15 @@
+import copy
+import gc
 import json
+import pickle
 import random
+import weakref
 from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivgraph.brute import brute_automorphism_count, brute_rooted_trees, isomorphic
 from derivgraph.trees import (
@@ -207,3 +213,90 @@ class TestJson:
         t = Tree(pal["f"], (Tree(pal["x"]), Tree(pal["x"])))
         blob = json.dumps(tree_to_dict(t))
         assert tree_from_dict(json.loads(blob)) == t
+
+
+class TestInterning:
+    def test_equal_structure_is_the_same_node(self):
+        assert Tree(children=(LEAF, chain(2))) is Tree(children=[LEAF, chain(2)])
+        assert Tree(Colour(0, "*")) is LEAF
+
+    def test_copies_and_round_trips_return_the_node(self):
+        pal = make_palette("x", "f")
+        coloured = Tree(pal["f"], (Tree(pal["x"]), Tree(pal["f"], (Tree(pal["x"]),))))
+        for t in all_trees_upto(5) + [coloured]:
+            assert copy.copy(t) is t
+            assert copy.deepcopy(t) is t
+            assert pickle.loads(pickle.dumps(t)) is t
+            assert tree_from_dict(tree_to_dict(t)) is t
+        for t in all_trees_upto(5):
+            assert parse_tree(format_tree(t)) is t
+        assert parse_tree(format_tree(coloured), pal) is coloured
+
+    def test_nodes_are_immutable(self):
+        t = chain(3)
+        with pytest.raises(AttributeError):
+            t.children = ()
+        with pytest.raises(AttributeError):
+            t.symmetry = 2
+        with pytest.raises(AttributeError):
+            del t.colour
+        assert t is chain(3) and t.children == (chain(2),)
+
+    def test_canonical_flag(self):
+        raw = Tree(children=(chain(2), LEAF))
+        assert not raw.canonical
+        assert not Tree(children=(raw,)).canonical
+        t = canonicalize(raw)
+        assert t.canonical and canonicalize(t) is t
+
+    def test_unreferenced_nodes_are_released(self):
+        t = Tree(Colour(7, "transient"), (LEAF, LEAF))
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
+
+
+class TestColourIdentity:
+    def test_name_breaks_a_rank_tie(self):
+        a, b = Tree(Colour(0, "x")), Tree(Colour(0, "y"))
+        assert a is not b
+        assert compare_trees(a, b) == -1 and compare_trees(b, a) == 1
+
+    def test_compare_is_zero_iff_same_node(self):
+        clash = [Colour(0, "x"), Colour(0, "y"), Colour(1, "x")]
+        trees = all_trees_upto(4) + [Tree(c) for c in clash]
+        trees += [Tree(c, (Tree(d),)) for c in clash for d in clash]
+        for a, b in product(trees, repeat=2):
+            assert (compare_trees(a, b) == 0) == (a is b)
+
+
+PALETTE = make_palette("a", "b")
+
+
+def raw_trees(colours):
+    """Random trees with children in arbitrary order and at most 7 vertices."""
+    colour = st.sampled_from(colours)
+    return st.recursive(
+        colour.map(Tree),
+        lambda kids: st.builds(Tree, colour, st.lists(kids, min_size=1, max_size=3).map(tuple)),
+        max_leaves=5,
+    ).filter(lambda t: t.vertices <= 7)
+
+
+class TestInterningProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_trees(list(PALETTE.values())), st.randoms(use_true_random=False))
+    def test_canonical_form_and_stored_symmetry(self, t, rng):
+        c = canonicalize(t)
+        assert c.canonical
+        assert canonicalize(shuffled(t, rng)) is c
+        assert symmetry_number(c) == brute_automorphism_count(t)
+        assert parse_tree(format_tree(t), PALETTE) is t
+        assert tree_from_dict(tree_to_dict(t)) is t
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_trees([Colour(0, "x"), Colour(0, "y"), Colour(1, "x")]), st.data())
+    def test_compare_is_zero_iff_same_node(self, a, data):
+        b = data.draw(st.sampled_from([a, canonicalize(a), *a.children, LEAF]))
+        assert (compare_trees(a, b) == 0) == (a is b)

@@ -52,6 +52,12 @@ class TestComposite:
         for n in range(1, 6):
             assert verify(Regime.COMPOSITE, n, 5, 9, deep).passed
 
+    def test_repeated_function_positions_pass(self):
+        # f and f.2 are distinct positions with independent random jets.
+        twin = parse_skeleton("F(f(x),f(x))")
+        for n in range(1, 6):
+            assert verify(Regime.COMPOSITE, n, 5, 4, twin).passed
+
 
 class TestOde:
     def test_order_four_passes_with_paper_weights(self):
