@@ -101,7 +101,10 @@ def _check_order(args: argparse.Namespace) -> None:
 
 def _emit(args: argparse.Namespace, data: str) -> None:
     if args.output:
-        Path(args.output).write_text(data)
+        try:
+            Path(args.output).write_text(data)
+        except OSError as exc:
+            raise _CliError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(data)
 

@@ -1,21 +1,21 @@
 """Duplicate-free generation of derivative graphs for the three regimes.
 
-Composite graphs are grown inductively: differentiating a function vertex
-raises its derivative order by one and attaches a fresh first-derivative
-chain descending to one base variable.  ODE trees grow by attaching one
-vertex at every position.  Both build each successor canonical directly and
-deduplicate the frontier.  Inverse trees are assembled from multisets of
-subtrees so that every internal vertex keeps degree >= 2.
+One generator serves every regime (Otter's multiset recursion): a tree is a
+leaf, or a root over a non-decreasing sequence of smaller trees drawn from a
+pool in natural order.  Picking the children in pool order, one degree at a
+time, yields each isomorphism class once, canonical and already sorted.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .skeletons import Skeleton, base_variables
-from .trees import LEAF, Colour, Tree, canonicalize, sort_key
+# canonicalize is not called here: the benchmark tracer times enumeration.canonicalize.
+from .trees import DEFAULT_COLOUR, Colour, Tree, canonicalize  # noqa: F401
 
 
 class Regime(str, Enum):
@@ -46,11 +46,72 @@ class DerivativeGraph:
 
 
 # ---------------------------------------------------------------------------
+# The generator.
+
+
+@dataclass(frozen=True)
+class _Family:
+    """The trees one regime enumerates; colours are indices into ``palette``.
+
+    ``measure`` names the count a tree is sized by, "vertices" or
+    "entrances".  A leaf has a colour in ``leaves``; an inner vertex has at
+    least ``min_degree`` children, coloured from ``children[colour]``.
+    """
+
+    palette: tuple[Colour, ...]
+    children: dict[int, tuple[int, ...]]
+    leaves: frozenset[int]
+    min_degree: int
+    measure: str
+
+    def trees(self, colour: int, size: int) -> list[Tree]:
+        """Every canonical tree with root ``colour`` and measure ``size``, in natural order."""
+        return [t for t in self._up_to(colour, size, {}) if getattr(t, self.measure) == size]
+
+    def _up_to(self, colour: int, size: int, memo: dict) -> list[Tree]:
+        """Every canonical tree with root ``colour`` and measure at most ``size``.
+
+        Each isomorphism class comes once, in natural order.  ``memo`` maps
+        (colour, size) to results for the length of one enumeration.
+        """
+        if (colour, size) in memo:
+            return memo[colour, size]
+        root = self.palette[colour]
+        # Natural order compares degree before children, so the leaf is first.
+        out = [Tree(root)] if colour in self.leaves else []
+        # Measure left for the children: the root is one vertex but no entrance.
+        budget = size - 1 if self.measure == "vertices" else size
+        cap = budget - self.min_degree + 1  # the most one child can take
+        # Natural order compares colour first, so the pool is sorted as built.
+        kinds = sorted(set(self.children.get(colour, ()))) if cap > 0 else []
+        pool = [t for c in kinds for t in self._up_to(c, cap, memo)]
+        measures = [getattr(t, self.measure) for t in pool]
+        # Ascending pool positions of the trees measuring at most r.
+        at_most = [[i for i, m in enumerate(measures) if m <= r] for r in range(budget + 1)]
+        # Non-decreasing runs of pool positions: one more child per pass, and
+        # in natural order within a pass.
+        runs = [((), 0, budget)]  # (children, least next position, measure left)
+        degree = 0
+        while runs:
+            longer = []
+            for kids, start, left in runs:
+                positions = at_most[left]
+                for i in positions[bisect_left(positions, start) :]:
+                    longer.append((kids + (pool[i],), i, left - measures[i]))
+            runs = longer
+            degree += 1
+            if degree >= self.min_degree:
+                out.extend(Tree(root, kids) for kids, _, _ in runs)
+        memo[colour, size] = out
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Composite regime.
 
 
 class CompositeContext:
-    """Colour palette and differentiation chains derived from a skeleton.
+    """Colour palette and argument slots derived from a skeleton.
 
     Base variables get the lowest colour ranks in order of first appearance,
     followed by function positions in preorder.  A function name occurring at
@@ -79,6 +140,8 @@ class CompositeContext:
             label = node.name
             if name_count[node.name] > 1:
                 label = f"{node.name}.{name_count[node.name]}"
+            if label in self.palette:  # a variable has that name
+                raise ValueError(f"{node.name!r} names both a function and a variable")
             colour = Colour(len(self.palette), label)
             self.palette[label] = colour
             self._colour_at[path] = colour
@@ -88,17 +151,6 @@ class CompositeContext:
 
         assign(skeleton, ())
         self.root_colour = self._colour_at[()]
-
-        # Differentiation chains per function colour: one branch per path
-        # from an argument down to a base variable.
-        self.branches: dict[int, tuple[Tree, ...]] = {}
-        for path, colour in self._colour_at.items():
-            node = self.node_by_colour[colour.index]
-            self.branches[colour.index] = tuple(
-                b
-                for i, child in enumerate(node.children)
-                for b in self._chains(child, path + (i,))
-            )
 
         # Evaluation-point expressions (the undifferentiated sub-skeletons).
         self.point: dict[int, str] = {
@@ -117,16 +169,6 @@ class CompositeContext:
 
     def _position_colour(self, node: Skeleton, path: tuple[int, ...]) -> Colour:
         return self.palette[node.name] if node.is_variable else self._colour_at[path]
-
-    def _chains(self, node: Skeleton, path: tuple[int, ...]) -> list[Tree]:
-        colour = self._position_colour(node, path)
-        if node.is_variable:
-            return [Tree(colour)]
-        return [
-            Tree(colour, (sub,))
-            for i, child in enumerate(node.children)
-            for sub in self._chains(child, path + (i,))
-        ]
 
     def colour_of(self, name: str) -> Colour:
         return self.palette[name]
@@ -150,46 +192,20 @@ def composite_context(skeleton: Skeleton) -> CompositeContext:
     return CompositeContext(skeleton)
 
 
-def _successors(t: Tree, branches: dict[int, tuple[Tree, ...]]):
-    """Canonical trees one step larger than canonical ``t``.
-
-    A step attaches one of ``branches[colour]`` under a vertex of that
-    colour.  Children are canonical already, so each rebuilt level needs one
-    sort.  Of a run of equal siblings only the first is grown: growing any
-    other gives the same tree.
-    """
-    kids = t.children
-    for b in branches.get(t.colour.index, ()):
-        yield Tree(t.colour, tuple(sorted(kids + (b,), key=sort_key)))
-    prev = None
-    for i, c in enumerate(kids):
-        if c is prev:
-            continue
-        prev = c
-        for grown in _successors(c, branches):
-            rest = kids[:i] + (grown,) + kids[i + 1 :]
-            yield Tree(t.colour, tuple(sorted(rest, key=sort_key)))
-
-
-def _grow(seed: Tree, branches: dict[int, tuple[Tree, ...]], steps: int) -> list[Tree]:
-    """All distinct trees ``steps`` steps larger than ``seed``, sorted."""
-    frontier = {seed}
-    for _ in range(steps):
-        frontier = {g for t in frontier for g in _successors(t, branches)}
-    return sorted(frontier, key=sort_key)
-
-
 def enumerate_composite(skeleton: Skeleton, n: int) -> list[DerivativeGraph]:
     """All order-n derivative graphs of the joint mapping, canonical, sorted.
 
     Order counts entrances.  n must be >= 1: the order-0 "derivative" is the
-    skeleton itself and is not a graph of this family.
+    skeleton itself and is not a graph of this family.  A repeated argument
+    slot, such as x in F(x,x), adds no second kind of child.
     """
     if n < 1:
         raise ValueError("derivative order must be >= 1")
     ctx = composite_context(skeleton)
-    # A nullary skeleton has no branches: constant, no derivatives.
-    trees = _grow(Tree(ctx.root_colour), ctx.branches, n)
+    palette = tuple(ctx.palette.values())  # in index order
+    family = _Family(palette, ctx.slot_root, ctx.variable_colours, min_degree=1, measure="entrances")
+    # A nullary skeleton has no argument slots: constant, no derivatives.
+    trees = family.trees(ctx.root_colour.index, n)
     return [DerivativeGraph(t, Regime.COMPOSITE, skeleton) for t in trees]
 
 
@@ -198,14 +214,14 @@ def enumerate_composite(skeleton: Skeleton, n: int) -> list[DerivativeGraph]:
 # carries the k-th derivative of the field.
 
 
-_ODE_BRANCHES = {LEAF.colour.index: (LEAF,)}
+_ODE = _Family((DEFAULT_COLOUR,), {0: (0,)}, frozenset({0}), min_degree=1, measure="vertices")
 
 
 def enumerate_ode(n: int) -> list[DerivativeGraph]:
     """All rooted trees with n vertices, isomorph-free, in natural order."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    return [DerivativeGraph(t, Regime.ODE) for t in _grow(LEAF, _ODE_BRANCHES, n - 1)]
+    return [DerivativeGraph(t, Regime.ODE) for t in _ODE.trees(0, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -214,43 +230,14 @@ def enumerate_ode(n: int) -> list[DerivativeGraph]:
 # and are never drawn) and a degree-k vertex carries the k-th derivative of f.
 
 
-@cache
-def _inverse_trees(n: int) -> tuple[Tree, ...]:
-    # All trees with n entrances whose internal vertices have degree >= 2;
-    # for n == 1 that is the bare entrance.
-    if n == 1:
-        return (LEAF,)
-    candidates: list[tuple[Tree, int]] = []
-    for k in range(1, n):
-        for t in _inverse_trees(k):
-            candidates.append((t, k))
-
-    results: list[Tree] = []
-
-    def choose(start: int, remaining: int, picked: list[Tree]) -> None:
-        if remaining == 0:
-            if len(picked) >= 2:
-                results.append(Tree(children=tuple(picked)))
-            return
-        for i in range(start, len(candidates)):
-            t, leaves = candidates[i]
-            if leaves <= remaining:
-                picked.append(t)
-                choose(i, remaining - leaves, picked)
-                picked.pop()
-
-    # candidates are generated in a fixed order; non-decreasing picks give
-    # each multiset exactly once, and sorting by leaf count keeps children
-    # tuples canonical only after a final canonicalize.
-    choose(0, n, [])
-    return tuple(sorted({canonicalize(t) for t in results}, key=sort_key))
+_INVERSE = _Family(_ODE.palette, _ODE.children, _ODE.leaves, min_degree=2, measure="entrances")
 
 
 def enumerate_inverse(n: int) -> list[DerivativeGraph]:
     """All order-n inverse-regime trees; n = 1 is the closed form, rejected."""
     if n < 2:
         raise ValueError("inverse regime needs order >= 2 (order 1 is the closed form)")
-    return [DerivativeGraph(t, Regime.INVERSE) for t in _inverse_trees(n)]
+    return [DerivativeGraph(t, Regime.INVERSE) for t in _INVERSE.trees(0, n)]
 
 
 def enumerate_graphs(

@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .trees import MAX_NESTING
+
 
 @dataclass(frozen=True)
 class Skeleton:
@@ -53,7 +55,7 @@ def parse_skeleton(text: str) -> Skeleton:
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def node() -> Skeleton:
+    def node(depth: int) -> Skeleton:
         nonlocal pos
         skip_ws()
         m = _IDENT.match(text, pos)
@@ -63,6 +65,8 @@ def parse_skeleton(text: str) -> Skeleton:
         pos = m.end()
         skip_ws()
         if pos < len(text) and text[pos] == "(":
+            if depth == MAX_NESTING:
+                raise SkeletonSyntaxError(f"nesting deeper than {MAX_NESTING}", pos)
             pos += 1
             skip_ws()
             children: list[Skeleton] = []
@@ -70,7 +74,7 @@ def parse_skeleton(text: str) -> Skeleton:
                 pos += 1
             else:
                 while True:
-                    children.append(node())
+                    children.append(node(depth + 1))
                     skip_ws()
                     if pos < len(text) and text[pos] == ",":
                         pos += 1
@@ -82,7 +86,7 @@ def parse_skeleton(text: str) -> Skeleton:
             return Skeleton(name, tuple(children), function=True)
         return Skeleton(name)
 
-    s = node()
+    s = node(0)
     skip_ws()
     if pos != len(text):
         raise SkeletonSyntaxError("trailing input after skeleton", pos)

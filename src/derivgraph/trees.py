@@ -219,6 +219,9 @@ def make_palette(*names: str) -> dict[str, Colour]:
 
 _NAME = re.compile(r"\*|[A-Za-z_][A-Za-z0-9_.]*")
 
+# Deepest bracket nesting the parsers accept: they and the code after them recurse.
+MAX_NESTING = 100
+
 
 def parse_tree(text: str, palette: dict[str, Colour] | None = None) -> Tree:
     """Parse the textual notation.
@@ -244,7 +247,7 @@ def parse_tree(text: str, palette: dict[str, Colour] | None = None) -> Tree:
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def node() -> Tree:
+    def node(depth: int) -> Tree:
         nonlocal pos
         skip_ws()
         m = _NAME.match(text, pos)
@@ -255,13 +258,15 @@ def parse_tree(text: str, palette: dict[str, Colour] | None = None) -> Tree:
         skip_ws()
         children: list[Tree] = []
         if pos < len(text) and text[pos] == "{":
+            if depth == MAX_NESTING:
+                raise TreeSyntaxError(f"nesting deeper than {MAX_NESTING}", pos)
             pos += 1
             skip_ws()
             if pos < len(text) and text[pos] == "}":
                 pos += 1
             else:
                 while True:
-                    children.append(node())
+                    children.append(node(depth + 1))
                     skip_ws()
                     if pos < len(text) and text[pos] == ",":
                         pos += 1
@@ -272,7 +277,7 @@ def parse_tree(text: str, palette: dict[str, Colour] | None = None) -> Tree:
                     raise TreeSyntaxError("expected ',' or '}'", pos)
         return Tree(colour, tuple(children))
 
-    t = node()
+    t = node(0)
     skip_ws()
     if pos != len(text):
         raise TreeSyntaxError("trailing input after tree", pos)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from derivgraph.cli import main
+from derivgraph.trees import MAX_NESTING
 
 
 @pytest.fixture
@@ -175,6 +176,15 @@ class TestOutputFile:
         assert code == 0 and out == ""
         assert target.read_text() == "*{*{*{}}}\n*{*{},*{}}\n"
 
+    def test_unwritable_output_is_a_one_line_error(self, run, tmp_path):
+        target = tmp_path / "missing" / "trees.txt"
+        code, out, err = run(
+            "trees", "--regime", "ode", "--order", "3", "--output", str(target)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("derivgraph: error: cannot write output:")
+        assert err.count("\n") == 1
+
     def test_skeleton_from_file(self, run, tmp_path):
         sk = tmp_path / "skeleton.txt"
         sk.write_text("f(g(x))\n")
@@ -188,3 +198,23 @@ class TestOutputFile:
             f"@{sk}",
         )
         assert code == 0 and out == "f′(g(x))·g′(x)\n"
+
+
+class TestNesting:
+    @staticmethod
+    def argv(command, depth):
+        skeleton = "f(" * depth + "x" + ")" * depth
+        return [command, "--regime", "composite", "--order", "1", "--skeleton", skeleton]
+
+    @pytest.mark.parametrize("command", ["trees", "table"])
+    def test_order_one_at_the_limit(self, run, command):
+        code, out, err = run(*self.argv(command, MAX_NESTING))
+        assert code == 0 and err == ""
+        assert out.count(f"f.{MAX_NESTING}{{x{{}}}}") == 1
+
+    @pytest.mark.parametrize("command", ["trees", "table"])
+    def test_one_level_deeper_is_a_one_line_error(self, run, command):
+        code, out, err = run(*self.argv(command, MAX_NESTING + 1))
+        assert code == 1 and out == ""
+        assert err.startswith("derivgraph: error:") and "nesting" in err
+        assert err.count("\n") == 1

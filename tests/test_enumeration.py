@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 
 from derivgraph.brute import (
@@ -28,10 +26,36 @@ from derivgraph.trees import (
 CHAIN = parse_skeleton("f(g(x))")
 TWO_COLOUR = parse_skeleton("F(f(x),g(x))")
 
+# OEIS A000081: rooted trees by vertices, n = 1..12.
+A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+# OEIS A000669: series-reduced rooted trees by leaves, n = 2..9.
+A000669 = [1, 2, 5, 12, 33, 90, 261, 766]
 
-def assert_no_duplicates(graphs):
-    for a, b in combinations(graphs, 2):
-        assert compare_trees(a.tree, b.tree) != 0
+SKELETONS = [
+    "f(g(x))",
+    "f(g(h(k(x))))",
+    "F(f(x),g(x))",
+    "F(f(x),f(x))",
+    "F(f(x),g(x),h(x))",
+    "F(x,x)",
+    "F(x,g(x,y))",
+    "f(g(x),y)",
+    "f(f(f(x)))",
+    "f(g(x),h(x,y))",
+    "f(c(),x)",
+    "F(x,y,z)",
+    "G(f(x),g(x),h(x))",
+    "h(F(x,x),G(y,x))",
+    "F(G(x,y),G(y,x))",
+    "F()",
+]
+
+
+def assert_canonical_and_sorted(graphs):
+    """Strictly increasing natural-order keys: canonical, sorted, no duplicates."""
+    assert all(g.tree.canonical for g in graphs)
+    for a, b in zip(graphs, graphs[1:]):
+        assert compare_trees(a.tree, b.tree) < 0
 
 
 class TestComposite:
@@ -72,6 +96,12 @@ class TestComposite:
         with pytest.raises(ValueError):
             enumerate_composite(CHAIN, 0)
 
+    @pytest.mark.parametrize("text", ["x(x)", "f(g(f))"])
+    def test_rejects_a_name_used_for_a_function_and_a_variable(self, text):
+        # The two would share one palette entry and so one colour.
+        with pytest.raises(ValueError, match="both a function and a variable"):
+            enumerate_composite(parse_skeleton(text), 2)
+
     @pytest.mark.parametrize("skeleton", [CHAIN, TWO_COLOUR])
     @pytest.mark.parametrize("n", range(2, 7))
     def test_every_graph_has_an_entrance_deletion_parent(self, skeleton, n):
@@ -82,7 +112,31 @@ class TestComposite:
             )
 
     def test_no_duplicates(self):
-        assert_no_duplicates(enumerate_composite(TWO_COLOUR, 6))
+        assert_canonical_and_sorted(enumerate_composite(TWO_COLOUR, 6))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("text", SKELETONS)
+    def test_canonical_in_natural_order(self, text, n):
+        graphs = enumerate_composite(parse_skeleton(text), n)
+        assert_canonical_and_sorted(graphs)
+        assert all(g.tree.entrances == n for g in graphs)
+
+    @pytest.mark.parametrize(
+        "text,count",
+        [
+            ("F(x,x)", lambda n: 1),
+            ("F(x,y)", lambda n: n + 1),
+            ("F(x,y,z)", lambda n: (n + 1) * (n + 2) // 2),
+            ("F()", lambda n: 0),
+        ],
+    )
+    def test_closed_form_counts(self, text, count):
+        for n in range(1, 9):
+            assert len(enumerate_composite(parse_skeleton(text), n)) == count(n)
+
+    def test_repeated_slot_is_one_kind_of_child(self):
+        graphs = enumerate_composite(parse_skeleton("F(x,x)"), 2)
+        assert [format_tree(g.tree) for g in graphs] == ["F{x{},x{}}"]
 
     def test_context_of_an_equal_skeleton_finds_its_positions(self):
         # composite_context is cached by skeleton value; a caller's own copy
@@ -139,19 +193,20 @@ class TestOde:
     def test_order_four_has_four_trees(self):
         assert len(enumerate_ode(4)) == 4
 
-    @pytest.mark.parametrize(
-        "n,count", list(enumerate([1, 1, 2, 4, 9, 20, 48, 115], start=1))
-    )
+    @pytest.mark.parametrize("n,count", list(enumerate(A000081, start=1)))
     def test_counts_match_independent_enumeration(self, n, count):
         graphs = enumerate_ode(n)
         assert len(graphs) == count
+        assert_canonical_and_sorted(graphs)
+        if n > 8:  # the brute-force enumeration is exponential
+            return
         brute = brute_rooted_trees(n)
         assert len(brute) == count
         for g in graphs:
             assert sum(1 for b in brute if isomorphic(g.tree, b)) == 1
 
     def test_no_duplicates(self):
-        assert_no_duplicates(enumerate_ode(7))
+        assert_canonical_and_sorted(enumerate_ode(7))
 
     def test_regime_tag_and_order(self):
         g = enumerate_ode(5)[0]
@@ -189,9 +244,15 @@ class TestInverse:
                 check(g.tree)
                 assert entrance_count(g.tree) == n
 
+    @pytest.mark.parametrize("n,count", list(enumerate(A000669, start=2)))
+    def test_counts_follow_a000669(self, n, count):
+        graphs = enumerate_inverse(n)
+        assert len(graphs) == count
+        assert_canonical_and_sorted(graphs)
+
     def test_rejects_small_orders(self):
         with pytest.raises(ValueError):
             enumerate_inverse(1)
 
     def test_no_duplicates(self):
-        assert_no_duplicates(enumerate_inverse(7))
+        assert_canonical_and_sorted(enumerate_inverse(7))

@@ -7,6 +7,7 @@ from derivgraph.skeletons import (
     base_variables,
     parse_skeleton,
 )
+from derivgraph.trees import MAX_NESTING
 
 
 class TestParse:
@@ -31,6 +32,13 @@ class TestParse:
         with pytest.raises(SkeletonSyntaxError) as err:
             parse_skeleton("f(g(x)")
         assert err.value.position == 6
+
+    def test_nesting_limit(self):
+        deepest = parse_skeleton("f(" * MAX_NESTING + "x" + ")" * MAX_NESTING)
+        assert deepest.children[0].name == "f"
+        with pytest.raises(SkeletonSyntaxError) as err:
+            parse_skeleton("f(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1))
+        assert err.value.position == 2 * MAX_NESTING + 1
 
     def test_root_must_be_function(self):
         with pytest.raises(SkeletonSyntaxError):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from derivgraph.brute import brute_automorphism_count, brute_rooted_trees, isomorphic
 from derivgraph.trees import (
     LEAF,
+    MAX_NESTING,
     Colour,
     Tree,
     TreeSyntaxError,
@@ -205,6 +206,13 @@ class TestNotation:
     def test_unknown_colour_rejected(self):
         with pytest.raises(TreeSyntaxError):
             parse_tree("h{}", make_palette("f"))
+
+    def test_nesting_limit(self):
+        assert parse_tree("*{" * MAX_NESTING + "}" * MAX_NESTING).vertices == MAX_NESTING
+        for depth in (MAX_NESTING + 1, 2000):
+            with pytest.raises(TreeSyntaxError) as err:
+                parse_tree("*{" * depth + "}" * depth)
+            assert err.value.position == 2 * MAX_NESTING + 1
 
 
 class TestJson:
