@@ -209,6 +209,12 @@ def main(argv: list[str] | None = None) -> int:
     except (_CliError, ValueError) as exc:
         print(f"derivgraph: error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # Anything else is a defect, but it still ends in one line, not a
+        # traceback; the type name says which defect.
+        detail = " ".join(str(exc).split())
+        print(f"derivgraph: error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -170,9 +170,6 @@ class CompositeContext:
     def _position_colour(self, node: Skeleton, path: tuple[int, ...]) -> Colour:
         return self.palette[node.name] if node.is_variable else self._colour_at[path]
 
-    def colour_of(self, name: str) -> Colour:
-        return self.palette[name]
-
     def node_colour(self, position: Skeleton | tuple[int, ...]) -> Colour:
         """Colour of one function position of the skeleton.
 

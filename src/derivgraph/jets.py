@@ -108,7 +108,10 @@ def jet_reverse(f: Jet) -> Jet:
     """Compositional inverse g with f(g(x)) = x to the truncation order.
 
     Requires c_0 = 0 and c_1 != 0.  Solved coefficient by coefficient: the
-    k-th coefficient of f(g) is linear in g_k with factor f_1.
+    k-th coefficient of f(g) is f_1 g_k + sum_{j>=2} f_j [x^k] g^j, and for
+    j >= 2 the term [x^k] g^j needs only g_1 .. g_{k-1}.  A table of those
+    power coefficients grows by one column per order, so the whole
+    reversion costs O(N^3) coefficient products.
     """
     if f[0] != 0:
         raise ValueError("series must have zero constant term")
@@ -116,8 +119,16 @@ def jet_reverse(f: Jet) -> Jet:
         raise ValueError("series with zero linear term has no compositional inverse")
     n = f.order
     g = [Fraction(0), 1 / Fraction(f[1])] + [Fraction(0)] * (n - 1)
+    # power[j][m] = [x^m] g^j; power[1] is g itself, filled as g is solved.
+    power = [[Fraction(1)] + [Fraction(0)] * n, g]
+    power += [[Fraction(0)] * (n + 1) for _ in range(2, n + 1)]
     for k in range(2, n + 1):
-        residue = jet_compose(f.truncated(k), Jet(g[: k + 1]))[k]
+        residue = Fraction(0)
+        for j in range(2, k + 1):
+            lower = power[j - 1]
+            # g^j = g * g^(j-1), and g^(j-1) starts at x^(j-1).
+            power[j][k] = sum(g[i] * lower[k - i] for i in range(1, k - j + 2))
+            residue += f[j] * power[j][k]
         g[k] = -residue / f[1]
     return Jet(g)
 

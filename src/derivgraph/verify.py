@@ -13,8 +13,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import mul
+from typing import Callable
 
-from .enumeration import Regime, composite_context, enumerate_graphs
+from .enumeration import DerivativeGraph, Regime, composite_context, enumerate_graphs
 from .jets import (
     BivariateJet,
     Jet,
@@ -162,77 +164,90 @@ def verify(
 
     mismatches: list[Mismatch] = []
     for trial in range(trials):
-        expected, terms = runner.run(rng)
-        actual = sum((tv.sign * tv.weight * tv.value for tv in terms), Fraction(0))
+        expected, values = runner.run(rng)
+        actual = sum(map(mul, runner.coefficients, values), Fraction(0))
         if actual != expected:
-            mismatches.append(Mismatch(trial, expected, actual, tuple(terms)))
+            terms = tuple(TermValue(*row, value) for row, value in zip(runner.rows, values))
+            mismatches.append(Mismatch(trial, expected, actual, terms))
     return Report(regime, n, trials, seed, runner.graph_count, tuple(mismatches))
 
 
-class _OdeTrial:
+def _derivatives(jet: Jet, n: int) -> list[Fraction]:
+    return [jet.derivative_at_zero(k) for k in range(n + 1)]
+
+
+class _Trial:
+    """The graphs of one regime and order, weighed and formatted once for all trials.
+
+    ``rows`` holds each graph's (formatted tree, sign, weight) in enumeration
+    order, and ``coefficients`` each row's sign times weight.  A subclass's
+    ``run`` draws one trial's jets and returns the expected derivative
+    together with the value of every row.
+    """
+
+    def __init__(self, graphs: list[DerivativeGraph]):
+        weighted = [weigh(g) for g in graphs]
+        self.graph_count = len(weighted)
+        self.trees = [wg.graph.tree for wg in weighted]
+        self.rows = [(format_tree(t), wg.sign, wg.weight) for t, wg in zip(self.trees, weighted)]
+        self.coefficients = [wg.sign * wg.weight for wg in weighted]
+
+    def values(self, vertex_factor: Callable[[Tree], Fraction]) -> list[Fraction]:
+        """Each tree's value: its vertex factor times its children's values.
+
+        Trees are interned, so a subtree shared by many graphs is one node;
+        the memo (one per trial, keyed by node identity) evaluates it once.
+        """
+        memo: dict[Tree, Fraction] = {}
+
+        def value(t: Tree) -> Fraction:
+            v = memo.get(t)
+            if v is None:
+                v = vertex_factor(t)
+                for c in t.children:
+                    v *= value(c)
+                memo[t] = v
+            return v
+
+        return [value(t) for t in self.trees]
+
+
+class _OdeTrial(_Trial):
     def __init__(self, n: int):
-        self.weighted = [weigh(g) for g in enumerate_graphs(Regime.ODE, n)]
+        super().__init__(enumerate_graphs(Regime.ODE, n))
         self.n = n
 
-    @property
-    def graph_count(self) -> int:
-        return len(self.weighted)
-
-    def run(self, rng: random.Random) -> tuple[Fraction, list[TermValue]]:
+    def run(self, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
         field_jet = _random_jet(rng, self.n)
         y0 = _random_fraction(rng)
         flow = jet_ode_flow(field_jet, y0, self.n)
         expected = flow[self.n] * factorial(self.n)
-
-        def tree_value(t: Tree) -> Fraction:
-            value = field_jet.derivative_at_zero(t.degree)
-            for c in t.children:
-                value *= tree_value(c)
-            return value
-
-        terms = [
-            TermValue(format_tree(wg.graph.tree), wg.sign, wg.weight, tree_value(wg.graph.tree))
-            for wg in self.weighted
-        ]
-        return expected, terms
+        derivs = _derivatives(field_jet, self.n)
+        return expected, self.values(lambda t: derivs[t.degree])
 
 
-class _InverseTrial:
+class _InverseTrial(_Trial):
     def __init__(self, n: int):
+        super().__init__([] if n == 1 else enumerate_graphs(Regime.INVERSE, n))
         self.n = n
-        self.weighted = (
-            [] if n == 1 else [weigh(g) for g in enumerate_graphs(Regime.INVERSE, n)]
-        )
+        if n == 1:
+            self.rows = [("(closed form)", 1, Fraction(1))]
+            self.coefficients = [Fraction(1)]
 
-    @property
-    def graph_count(self) -> int:
-        return len(self.weighted)
-
-    def run(self, rng: random.Random) -> tuple[Fraction, list[TermValue]]:
+    def run(self, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
         f = _random_jet(rng, self.n, zero_constant=True, nonzero_linear=True)
         g = jet_reverse(f)
         expected = g[self.n] * factorial(self.n)
         dg = 1 / f[1]
         if self.n == 1:
-            return expected, [TermValue("(closed form)", 1, Fraction(1), dg)]
-
-        def tree_value(t: Tree) -> Fraction:
-            # One Dg per entrance plus one per internal vertex wedge.
-            if t.is_leaf:
-                return dg
-            value = f.derivative_at_zero(t.degree) * dg
-            for c in t.children:
-                value *= tree_value(c)
-            return value
-
-        terms = [
-            TermValue(format_tree(wg.graph.tree), wg.sign, wg.weight, tree_value(wg.graph.tree))
-            for wg in self.weighted
-        ]
-        return expected, terms
+            return expected, [dg]
+        # One Dg per entrance plus one per internal vertex wedge.  Inner
+        # vertices have degree >= 2, so slot 0 is free for the leaf factor.
+        factor = [dg] + [d * dg for d in _derivatives(f, self.n)[1:]]
+        return expected, self.values(lambda t: factor[t.degree])
 
 
-class _CompositeTrial:
+class _CompositeTrial(_Trial):
     def __init__(self, skeleton: Skeleton | None, n: int):
         if skeleton is None:
             raise ValueError("composite regime requires a skeleton")
@@ -249,13 +264,9 @@ class _CompositeTrial:
                 raise ValueError(
                     "two-argument functions need distinguishable argument branches"
                 )
-        self.weighted = [weigh(g) for g in enumerate_graphs(Regime.COMPOSITE, n, skeleton)]
+        super().__init__(enumerate_graphs(Regime.COMPOSITE, n, skeleton))
 
-    @property
-    def graph_count(self) -> int:
-        return len(self.weighted)
-
-    def run(self, rng: random.Random) -> tuple[Fraction, list[TermValue]]:
+    def run(self, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
         uni: dict[int, Jet] = {}
         biv: dict[int, BivariateJet] = {}
         for ci, node in self.ctx.node_by_colour.items():
@@ -276,23 +287,16 @@ class _CompositeTrial:
         direct = evaluate(self.ctx.skeleton)
         expected = direct[self.n] * factorial(self.n)
 
-        def tree_value(t: Tree) -> Fraction:
-            ci = t.colour.index
-            if ci in self.ctx.variable_colours:
-                return Fraction(1)
-            node = self.ctx.node_by_colour[ci]
-            value = Fraction(1)
-            for c in t.children:
-                value *= tree_value(c)
-            if node.arity == 1:
-                return uni[ci].derivative_at_zero(t.degree) * value
-            roots = self.ctx.slot_root[ci]
-            a = sum(1 for c in t.children if c.colour.index == roots[0])
-            b = t.degree - a
-            return biv[ci].partial_at_zero(a, b) * value
+        derivs = {ci: _derivatives(jet, self.n) for ci, jet in uni.items()}
 
-        terms = [
-            TermValue(format_tree(wg.graph.tree), wg.sign, wg.weight, tree_value(wg.graph.tree))
-            for wg in self.weighted
-        ]
-        return expected, terms
+        def vertex_factor(t: Tree) -> Fraction:
+            ci = t.colour.index
+            if ci in derivs:
+                return derivs[ci][t.degree]
+            if ci in biv:
+                first = self.ctx.slot_root[ci][0]
+                a = sum(1 for c in t.children if c.colour.index == first)
+                return biv[ci].partial_at_zero(a, t.degree - a)
+            return Fraction(1)  # a variable
+
+        return expected, self.values(vertex_factor)

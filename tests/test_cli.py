@@ -218,3 +218,17 @@ class TestNesting:
         assert code == 1 and out == ""
         assert err.startswith("derivgraph: error:") and "nesting" in err
         assert err.count("\n") == 1
+
+
+class TestUnexpectedError:
+    def test_unexpected_exception_is_a_one_line_error(self, run, monkeypatch):
+        import derivgraph.cli as cli
+
+        def broken(args):
+            raise RuntimeError("internal\nfault")
+
+        monkeypatch.setitem(cli._COMMANDS, "trees", broken)
+        code, out, err = run("trees", "--regime", "ode", "--order", "3")
+        assert code == 1 and out == ""
+        assert err == "derivgraph: error: RuntimeError: internal fault\n"
+        assert "Traceback" not in err

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -62,13 +62,29 @@ class TestReverse:
         with pytest.raises(ValueError):
             jet_reverse(Jet([0, 0, 1]))
 
-    @settings(max_examples=50, deadline=None)
-    @given(jets(8, zero_constant=True, nonzero_linear=True))
-    def test_two_sided_inverse(self, f):
-        g = jet_reverse(f)
-        ident = identity_jet(8)
-        assert jet_compose(f, g) == ident
-        assert jet_compose(g, f) == ident
+    def test_catalan_numbers(self):
+        # x - x^2 reverses to sum_k C_{k-1} x^k.
+        g = jet_reverse(Jet([0, 1, -1], order=12))
+        catalan = [comb(2 * m, m) // (m + 1) for m in range(12)]
+        assert g == Jet([0] + catalan)
+
+    def test_order_one_closed_form(self):
+        assert jet_reverse(Jet([0, Fraction(-3, 4)])) == Jet([0, Fraction(-4, 3)])
+
+    def test_order_two_closed_form(self):
+        # g_2 = -f_2 / f_1^3
+        f1, f2 = Fraction(2, 3), Fraction(-5, 7)
+        assert jet_reverse(Jet([0, f1, f2])) == Jet([0, 1 / f1, -f2 / f1**3])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_two_sided_inverse(self, data):
+        for order in range(1, 13):
+            f = data.draw(jets(order, zero_constant=True, nonzero_linear=True))
+            g = jet_reverse(f)
+            ident = identity_jet(order)
+            assert jet_compose(f, g) == ident
+            assert jet_compose(g, f) == ident
 
 
 class TestOdeFlow:

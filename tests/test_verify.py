@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from derivgraph.enumeration import Regime
+from derivgraph.enumeration import Regime, enumerate_graphs
 from derivgraph.skeletons import parse_skeleton
+from derivgraph.trees import format_tree
 from derivgraph.verify import verify
 
 CHAIN = parse_skeleton("f(g(x))")
@@ -36,7 +37,7 @@ class TestComposite:
         }
 
     def test_two_colour_passes(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             assert verify(Regime.COMPOSITE, n, 5, 3, TWO_COLOUR).passed
 
     def test_requires_skeleton(self):
@@ -76,7 +77,7 @@ class TestInverse:
         assert report.passed
         assert report.graph_count == 1
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_all_orders(self, n):
         assert verify(Regime.INVERSE, n, 5, 13).passed
 
@@ -115,8 +116,23 @@ class TestReport:
             return type(wg)(wg.graph, wg.summary, wg.sign, wg.weight + Fraction(1, 7))
 
         monkeypatch.setattr(verify_module, "weigh", crooked)
-        report = verify_module.verify(Regime.ODE, 4, 3, 5)
-        assert not report.passed
-        assert all(m.discrepancy != 0 for m in report.mismatches)
-        text = report.to_text()
-        assert "FAIL" in text and "max" in text
+        for regime, n, skeleton in [
+            (Regime.ODE, 4, None),
+            (Regime.INVERSE, 5, None),
+            (Regime.COMPOSITE, 4, TWO_COLOUR),
+        ]:
+            report = verify_module.verify(regime, n, 3, 5, skeleton)
+            assert not report.passed
+            assert all(m.discrepancy != 0 for m in report.mismatches)
+            text = report.to_text()
+            assert "FAIL" in text and "max" in text
+
+            # Every mismatch lists every graph, in enumeration order, with
+            # the weight it was checked with and its value in that trial.
+            graphs = enumerate_graphs(regime, n, skeleton)
+            for m in report.mismatches:
+                assert [tv.tree for tv in m.terms] == [format_tree(g.tree) for g in graphs]
+                assert [(tv.sign, tv.weight) for tv in m.terms] == [
+                    (wg.sign, wg.weight) for wg in map(crooked, graphs)
+                ]
+                assert m.actual == sum(tv.sign * tv.weight * tv.value for tv in m.terms)
