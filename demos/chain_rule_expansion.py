@@ -5,6 +5,7 @@ differentiation step raises one vertex's order and sends a fresh
 first-derivative chain down to a base variable.  For f(g(x)) the order-n
 graphs are in bijection with the integer partitions of n; for a two-argument
 outer function the entrance colours split and weights become binomial.
+The oracle checks outer functions of any arity, repeated arguments included.
 """
 
 from math import comb
@@ -43,7 +44,15 @@ for graph in enumerate_composite(two_colour, n):
 
 print()
 print("== oracle: graphs vs jet composition ==")
-for n in range(1, 9):
-    print(" ", verify(Regime.COMPOSITE, n, trials=20, seed=7, skeleton=chain).to_text())
-for n in range(1, 7):
-    print(" ", verify(Regime.COMPOSITE, n, trials=20, seed=7, skeleton=two_colour).to_text())
+# F(x,x) feeds one variable to both slots: a vertex sums its derivative
+# over every way its children can fill the slots.  F(x,y,z) has three.
+for skeleton, top in [
+    (chain, 8),
+    (two_colour, 6),
+    (parse_skeleton("F(x,x)"), 6),
+    (parse_skeleton("F(x,y,z)"), 5),
+]:
+    for n in range(1, top + 1):
+        report = verify(Regime.COMPOSITE, n, trials=20, seed=7, skeleton=skeleton)
+        print(f"  {skeleton}: {report.to_text()}")
+        assert report.passed

@@ -37,4 +37,6 @@ g = jet_reverse(f)
 print("  reverse(x + x^2):", [str(c) for c in g.coeffs])
 
 for n in range(1, 8):
-    print(" ", verify(Regime.INVERSE, n, trials=20, seed=7).to_text())
+    report = verify(Regime.INVERSE, n, trials=20, seed=7)
+    print(" ", report.to_text())
+    assert report.passed

@@ -42,4 +42,6 @@ assert flow.coeffs == tuple([Fraction(1)] * 7)
 print()
 print("== oracle: weighted trees vs direct flow recurrence, orders 1..8 ==")
 for n in range(1, 9):
-    print(" ", verify(Regime.ODE, n, trials=20, seed=7).to_text())
+    report = verify(Regime.ODE, n, trials=20, seed=7)
+    print(" ", report.to_text())
+    assert report.passed

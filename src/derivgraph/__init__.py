@@ -23,9 +23,8 @@ from .formulas import (
     render_term,
 )
 from .jets import (
-    BivariateJet,
     Jet,
-    bivariate_compose,
+    compose,
     identity_jet,
     jet_compose,
     jet_ode_flow,
@@ -62,7 +61,6 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivariateJet",
     "Colour",
     "DEFAULT_COLOUR",
     "DerivativeGraph",
@@ -78,11 +76,11 @@ __all__ = [
     "Tree",
     "TreeSyntaxError",
     "WeightedGraph",
-    "bivariate_compose",
     "canonicalize",
     "cardinality",
     "compare_trees",
     "complexity_number",
+    "compose",
     "entrance_count",
     "enumerate_composite",
     "enumerate_graphs",

@@ -14,8 +14,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .skeletons import Skeleton, base_variables
-# canonicalize is not called here: the benchmark tracer times enumeration.canonicalize.
-from .trees import DEFAULT_COLOUR, Colour, Tree, canonicalize  # noqa: F401
+from .trees import DEFAULT_COLOUR, Colour, Tree
 
 
 class Regime(str, Enum):

@@ -149,44 +149,28 @@ def jet_ode_flow(f: Jet, y0: Rat, order: int) -> Jet:
     return Jet(y)
 
 
-class BivariateJet:
-    """Truncated bivariate series: coefficients c_{ij} with i + j <= N."""
+def compose(outer: dict[tuple[int, ...], Rat], inners: list[Jet], order: int) -> Jet:
+    """Jet of x -> F(u_1(x), ..., u_k(x)) = sum_alpha c_alpha prod u_i^alpha_i.
 
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: dict[tuple[int, int], Rat], order: int):
-        self.order = order
-        self.coeffs = {
-            (i, j): Fraction(c)
-            for (i, j), c in coeffs.items()
-            if i + j <= order and c != 0
-        }
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.coeffs.get(ij, Fraction(0))
-
-    def partial_at_zero(self, a: int, b: int) -> Fraction:
-        """Mixed partial d^{a+b}F / du^a dv^b at the expansion point."""
-        f = 1
-        for i in range(2, a + 1):
-            f *= i
-        for i in range(2, b + 1):
-            f *= i
-        return self[a, b] * f
-
-
-def bivariate_compose(outer: BivariateJet, u: Jet, v: Jet) -> Jet:
-    """Jet of x -> F(u(x), v(x)); u and v must have zero constant terms."""
-    if u[0] != 0 or v[0] != 0:
+    ``outer`` is F's sparse Taylor series: a dict from multi-index alpha
+    (one exponent per argument) to c_alpha.  The inners must have zero
+    constant terms; the result is truncated at ``order``, or at the lowest
+    inner order if that is lower.  With no inners F is a constant.
+    """
+    if any(u[0] != 0 for u in inners):
         raise ValueError("inner jets must have zero constant terms")
-    n = min(outer.order, u.order, v.order)
-    u_pows = [Jet([1], order=n)]
-    v_pows = [Jet([1], order=n)]
-    for _ in range(n):
-        u_pows.append(u_pows[-1] * u)
-        v_pows.append(v_pows[-1] * v)
-    result = Jet([0], order=n)
-    for (i, j), c in outer.coeffs.items():
-        if i + j <= n:
-            result = result + u_pows[i] * v_pows[j] * c
+    # powers[i][e] = u_i^e; exponents above the order contribute nothing.
+    powers = []
+    for u in inners:
+        row = [Jet([1], order=order)]
+        for _ in range(order):
+            row.append(row[-1] * u)
+        powers.append(row)
+    result = Jet([0], order=order)
+    for alpha, c in outer.items():
+        if sum(alpha) <= order:
+            term = Jet([c], order=order)
+            for row, e in zip(powers, alpha):
+                term = term * row[e]
+            result = result + term
     return result

@@ -12,20 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import mul
 from typing import Callable
 
 from .enumeration import DerivativeGraph, Regime, composite_context, enumerate_graphs
-from .jets import (
-    BivariateJet,
-    Jet,
-    bivariate_compose,
-    identity_jet,
-    jet_compose,
-    jet_ode_flow,
-    jet_reverse,
-)
+from .jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
 from .skeletons import Skeleton
 from .trees import Tree, format_tree
 from .weights import weigh
@@ -52,14 +44,31 @@ def _random_jet(
     return Jet(coeffs)
 
 
-def _random_bivariate(rng: random.Random, order: int) -> BivariateJet:
-    coeffs = {
-        (i, j): _random_fraction(rng)
-        for i in range(order + 1)
-        for j in range(order + 1 - i)
-        if i + j >= 1
-    }
-    return BivariateJet(coeffs, order)
+def _exponents(arity: int, n: int) -> list[tuple[int, ...]]:
+    """Multi-indices with ``arity`` entries and total at most ``n``, in lexicographic order."""
+    if arity == 0:
+        return [()]
+    return [(a,) + rest for a in range(n + 1) for rest in _exponents(arity - 1, n - a)]
+
+
+def _assignments(
+    slot_root: tuple[int, ...], child_colours: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    """How many ways each multi-index alpha arises when children pick slots.
+
+    Each child goes to any argument slot whose root colour is its own;
+    alpha counts the children per slot.
+    """
+    ways = {(0,) * len(slot_root): 1}
+    for colour in child_colours:
+        step: dict[tuple[int, ...], int] = {}
+        for alpha, count in ways.items():
+            for s, root in enumerate(slot_root):
+                if root == colour:
+                    beta = alpha[:s] + (alpha[s] + 1,) + alpha[s + 1 :]
+                    step[beta] = step.get(beta, 0) + count
+        ways = step
+    return ways
 
 
 @dataclass(frozen=True)
@@ -253,50 +262,40 @@ class _CompositeTrial(_Trial):
             raise ValueError("composite regime requires a skeleton")
         self.n = n
         self.ctx = composite_context(skeleton)
-        for node in self.ctx.node_by_colour.values():
-            if node.arity not in (1, 2):
-                raise ValueError(
-                    "verification supports functions of one or two arguments only"
-                )
-        for ci, node in self.ctx.node_by_colour.items():
-            roots = self.ctx.slot_root[ci]
-            if node.arity == 2 and roots[0] == roots[1]:
-                raise ValueError(
-                    "two-argument functions need distinguishable argument branches"
-                )
         super().__init__(enumerate_graphs(Regime.COMPOSITE, n, skeleton))
 
     def run(self, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
-        uni: dict[int, Jet] = {}
-        biv: dict[int, BivariateJet] = {}
-        for ci, node in self.ctx.node_by_colour.items():
-            if node.arity == 1:
-                uni[ci] = _random_jet(rng, self.n, zero_constant=True)
-            else:
-                biv[ci] = _random_bivariate(rng, self.n)
+        # F's Taylor coefficients c_alpha, 1 <= |alpha| <= n, per position.
+        outer = {
+            ci: {a: _random_fraction(rng) for a in _exponents(node.arity, self.n) if any(a)}
+            for ci, node in self.ctx.node_by_colour.items()
+        }
 
         def evaluate(node: Skeleton, path: tuple[int, ...] = ()) -> Jet:
             if node.is_variable:
                 return identity_jet(self.n)
-            ci = self.ctx.node_colour(path).index
             args = [evaluate(c, path + (i,)) for i, c in enumerate(node.children)]
-            if node.arity == 1:
-                return jet_compose(uni[ci], args[0])
-            return bivariate_compose(biv[ci], args[0], args[1])
+            return compose(outer[self.ctx.node_colour(path).index], args, self.n)
 
         direct = evaluate(self.ctx.skeleton)
         expected = direct[self.n] * factorial(self.n)
 
-        derivs = {ci: _derivatives(jet, self.n) for ci, jet in uni.items()}
+        # D^k F[v_1..v_k] at a vertex: the sum of d^alpha F(0) = alpha! c_alpha
+        # over every assignment of its children to matching slots.  It
+        # depends only on the vertex colour and the children's colours.
+        factors: dict[tuple[int, ...], Fraction] = {}
 
         def vertex_factor(t: Tree) -> Fraction:
             ci = t.colour.index
-            if ci in derivs:
-                return derivs[ci][t.degree]
-            if ci in biv:
-                first = self.ctx.slot_root[ci][0]
-                a = sum(1 for c in t.children if c.colour.index == first)
-                return biv[ci].partial_at_zero(a, t.degree - a)
-            return Fraction(1)  # a variable
+            if ci not in outer:
+                return Fraction(1)  # a variable
+            key = (ci,) + tuple(c.colour.index for c in t.children)
+            if key not in factors:
+                ways = _assignments(self.ctx.slot_root[ci], key[1:])
+                factors[key] = sum(
+                    (count * prod(map(factorial, a)) * outer[ci][a] for a, count in ways.items()),
+                    Fraction(0),
+                )
+            return factors[key]
 
         return expected, self.values(vertex_factor)

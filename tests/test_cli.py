@@ -166,6 +166,16 @@ class TestVerify:
         b = run("verify", "--regime", "inverse", "--order", "5", "--seed", "9")
         assert a == b
 
+    def test_zero_trials_is_a_one_line_error(self, run):
+        code, out, err = run("verify", "--regime", "ode", "--order", "3", "--trials", "0")
+        assert (code, out, err) == (1, "", "derivgraph: error: trials must be >= 1\n")
+
+    def test_repeated_slots_pass(self, run):
+        code, out, _ = run(
+            "verify", "--regime", "composite", "--skeleton", "F(x,x)", "--order", "2"
+        )
+        assert code == 0 and out.endswith("PASS\n")
+
 
 class TestOutputFile:
     def test_writes_file_instead_of_stdout(self, run, tmp_path):

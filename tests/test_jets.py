@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivgraph.jets import (
-    BivariateJet,
     Jet,
-    bivariate_compose,
+    compose,
     identity_jet,
     jet_compose,
     jet_ode_flow,
@@ -119,16 +118,47 @@ class TestArithmetic:
 class TestBivariate:
     def test_linear_sum_gives_binomials(self):
         # F(u, v) = u + v composed with f = g = t reproduces (nothing to mix)
-        F = BivariateJet({(1, 0): 1, (0, 1): 1}, 4)
         t = identity_jet(4)
-        assert bivariate_compose(F, t, t) == Jet([0, 2, 0, 0, 0])
+        assert compose({(1, 0): 1, (0, 1): 1}, [t, t], 4) == Jet([0, 2, 0, 0, 0])
 
     def test_product_function(self):
-        F = BivariateJet({(1, 1): 1}, 4)
         f = Jet([0, 1, 1], order=4)
         g = Jet([0, 2], order=4)
-        assert bivariate_compose(F, f, g) == Jet([0, 0, 2, 2, 0])
+        assert compose({(1, 1): 1}, [f, g], 4) == Jet([0, 0, 2, 2, 0])
 
     def test_partial_at_zero(self):
-        F = BivariateJet({(2, 1): Fraction(1, 2)}, 3)
-        assert F.partial_at_zero(2, 1) == 1
+        # F = u^2 v / 2 has F_uuv = 1; F(x, x) = x^3 / 2, and its third
+        # derivative sums F_uuv over the 3 ways to give two of x, x, x to u.
+        t = identity_jet(3)
+        assert compose({(2, 1): Fraction(1, 2)}, [t, t], 3).derivative_at_zero(3) == 3
+
+
+class TestMultivariate:
+    def test_three_arguments(self):
+        # F = u v w + u with u = x + x^2, v = 2x, w = -x.
+        u, v, w = Jet([0, 1, 1], order=4), Jet([0, 2], order=4), Jet([0, -1], order=4)
+        assert compose({(1, 1, 1): 1, (1, 0, 0): 1}, [u, v, w], 4) == Jet([0, 1, 1, -2, -2])
+
+    def test_repeated_argument(self):
+        # F(x, x) for F = a u^2 + b u v + c v^2: F_uu + 2 F_uv + F_vv = 2(a + b + c).
+        a, b, c = Fraction(1, 3), Fraction(-2), Fraction(5, 7)
+        t = identity_jet(2)
+        jet = compose({(2, 0): a, (1, 1): b, (0, 2): c}, [t, t], 2)
+        assert jet.derivative_at_zero(2) == 2 * (a + b + c)
+
+    def test_no_arguments_is_a_constant(self):
+        assert compose({(): 5}, [], 3) == Jet([5, 0, 0, 0])
+
+    def test_terms_above_the_order_vanish(self):
+        t = identity_jet(2)
+        assert compose({(1, 0): 1, (2, 1): 1}, [t, t], 2) == Jet([0, 1, 0])
+
+    def test_rejects_nonzero_inner_constant(self):
+        with pytest.raises(ValueError):
+            compose({(1,): 1}, [Jet([1, 1])], 1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(jets(8), jets(8, zero_constant=True))
+    def test_unary_outer_matches_jet_compose(self, outer, inner):
+        coeffs = {(k,): c for k, c in enumerate(outer.coeffs)}
+        assert compose(coeffs, [inner], 8) == jet_compose(outer, inner)

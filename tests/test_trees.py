@@ -133,6 +133,11 @@ class TestSymmetry:
         )
         assert symmetry_number(t) == 12
 
+    def test_deep_chain_built_in_code(self):
+        # S is a stored field, so a chain far deeper than the recursion
+        # limit needs no recursion.
+        assert symmetry_number(chain(5000)) == 1
+
     def test_matches_brute_force_automorphisms(self):
         for t in all_trees_upto(7):
             assert symmetry_number(t) == brute_automorphism_count(t)

@@ -44,9 +44,24 @@ class TestComposite:
         with pytest.raises(ValueError):
             verify(Regime.COMPOSITE, 3, 5, 0)
 
-    def test_rejects_wide_functions(self):
-        with pytest.raises(ValueError):
-            verify(Regime.COMPOSITE, 2, 1, 0, parse_skeleton("F(f(x),g(x),h(x))"))
+    @pytest.mark.parametrize(
+        "text,top",
+        [
+            ("F(x,y,z)", 5),
+            ("F(x,x)", 6),
+            ("G(f(x),g(x),h(x))", 5),
+            ("f(x,x,y)", 5),
+            ("h(F(x,x),G(y,x))", 5),
+            ("F(G(x,y),G(y,x))", 5),
+            ("f(c(),x)", 5),
+            ("F()", 5),
+            ("F(x,g(x,y))", 5),
+        ],
+    )
+    def test_any_arity_and_repeated_slots_pass(self, text, top):
+        skeleton = parse_skeleton(text)
+        for n in range(1, top + 1):
+            assert verify(Regime.COMPOSITE, n, 5, 2, skeleton).passed
 
     def test_deep_chain_passes(self):
         deep = parse_skeleton("f(g(h(x)))")
@@ -120,6 +135,8 @@ class TestReport:
             (Regime.ODE, 4, None),
             (Regime.INVERSE, 5, None),
             (Regime.COMPOSITE, 4, TWO_COLOUR),
+            (Regime.COMPOSITE, 4, parse_skeleton("F(x,x)")),
+            (Regime.COMPOSITE, 3, parse_skeleton("F(x,y,z)")),
         ]:
             report = verify_module.verify(regime, n, 3, 5, skeleton)
             assert not report.passed
