@@ -26,7 +26,6 @@ from .jets import (
     Jet,
     compose,
     identity_jet,
-    jet_compose,
     jet_ode_flow,
     jet_reverse,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "enumerate_ode",
     "format_tree",
     "identity_jet",
-    "jet_compose",
     "jet_ode_flow",
     "jet_reverse",
     "make_palette",

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .enumeration import Regime, enumerate_graphs
+from .enumeration import DerivativeGraph, Regime, enumerate_graphs
 from .formulas import render_derivative
 from .skeletons import Skeleton, SkeletonSyntaxError, parse_skeleton
 from .trees import format_tree
@@ -109,11 +109,23 @@ def _emit(args: argparse.Namespace, data: str) -> None:
         sys.stdout.write(data)
 
 
+def _listed_graphs(args: argparse.Namespace, regime: Regime) -> list[DerivativeGraph]:
+    """The graphs that ``trees`` and ``table`` list.
+
+    Inverse order 1 has no graph: its derivative is the closed form
+    (Df(g(y)))⁻¹, which ``formula`` prints and ``verify`` checks.
+    """
+    if regime is Regime.INVERSE and args.order == 1:
+        raise _CliError(
+            "inverse order 1 has no graph to list; "
+            "`formula --regime inverse --order 1` prints its closed form"
+        )
+    return enumerate_graphs(regime, args.order, _load_skeleton(args, regime))
+
+
 def _cmd_trees(args: argparse.Namespace) -> int:
     regime = Regime(args.regime)
-    skeleton = _load_skeleton(args, regime)
-    graphs = enumerate_graphs(regime, args.order, skeleton)
-    lines = [format_tree(g.tree) for g in graphs]
+    lines = [format_tree(g.tree) for g in _listed_graphs(args, regime)]
     if args.style == "machine":
         payload = {"regime": regime.value, "order": args.order, "trees": lines}
         _emit(args, json.dumps(payload, indent=2) + "\n")
@@ -124,9 +136,8 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     regime = Regime(args.regime)
-    skeleton = _load_skeleton(args, regime)
     rows = []
-    for graph in enumerate_graphs(regime, args.order, skeleton):
+    for graph in _listed_graphs(args, regime):
         wg = weigh(graph)
         tau = wg.summary.complexity if regime is Regime.ODE else 1
         rows.append(

@@ -35,9 +35,6 @@ class Jet:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Jet) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"Jet({[str(c) for c in self.coeffs]})"
 
@@ -50,17 +47,6 @@ class Jet:
         o = self._coerce(other)
         n = min(self.order, o.order)
         return Jet([self.coeffs[k] + o.coeffs[k] for k in range(n + 1)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Jet":
-        return Jet([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Jet | Rat") -> "Jet":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: Rat) -> "Jet":
-        return (-self) + other
 
     def __mul__(self, other: "Jet | Rat") -> "Jet":
         if not isinstance(other, Jet):
@@ -76,9 +62,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def truncated(self, order: int) -> "Jet":
-        return Jet(self.coeffs, order=order)
-
     def derivative_at_zero(self, k: int) -> Fraction:
         """k-th derivative at the expansion point: k! * c_k."""
         f = 1
@@ -91,17 +74,23 @@ def identity_jet(order: int) -> Jet:
     return Jet([0, 1], order=order)
 
 
-def jet_compose(outer: Jet, inner: Jet) -> Jet:
-    """Taylor coefficients of outer(inner(x)); inner must have c_0 = 0."""
-    if inner[0] != 0:
-        raise ValueError("inner jet must have zero constant term")
-    n = min(outer.order, inner.order)
-    result = Jet([outer[0]], order=n)
-    power = Jet([1], order=n)
-    for k in range(1, n + 1):
-        power = power * inner
-        result = result + power * outer[k]
-    return result
+def _power_table(u: list[Fraction], rows: int) -> list[list[Fraction]]:
+    """power[j][m] = [x^m] u^j for j <= rows, m < len(u), where u_0 = 0.
+
+    Row 1 *is* the list ``u``, so a caller may solve u in place, one
+    coefficient at a time; rows j >= 2 start at zero for ``_fill_column``.
+    """
+    zeros = [Fraction(0)] * (len(u) - 1)
+    return [[Fraction(1)] + zeros, u] + [[Fraction(0)] + zeros for _ in range(2, rows + 1)]
+
+
+def _fill_column(power: list[list[Fraction]], m: int) -> None:
+    """Fill power[j][m] for 2 <= j <= m; it needs only u_1 .. u_{m-1}."""
+    u = power[1]
+    for j in range(2, m + 1):
+        lower = power[j - 1]
+        # u^j = u * u^(j-1), and u^(j-1) starts at x^(j-1).
+        power[j][m] = sum(u[i] * lower[m - i] for i in range(1, m - j + 2))
 
 
 def jet_reverse(f: Jet) -> Jet:
@@ -109,9 +98,9 @@ def jet_reverse(f: Jet) -> Jet:
 
     Requires c_0 = 0 and c_1 != 0.  Solved coefficient by coefficient: the
     k-th coefficient of f(g) is f_1 g_k + sum_{j>=2} f_j [x^k] g^j, and for
-    j >= 2 the term [x^k] g^j needs only g_1 .. g_{k-1}.  A table of those
-    power coefficients grows by one column per order, so the whole
-    reversion costs O(N^3) coefficient products.
+    j >= 2 the term [x^k] g^j needs only g_1 .. g_{k-1}.  The power table
+    of g grows by one column per order, so the whole reversion costs
+    O(N^3) coefficient products.
     """
     if f[0] != 0:
         raise ValueError("series must have zero constant term")
@@ -119,34 +108,29 @@ def jet_reverse(f: Jet) -> Jet:
         raise ValueError("series with zero linear term has no compositional inverse")
     n = f.order
     g = [Fraction(0), 1 / Fraction(f[1])] + [Fraction(0)] * (n - 1)
-    # power[j][m] = [x^m] g^j; power[1] is g itself, filled as g is solved.
-    power = [[Fraction(1)] + [Fraction(0)] * n, g]
-    power += [[Fraction(0)] * (n + 1) for _ in range(2, n + 1)]
+    power = _power_table(g, n)
     for k in range(2, n + 1):
-        residue = Fraction(0)
-        for j in range(2, k + 1):
-            lower = power[j - 1]
-            # g^j = g * g^(j-1), and g^(j-1) starts at x^(j-1).
-            power[j][k] = sum(g[i] * lower[k - i] for i in range(1, k - j + 2))
-            residue += f[j] * power[j][k]
-        g[k] = -residue / f[1]
+        _fill_column(power, k)
+        g[k] = -sum(f[j] * power[j][k] for j in range(2, k + 1)) / f[1]
     return Jet(g)
 
 
 def jet_ode_flow(f: Jet, y0: Rat, order: int) -> Jet:
     """Taylor jet in t of the solution of y' = f(y), y(0) = y0.
 
-    ``f`` is the field's jet in (y - y0) around y0.  Each pass through the
-    recurrence y_{k+1} = [f(y - y0)]_k / (k+1) gains one exact order.
+    ``f`` is the field's jet in u = y - y0.  As in reversion, u is solved
+    one coefficient at a time, u_{k+1} = [f(u)]_k / (k+1), from the power
+    table of u, so the flow costs O(N^3) coefficient products.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    y = [Fraction(y0)] + [Fraction(0)] * order
+    u = [Fraction(0)] * (order + 1)
+    power = _power_table(u, order)
     for k in range(order):
-        shifted = Jet([y[0] - Fraction(y0)] + y[1 : k + 1], order=k)
-        rate = jet_compose(f.truncated(k), shifted)
-        y[k + 1] = rate[k] / (k + 1)
-    return Jet(y)
+        _fill_column(power, k)
+        rate = sum(f[j] * power[j][k] for j in range(min(k, f.order) + 1))
+        u[k + 1] = rate / (k + 1)
+    return Jet([y0] + u[1:])
 
 
 def compose(outer: dict[tuple[int, ...], Rat], inners: list[Jet], order: int) -> Jet:
@@ -154,23 +138,25 @@ def compose(outer: dict[tuple[int, ...], Rat], inners: list[Jet], order: int) ->
 
     ``outer`` is F's sparse Taylor series: a dict from multi-index alpha
     (one exponent per argument) to c_alpha.  The inners must have zero
-    constant terms; the result is truncated at ``order``, or at the lowest
-    inner order if that is lower.  With no inners F is a constant.
+    constant terms.  Terms with |alpha| > ``order`` are dropped; the result
+    is truncated at ``order`` and at the order of each inner that a kept
+    term raises to a positive power.  With no inners F is a constant.
     """
     if any(u[0] != 0 for u in inners):
         raise ValueError("inner jets must have zero constant terms")
-    # powers[i][e] = u_i^e; exponents above the order contribute nothing.
+    # powers[i][e] = u_i^e for e <= order, known to min(order, u_i.order).
     powers = []
     for u in inners:
-        row = [Jet([1], order=order)]
-        for _ in range(order):
-            row.append(row[-1] * u)
-        powers.append(row)
+        power = _power_table(list(u.coeffs[: order + 1]), order)
+        for m in range(2, len(power[1])):
+            _fill_column(power, m)
+        powers.append([Jet(row) for row in power])
     result = Jet([0], order=order)
     for alpha, c in outer.items():
         if sum(alpha) <= order:
             term = Jet([c], order=order)
             for row, e in zip(powers, alpha):
-                term = term * row[e]
+                if e:  # u_i^0 = 1 is known to every order
+                    term = term * row[e]
             result = result + term
     return result

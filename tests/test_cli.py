@@ -177,6 +177,28 @@ class TestVerify:
         assert code == 0 and out.endswith("PASS\n")
 
 
+class TestInverseOrderOne:
+    # The rule: graph listings have no graph to list and point to `formula`;
+    # the closed form is a formula, so `formula` prints it and `verify`
+    # checks it.
+    NO_GRAPH = (
+        "derivgraph: error: inverse order 1 has no graph to list; "
+        "`formula --regime inverse --order 1` prints its closed form\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, code, out, err",
+        [
+            ("trees", 1, "", NO_GRAPH),
+            ("table", 1, "", NO_GRAPH),
+            ("formula", 0, "(Df(g(y)))⁻¹\n", ""),
+            ("verify", 0, "verify regime=inverse order=1 trials=20 seed=0 graphs=0: PASS\n", ""),
+        ],
+    )
+    def test_each_subcommand(self, run, command, code, out, err):
+        assert run(command, "--regime", "inverse", "--order", "1") == (code, out, err)
+
+
 class TestOutputFile:
     def test_writes_file_instead_of_stdout(self, run, tmp_path):
         target = tmp_path / "trees.txt"

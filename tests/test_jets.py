@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derivgraph.jets import (
-    Jet,
-    compose,
-    identity_jet,
-    jet_compose,
-    jet_ode_flow,
-    jet_reverse,
-)
+from derivgraph.jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
 
 rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9
@@ -28,6 +21,33 @@ def jets(order: int, zero_constant: bool = False, nonzero_linear: bool = False):
         return Jet(coeffs)
 
     return st.lists(rationals, min_size=order + 1, max_size=order + 1).map(build)
+
+
+# Independent univariate references: repeated Jet products, no power table.
+# ``compose``, ``jet_reverse`` and ``jet_ode_flow`` are checked against them.
+
+
+def jet_compose(outer: Jet, inner: Jet) -> Jet:
+    """Taylor coefficients of outer(inner(x)); inner must have c_0 = 0."""
+    if inner[0] != 0:
+        raise ValueError("inner jet must have zero constant term")
+    n = min(outer.order, inner.order)
+    result = Jet([outer[0]], order=n)
+    power = Jet([1], order=n)
+    for k in range(1, n + 1):
+        power = power * inner
+        result = result + power * outer[k]
+    return result
+
+
+def reference_ode_flow(f: Jet, y0, order: int) -> Jet:
+    """The O(N^4) flow: a full ``jet_compose`` for every order gained."""
+    y = [Fraction(y0)] + [Fraction(0)] * order
+    for k in range(order):
+        shifted = Jet([y[0] - Fraction(y0)] + y[1 : k + 1], order=k)
+        rate = jet_compose(Jet(f.coeffs, order=k), shifted)
+        y[k + 1] = rate[k] / (k + 1)
+    return Jet(y)
 
 
 class TestCompose:
@@ -101,6 +121,20 @@ class TestOdeFlow:
         flow = jet_ode_flow(Jet([5], order=3), 2, 3)
         assert flow == Jet([2, 5, 0, 0])
 
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError):
+            jet_ode_flow(Jet([1, 1]), 0, 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 17).flatmap(jets), rationals)
+    def test_matches_the_reference_flow(self, f, y0):
+        # Field jets shorter than, as long as and longer than the flow order.
+        # The reference's first N passes are its whole order-N run, so one
+        # order-16 reference serves every N <= 16.
+        reference = reference_ode_flow(f, y0, 16)
+        for order in range(1, 17):
+            assert jet_ode_flow(f, y0, order) == Jet(reference.coeffs, order=order)
+
 
 class TestArithmetic:
     def test_mul_truncates_to_lowest_order(self):
@@ -156,6 +190,13 @@ class TestMultivariate:
     def test_rejects_nonzero_inner_constant(self):
         with pytest.raises(ValueError):
             compose({(1,): 1}, [Jet([1, 1])], 1)
+
+    def test_truncates_only_at_the_inners_a_term_uses(self):
+        a, b = Jet([0, 1, 1, 1, 1]), Jet([0, 2, 1])
+        # b is an argument, but no term raises it to a positive power.
+        assert compose({(1, 0): 1}, [a, b], 4) == Jet([0, 1, 1, 1, 1])
+        # Once a term uses b, the result is known only to b's order 2.
+        assert compose({(1, 0): 1, (0, 1): 1}, [a, b], 4) == Jet([0, 3, 2])
 
     @settings(max_examples=50, deadline=None)
     @given(jets(8), jets(8, zero_constant=True))

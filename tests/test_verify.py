@@ -81,7 +81,7 @@ class TestOde:
         assert report.passed
         assert report.graph_count == 4
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_all_orders(self, n):
         assert verify(Regime.ODE, n, 5, 11).passed
 
