@@ -42,6 +42,7 @@ from .trees import (
     complexity_number,
     entrance_count,
     format_tree,
+    format_trees,
     make_palette,
     parse_tree,
     symmetry_number,
@@ -86,6 +87,7 @@ __all__ = [
     "enumerate_inverse",
     "enumerate_ode",
     "format_tree",
+    "format_trees",
     "identity_jet",
     "jet_ode_flow",
     "jet_reverse",

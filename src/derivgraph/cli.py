@@ -16,7 +16,7 @@ from pathlib import Path
 from .enumeration import DerivativeGraph, Regime, enumerate_graphs
 from .formulas import render_derivative
 from .skeletons import Skeleton, SkeletonSyntaxError, parse_skeleton
-from .trees import format_tree
+from .trees import format_tree, format_trees
 from .verify import verify
 from .weights import weigh
 
@@ -125,7 +125,7 @@ def _listed_graphs(args: argparse.Namespace, regime: Regime) -> list[DerivativeG
 
 def _cmd_trees(args: argparse.Namespace) -> int:
     regime = Regime(args.regime)
-    lines = [format_tree(g.tree) for g in _listed_graphs(args, regime)]
+    lines = format_trees(g.tree for g in _listed_graphs(args, regime))
     if args.style == "machine":
         payload = {"regime": regime.value, "order": args.order, "trees": lines}
         _emit(args, json.dumps(payload, indent=2) + "\n")
@@ -134,21 +134,28 @@ def _cmd_trees(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    regime = Regime(args.regime)
+def _table_rows(graphs: list[DerivativeGraph], regime: Regime) -> list[dict]:
     rows = []
-    for graph in _listed_graphs(args, regime):
+    for graph, tree in zip(graphs, format_trees(g.tree for g in graphs)):
         wg = weigh(graph)
         tau = wg.summary.complexity if regime is Regime.ODE else 1
         rows.append(
             {
-                "tree": format_tree(graph.tree),
+                "tree": tree,
                 "S": wg.summary.symmetry,
                 "tau": tau,
                 "sign": wg.sign,
                 "weight": str(wg.weight),
             }
         )
+    return rows
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    regime = Regime(args.regime)
+    # The graphs, and with them the interned trees, are released before the
+    # layout: holding them through it raises the peak memory.
+    rows = _table_rows(_listed_graphs(args, regime), regime)
     if args.style == "machine":
         payload = {"regime": regime.value, "order": args.order, "rows": rows}
         _emit(args, json.dumps(payload, indent=2) + "\n")

@@ -19,7 +19,9 @@ from .enumeration import (
     enumerate_graphs,
 )
 from .skeletons import Skeleton
-from .trees import DEFAULT_COLOUR, Tree, format_tree, parse_tree
+# format_tree is not called here, but stays bound: benchmarks/tracing.py
+# wraps it in this module by name.
+from .trees import DEFAULT_COLOUR, Tree, fold, format_tree, format_trees, parse_tree  # noqa: F401
 from .weights import WeightedGraph, weigh
 
 STYLES = ("text", "latex", "machine")
@@ -51,56 +53,76 @@ def _joiners(style: str) -> tuple[str, str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Per-regime term bodies (unsigned, weight-free).
+# Per-regime term bodies (unsigned, weight-free), one fold vertex each: a
+# node's body from its children's bodies.
 
 
-def _ode_body(t: Tree, style: str) -> str:
+def _ode_vertex(style: str):
     lbr, rbr, dot = _joiners(style)
-    k = t.degree
-    if k == 0:
-        return "f(y)"
-    if k == 1:
-        return _ode_body(t.children[0], style) + dot + "Df(y)"
-    args = ",".join(_ode_body(c, style) for c in t.children)
-    return lbr + args + rbr + dot + _d_op(k, style) + "f(y)"
+
+    def body(t: Tree, args: list[str]) -> str:
+        k = len(args)
+        if k == 0:
+            return "f(y)"
+        if k == 1:
+            return args[0] + dot + "Df(y)"
+        return lbr + ",".join(args) + rbr + dot + _d_op(k, style) + "f(y)"
+
+    return body
 
 
-def _inverse_body(t: Tree, style: str) -> str:
+def _inverse_vertex(style: str):
     lbr, rbr, dot = _joiners(style)
-    if t.is_leaf:
-        return "Dg(y)"
-    args = ",".join(_inverse_body(c, style) for c in t.children)
-    return lbr + args + rbr + dot + _d_op(t.degree, style) + "f(g(y))" + dot + "Dg(y)"
+
+    def body(t: Tree, args: list[str]) -> str:
+        if not args:
+            return "Dg(y)"
+        wedge = _d_op(len(args), style) + "f(g(y))" + dot + "Dg(y)"
+        return lbr + ",".join(args) + rbr + dot + wedge
+
+    return body
 
 
-def _composite_body(t: Tree, style: str, ctx) -> str:
+def _composite_vertex(style: str, skeleton: Skeleton):
     lbr, rbr, dot = _joiners(style)
-    if t.colour.index in ctx.variable_colours:
-        return ""  # increments are implicit in the printed multilinear form
-    k = t.degree
-    node = ctx.node_by_colour[t.colour.index]
-    head = node.name + _prime(k, style) + "(" + ctx.point[t.colour.index] + ")"
-    parts = [p for p in (_composite_body(c, style, ctx) for c in t.children) if p]
-    if not parts:
-        return head
-    if k == 1:
-        return head + dot + parts[0]
-    return lbr + ",".join(parts) + rbr + dot + head
+    ctx = composite_context(skeleton)
+
+    def body(t: Tree, args: list[str]) -> str:
+        ci = t.colour.index
+        if ci in ctx.variable_colours:
+            return ""  # increments are implicit in the printed multilinear form
+        head = ctx.node_by_colour[ci].name + _prime(len(args), style) + "(" + ctx.point[ci] + ")"
+        parts = [p for p in args if p]
+        if not parts:
+            return head
+        if len(args) == 1:
+            return head + dot + parts[0]
+        return lbr + ",".join(parts) + rbr + dot + head
+
+    return body
+
+
+def _term_texts(
+    wgs: list[WeightedGraph], regime: Regime, skeleton: Skeleton | None, style: str
+) -> list[str]:
+    """Each graph's term text, printing a subtree shared by several graphs once."""
+    trees = [wg.graph.tree for wg in wgs]
+    if style == "machine":
+        return [_machine_term(wg, tree) for wg, tree in zip(wgs, format_trees(trees))]
+    if regime is Regime.ODE:
+        vertex = _ode_vertex(style)
+    elif regime is Regime.INVERSE:
+        vertex = _inverse_vertex(style)
+    else:
+        vertex = _composite_vertex(style, skeleton)
+    return fold(trees, vertex)
 
 
 def render_term(wg: WeightedGraph, style: str = "text") -> str:
     """Render one weighted graph, without its sign and weight prefix."""
     if style not in STYLES:
         raise ValueError(f"unsupported style {style!r}")
-    if style == "machine":
-        return _machine_term(wg)
-    graph = wg.graph
-    if graph.regime is Regime.ODE:
-        return _ode_body(graph.tree, style)
-    if graph.regime is Regime.INVERSE:
-        return _inverse_body(graph.tree, style)
-    ctx = composite_context(graph.skeleton)
-    return _composite_body(graph.tree, style, ctx)
+    return _term_texts([wg], wg.graph.regime, wg.graph.skeleton, style)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +176,9 @@ def render_derivative(
     if regime is Regime.INVERSE and n == 1:
         term = FormulaTerm(1, Fraction(1), _INVERSE_ORDER_1[style])
         return Formula(regime, 1, style, (term,))
-    terms = []
-    for graph in enumerate_graphs(regime, n, skeleton):
-        wg = weigh(graph)
-        terms.append(FormulaTerm(wg.sign, wg.weight, render_term(wg, style), wg))
+    wgs = [weigh(graph) for graph in enumerate_graphs(regime, n, skeleton)]
+    texts = _term_texts(wgs, regime, skeleton, style)
+    terms = (FormulaTerm(wg.sign, wg.weight, text, wg) for wg, text in zip(wgs, texts))
     return Formula(regime, n, style, tuple(terms))
 
 
@@ -165,10 +186,10 @@ def render_derivative(
 # Machine grammar: (term (regime R) (sign S) (weight W) (tree T))
 
 
-def _machine_term(wg: WeightedGraph) -> str:
+def _machine_term(wg: WeightedGraph, tree: str) -> str:
     return (
         f"(term (regime {wg.graph.regime.value}) (sign {wg.sign}) "
-        f"(weight {wg.weight}) (tree {format_tree(wg.graph.tree)}))"
+        f"(weight {wg.weight}) (tree {tree}))"
     )
 
 

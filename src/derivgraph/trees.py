@@ -11,14 +11,18 @@ with that colour and those (already interned) children, so structural
 equality is identity and ``==`` is ``is``.  Each node computes its
 natural-order key and its structural numbers once, from its children's
 (Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).
+Everything else computed per tree (its notation, its dict form, the formula
+bodies in :mod:`derivgraph.formulas`) is a bottom-up :func:`fold` that visits
+each shared node once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import attrgetter
-from weakref import WeakValueDictionary
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, TypeVar
+from weakref import ref
 
 
 @dataclass(frozen=True)
@@ -35,9 +39,26 @@ class Colour:
 
 DEFAULT_COLOUR = Colour(0, "*")
 
-# (colour, children) -> the live node.  Children are interned, so the key
-# hashes them by identity; a node leaves the table when it is collected.
-_INTERNED: WeakValueDictionary[tuple, Tree] = WeakValueDictionary()
+
+class _Ref(ref):
+    """Weak reference to an interned node that remembers the node's table key."""
+
+    __slots__ = ("ident",)
+
+
+# (colour index, colour name, children) -> weak reference to the live node.
+# Colour equality is exactly that index and name, and children are interned,
+# so the key hashes in C, children by identity.  A node leaves the table when
+# it is collected.
+_INTERNED: dict[tuple, _Ref] = {}
+
+
+def _forget(dead: _Ref, table: dict[tuple, _Ref] = _INTERNED) -> None:
+    # The table is bound as a default so that this still works while the
+    # interpreter tears the module's globals down.  A node rebuilt after the
+    # collected one may already own the entry; that entry stays.
+    if table.get(dead.ident) is dead:
+        del table[dead.ident]
 
 
 class Tree:
@@ -80,10 +101,12 @@ class Tree:
 
     def __new__(cls, colour: Colour = DEFAULT_COLOUR, children: tuple[Tree, ...] = ()):
         children = tuple(children)
-        ident = (colour, children)
-        node = _INTERNED.get(ident)
-        if node is not None:
-            return node
+        ident = (colour.index, colour.name, children)
+        known = _INTERNED.get(ident)
+        if known is not None:
+            node = known()
+            if node is not None:
+                return node
 
         vertices, entrances, internal, complexity = 1, 0, 0, 1
         symmetry, run, canonical, prev = 1, 0, True, None
@@ -117,7 +140,9 @@ class Tree:
         init(node, "symmetry", symmetry)
         init(node, "complexity", complexity)
         init(node, "canonical", canonical)
-        _INTERNED[ident] = node
+        entry = _Ref(node, _forget)
+        entry.ident = ident
+        _INTERNED[ident] = entry
         return node
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -197,6 +222,63 @@ def complexity_number(t: Tree) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Bottom-up folds.
+
+N = TypeVar("N")
+R = TypeVar("R")
+
+
+def fold(
+    roots: Iterable[N],
+    vertex: Callable[[N, list[R]], R],
+    children: Callable[[N], Iterable[N]] = attrgetter("children"),
+) -> list[R]:
+    """``vertex(node, child_results)`` of every root, children before parents.
+
+    Each distinct node under ``roots`` is visited once, however many roots
+    share it: interned trees share their equal subtrees, so this is one step
+    per node of the shared DAG.  Explicit stacks replace recursion, so depth
+    is unbounded.  Nodes are told apart by ``id``: every node stays reachable
+    from ``roots`` for the whole call, so no id is reused.  A result is kept
+    only until its last use, and nothing outlives the call.
+    """
+    roots = list(roots)
+    # First pass: the distinct nodes in post-order, and how many times each
+    # is used, as a child of a distinct node or as a root.
+    uses: dict[int, int] = {}
+    order: list[N] = []
+    for root in roots:
+        if id(root) in uses:
+            uses[id(root)] += 1
+            continue
+        uses[id(root)] = 1
+        stack = [(root, iter(children(root)))]
+        while stack:
+            node, kids = stack[-1]
+            for c in kids:
+                if id(c) in uses:
+                    uses[id(c)] += 1
+                else:
+                    uses[id(c)] = 1
+                    stack.append((c, iter(children(c))))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    # Second pass: a child's result is dropped after its last use, so a deep
+    # chain holds two results at a time, not every prefix of its output.
+    memo: dict[int, R] = {}
+    for node in order:
+        kids = children(node)
+        memo[id(node)] = vertex(node, [memo[id(c)] for c in kids])
+        for c in kids:
+            uses[id(c)] -= 1
+            if not uses[id(c)]:
+                del memo[id(c)]
+    return [memo[id(root)] for root in roots]
+
+
+# ---------------------------------------------------------------------------
 # Textual notation: name{child,child,...}; a leaf may be written name{} or,
 # for the single default colour, just "*".
 
@@ -207,9 +289,17 @@ class TreeSyntaxError(ValueError):
         self.position = position
 
 
+def _notation(t: Tree, inner: list[str]) -> str:
+    return t.colour.name + "{" + ",".join(inner) + "}"
+
+
+def format_trees(roots: Iterable[Tree]) -> list[str]:
+    """Each tree's notation; a subtree shared by several trees is printed once."""
+    return fold(roots, _notation)
+
+
 def format_tree(t: Tree) -> str:
-    inner = ",".join(format_tree(c) for c in t.children)
-    return f"{t.colour.name}{{{inner}}}"
+    return fold((t,), _notation)[0]
 
 
 def make_palette(*names: str) -> dict[str, Colour]:
@@ -288,13 +378,22 @@ def parse_tree(text: str, palette: dict[str, Colour] | None = None) -> Tree:
 # Structured (JSON-ready) serialization.
 
 
+def _to_dict(t: Tree, children: list[dict]) -> dict:
+    return {"colour": {"index": t.colour.index, "name": t.colour.name}, "children": children}
+
+
+def _from_dict(d: dict, children: list[Tree]) -> Tree:
+    return Tree(Colour(d["colour"]["index"], d["colour"]["name"]), tuple(children))
+
+
 def tree_to_dict(t: Tree) -> dict:
-    return {
-        "colour": {"index": t.colour.index, "name": t.colour.name},
-        "children": [tree_to_dict(c) for c in t.children],
-    }
+    """Nested ``{"colour": {"index", "name"}, "children": [...]}`` form.
+
+    A subtree that occurs several times is one dict object, shared; treat
+    the result as read-only or copy it before changing it.
+    """
+    return fold((t,), _to_dict)[0]
 
 
 def tree_from_dict(d: dict) -> Tree:
-    colour = Colour(d["colour"]["index"], d["colour"]["name"])
-    return Tree(colour, tuple(tree_from_dict(c) for c in d["children"]))
+    return fold((d,), _from_dict, itemgetter("children"))[0]

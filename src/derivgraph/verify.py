@@ -19,7 +19,9 @@ from typing import Callable
 from .enumeration import DerivativeGraph, Regime, composite_context, enumerate_graphs
 from .jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
 from .skeletons import Skeleton
-from .trees import Tree, format_tree
+# format_tree is not called here, but stays bound: benchmarks/tracing.py
+# wraps it in this module by name.
+from .trees import Tree, format_tree, format_trees  # noqa: F401
 from .weights import weigh
 
 
@@ -198,7 +200,8 @@ class _Trial:
         weighted = [weigh(g) for g in graphs]
         self.graph_count = len(weighted)
         self.trees = [wg.graph.tree for wg in weighted]
-        self.rows = [(format_tree(t), wg.sign, wg.weight) for t, wg in zip(self.trees, weighted)]
+        texts = format_trees(self.trees)
+        self.rows = [(text, wg.sign, wg.weight) for text, wg in zip(texts, weighted)]
         self.coefficients = [wg.sign * wg.weight for wg in weighted]
 
     def values(self, vertex_factor: Callable[[Tree], Fraction]) -> list[Fraction]:

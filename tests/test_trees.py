@@ -3,6 +3,7 @@ import gc
 import json
 import pickle
 import random
+import sys
 import weakref
 from itertools import product
 from math import factorial
@@ -11,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derivgraph import trees
 from derivgraph.brute import brute_automorphism_count, brute_rooted_trees, isomorphic
+from derivgraph.enumeration import DerivativeGraph, Regime, enumerate_ode
+from derivgraph.formulas import render_term
 from derivgraph.trees import (
     LEAF,
     MAX_NESTING,
@@ -30,6 +34,7 @@ from derivgraph.trees import (
     tree_from_dict,
     tree_to_dict,
 )
+from derivgraph.weights import weigh
 
 
 def chain(n: int) -> Tree:
@@ -134,9 +139,30 @@ class TestSymmetry:
         assert symmetry_number(t) == 12
 
     def test_deep_chain_built_in_code(self):
-        # S is a stored field, so a chain far deeper than the recursion
-        # limit needs no recursion.
-        assert symmetry_number(chain(5000)) == 1
+        # S is a stored field, and printing and the dict form are folds over
+        # an explicit stack, so trees far deeper than the recursion limit
+        # need no recursion.
+        deep = chain(5000)
+        assert symmetry_number(deep) == 1
+        notation = "*{" * 4999 + "*{}" + "}" * 4999
+        assert format_tree(deep) == notation
+        assert tree_from_dict(tree_to_dict(deep)) is deep
+        wg = weigh(DerivativeGraph(deep, Regime.ODE))
+        assert render_term(wg, "text") == "f(y)" + "·Df(y)" * 4999
+        assert render_term(wg, "latex") == "f(y)" + r"\cdot Df(y)" * 4999
+        assert render_term(wg, "machine") == (
+            f"(term (regime ode) (sign 1) (weight 1) (tree {notation}))"
+        )
+
+        # An inverse comb: each inner vertex has a leaf and the rest of the comb.
+        comb = Tree(children=(LEAF, LEAF))
+        for _ in range(4999):
+            comb = Tree(children=(LEAF, comb))
+        wg = weigh(DerivativeGraph(comb, Regime.INVERSE))
+        wedge = "⟩·D²f(g(y))·Dg(y)"
+        assert render_term(wg) == (
+            "⟨Dg(y)," * 4999 + "⟨Dg(y),Dg(y)" + wedge + wedge * 4999
+        )
 
     def test_matches_brute_force_automorphisms(self):
         for t in all_trees_upto(7):
@@ -261,6 +287,32 @@ class TestInterning:
         assert not Tree(children=(raw,)).canonical
         t = canonicalize(raw)
         assert t.canonical and canonicalize(t) is t
+
+    def test_table_forgets_collected_nodes(self):
+        gc.collect()
+        before = len(trees._INTERNED)
+        graphs = enumerate_ode(9)
+        assert len(trees._INTERNED) > before
+        texts = [format_tree(g.tree) for g in graphs]
+        del graphs
+        gc.collect()
+        assert len(trees._INTERNED) == before
+        parsed = [parse_tree(text) for text in texts]
+        assert all(p is g.tree for p, g in zip(parsed, enumerate_ode(9)))
+
+    def test_deep_chain_teardown_is_silent(self):
+        gc.collect()
+        before = len(trees._INTERNED)
+        unraisable = []
+        hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+        try:
+            deep = chain(5000)
+            del deep
+            gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert unraisable == []
+        assert len(trees._INTERNED) == before
 
     def test_unreferenced_nodes_are_released(self):
         t = Tree(Colour(7, "transient"), (LEAF, LEAF))
