@@ -16,7 +16,9 @@ from pathlib import Path
 from .enumeration import DerivativeGraph, Regime, enumerate_graphs
 from .formulas import render_derivative
 from .skeletons import Skeleton, SkeletonSyntaxError, parse_skeleton
-from .trees import format_tree, format_trees
+# format_tree is not called here, but stays bound: benchmarks/tracing.py
+# wraps it in this module by name.
+from .trees import format_tree, format_trees  # noqa: F401
 from .verify import verify
 from .weights import weigh
 
@@ -179,6 +181,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     skeleton = _load_skeleton(args, regime)
     formula = render_derivative(regime, args.order, args.style, skeleton)
     if args.style == "machine":
+        trees = iter(format_trees(t.graph.graph.tree for t in formula.terms if t.graph))
         payload = {
             "regime": regime.value,
             "order": args.order,
@@ -186,7 +189,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
                 {
                     "sign": term.sign,
                     "weight": str(term.weight),
-                    "tree": format_tree(term.graph.graph.tree) if term.graph else None,
+                    "tree": next(trees) if term.graph else None,
                     "machine": term.text,
                 }
                 for term in formula.terms

@@ -11,8 +11,8 @@ with that colour and those (already interned) children, so structural
 equality is identity and ``==`` is ``is``.  Each node computes its
 natural-order key and its structural numbers once, from its children's
 (Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).
-Everything else computed per tree (its notation, its dict form, the formula
-bodies in :mod:`derivgraph.formulas`) is a bottom-up :func:`fold` that visits
+A tree's notation, its dict form and its formula bodies in
+:mod:`derivgraph.formulas` are bottom-up :func:`fold` results, which visit
 each shared node once.
 """
 
