@@ -1,5 +1,6 @@
 import pytest
 
+from derivgraph.cli import main
 from derivgraph.enumeration import composite_context
 from derivgraph.skeletons import (
     Skeleton,
@@ -47,6 +48,43 @@ class TestParse:
     def test_variable_with_children_rejected(self):
         with pytest.raises(ValueError):
             Skeleton("x", (Skeleton("y"),), function=False)
+
+
+# Malformed skeletons: (text, message, position).
+MALFORMED_SKELETONS = [
+    ("", "expected an identifier", 0),
+    ("  ", "expected an identifier", 2),
+    ("(x)", "expected an identifier", 0),
+    ("1f(x)", "expected an identifier", 0),
+    ("f(x", "expected ',' or ')'", 3),
+    ("f(g(x)", "expected ',' or ')'", 6),
+    ("f(x;y)", "expected ',' or ')'", 3),
+    ("f(x,)", "expected an identifier", 4),
+    ("f(,x)", "expected an identifier", 2),
+    ("f(x) g", "trailing input after skeleton", 5),
+    ("f(x))", "trailing input after skeleton", 4),
+    ("x", "skeleton root must be a function", 0),
+    ("x y", "trailing input after skeleton", 2),
+    ("f(" * (MAX_NESTING + 1) + "x", f"nesting deeper than {MAX_NESTING}", 2 * MAX_NESTING + 1),
+]
+
+
+@pytest.mark.parametrize("text,message,position", MALFORMED_SKELETONS)
+def test_parse_skeleton_error_is_pinned(text, message, position):
+    with pytest.raises(SkeletonSyntaxError) as err:
+        parse_skeleton(text)
+    assert type(err.value) is SkeletonSyntaxError
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text,message,position", [c for c in MALFORMED_SKELETONS if c[0]])
+def test_cli_reports_skeleton_error_in_one_line(text, message, position, capsys):
+    argv = ["formula", "--regime", "composite", "--order", "2", "--skeleton", text]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"derivgraph: error: bad skeleton syntax: {message} (at position {position})\n"
 
 
 class TestContext:

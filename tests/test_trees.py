@@ -246,6 +246,34 @@ class TestNotation:
             assert err.value.position == 2 * MAX_NESTING + 1
 
 
+# Malformed notation: (text, palette names or None, message, position).
+MALFORMED_TREES = [
+    ("", None, "expected a colour name", 0),
+    ("   ", None, "expected a colour name", 3),
+    ("{}", None, "expected a colour name", 0),
+    ("*{*", None, "expected ',' or '}'", 3),
+    ("*{*{}", None, "expected ',' or '}'", 5),
+    ("*{*;*}", None, "expected ',' or '}'", 3),
+    ("*{*,}", None, "expected a colour name", 4),
+    ("*{,}", None, "expected a colour name", 2),
+    ("*{} *", None, "trailing input after tree", 4),
+    ("*}", None, "trailing input after tree", 1),
+    ("h{x{}", ("x", "f"), "unknown colour 'h'", 0),
+    ("f{h{},;", ("x", "f"), "unknown colour 'h'", 2),
+    ("*{" * (MAX_NESTING + 1), None, f"nesting deeper than {MAX_NESTING}", 2 * MAX_NESTING + 1),
+]
+
+
+@pytest.mark.parametrize("text,names,message,position", MALFORMED_TREES)
+def test_parse_tree_error_is_pinned(text, names, message, position):
+    palette = None if names is None else make_palette(*names)
+    with pytest.raises(TreeSyntaxError) as err:
+        parse_tree(text, palette)
+    assert type(err.value) is TreeSyntaxError
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
 class TestJson:
     def test_round_trip(self):
         pal = make_palette("x", "f")
