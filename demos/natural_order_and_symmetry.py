@@ -9,12 +9,10 @@ reduce to products of degree factorials when all siblings coincide.
 from derivgraph import (
     Tree,
     canonicalize,
-    complexity_number,
     enumerate_ode,
     format_tree,
     make_palette,
     parse_tree,
-    symmetry_number,
     weigh,
 )
 
@@ -22,8 +20,8 @@ print("== natural order of the 9 rooted trees on 5 vertices ==")
 for graph in enumerate_ode(5):
     t = graph.tree
     print(
-        f"  {format_tree(t):<20} S={symmetry_number(t):<3} "
-        f"tau={complexity_number(t):<3} weight={weigh(graph).weight}"
+        f"  {format_tree(t):<20} S={t.symmetry:<3} "
+        f"tau={t.complexity:<3} weight={weigh(graph).weight}"
     )
 
 print()
@@ -40,4 +38,4 @@ pal = make_palette("b", "w", "F")
 binomial = canonicalize(
     Tree(pal["F"], (Tree(pal["b"]),) * 2 + (Tree(pal["w"]),) * 3)
 )
-print(f"  {format_tree(binomial)}: S = {symmetry_number(binomial)} = 2! * 3!")
+print(f"  {format_tree(binomial)}: S = {binomial.symmetry} = 2! * 3!")

@@ -21,10 +21,10 @@ from derivgraph import (
 
 print("== trees, structure numbers and weights for y'''' ==")
 for graph in enumerate_ode(4):
-    wg = weigh(graph)
+    t = graph.tree
     print(
-        f"  {format_tree(graph.tree):<16} S={wg.summary.symmetry}  "
-        f"tau={wg.summary.complexity}  weight={wg.weight}"
+        f"  {format_tree(t):<16} S={t.symmetry}  "
+        f"tau={t.complexity}  weight={weigh(graph).weight}"
     )
 
 print()

@@ -37,21 +37,16 @@ from .trees import (
     Tree,
     TreeSyntaxError,
     canonicalize,
-    cardinality,
     compare_trees,
-    complexity_number,
-    entrance_count,
     format_tree,
     format_trees,
     make_palette,
     parse_tree,
-    symmetry_number,
     tree_from_dict,
     tree_to_dict,
 )
 from .verify import Report, verify
 from .weights import (
-    StructuralSummary,
     WeightedGraph,
     totally_asymmetric,
     totally_symmetric,
@@ -72,16 +67,12 @@ __all__ = [
     "Report",
     "Skeleton",
     "SkeletonSyntaxError",
-    "StructuralSummary",
     "Tree",
     "TreeSyntaxError",
     "WeightedGraph",
     "canonicalize",
-    "cardinality",
     "compare_trees",
-    "complexity_number",
     "compose",
-    "entrance_count",
     "enumerate_composite",
     "enumerate_graphs",
     "enumerate_inverse",
@@ -97,7 +88,6 @@ __all__ = [
     "parse_tree",
     "render_derivative",
     "render_term",
-    "symmetry_number",
     "totally_asymmetric",
     "totally_symmetric",
     "tree_from_dict",

@@ -16,9 +16,7 @@ from pathlib import Path
 from .enumeration import DerivativeGraph, Regime, enumerate_graphs
 from .formulas import render_derivative
 from .skeletons import Skeleton, SkeletonSyntaxError, parse_skeleton
-# format_tree is not called here, but stays bound: benchmarks/tracing.py
-# wraps it in this module by name.
-from .trees import format_tree, format_trees  # noqa: F401
+from .trees import format_trees
 from .verify import verify
 from .weights import weigh
 
@@ -140,11 +138,11 @@ def _table_rows(graphs: list[DerivativeGraph], regime: Regime) -> list[dict]:
     rows = []
     for graph, tree in zip(graphs, format_trees(g.tree for g in graphs)):
         wg = weigh(graph)
-        tau = wg.summary.complexity if regime is Regime.ODE else 1
+        tau = graph.tree.complexity if regime is Regime.ODE else 1
         rows.append(
             {
                 "tree": tree,
-                "S": wg.summary.symmetry,
+                "S": graph.tree.symmetry,
                 "tau": tau,
                 "sign": wg.sign,
                 "weight": str(wg.weight),

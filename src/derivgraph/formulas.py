@@ -19,9 +19,7 @@ from .enumeration import (
     enumerate_graphs,
 )
 from .skeletons import Skeleton
-# format_tree is not called here, but stays bound: benchmarks/tracing.py
-# wraps it in this module by name.
-from .trees import DEFAULT_COLOUR, Tree, fold, format_tree, format_trees, parse_tree  # noqa: F401
+from .trees import DEFAULT_COLOUR, Tree, fold, format_trees, parse_tree
 from .weights import WeightedGraph, weigh
 
 STYLES = ("text", "latex", "machine")
@@ -147,6 +145,8 @@ class Formula:
     def __str__(self) -> str:
         if self.style == "machine":
             return "\n".join(term.text for term in self.terms)
+        if not self.terms:
+            return "0"  # the derivative of a constant
         pieces: list[str] = []
         for i, term in enumerate(self.terms):
             body = term.text if term.weight == 1 else f"{term.weight}{term.text}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .trees import MAX_NESTING
+from .trees import scan_brackets
 
 
 @dataclass(frozen=True)
@@ -47,49 +47,19 @@ class SkeletonSyntaxError(ValueError):
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _name(token: str, pos: int) -> str:
+    return token
+
+
+def _skeleton_node(name: str, children: list[Skeleton] | None) -> Skeleton:
+    # f() is a nullary function, f a variable.
+    return Skeleton(name) if children is None else Skeleton(name, tuple(children), True)
+
+
 def parse_skeleton(text: str) -> Skeleton:
-    pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def node(depth: int) -> Skeleton:
-        nonlocal pos
-        skip_ws()
-        m = _IDENT.match(text, pos)
-        if m is None:
-            raise SkeletonSyntaxError("expected an identifier", pos)
-        name = m.group()
-        pos = m.end()
-        skip_ws()
-        if pos < len(text) and text[pos] == "(":
-            if depth == MAX_NESTING:
-                raise SkeletonSyntaxError(f"nesting deeper than {MAX_NESTING}", pos)
-            pos += 1
-            skip_ws()
-            children: list[Skeleton] = []
-            if pos < len(text) and text[pos] == ")":
-                pos += 1
-            else:
-                while True:
-                    children.append(node(depth + 1))
-                    skip_ws()
-                    if pos < len(text) and text[pos] == ",":
-                        pos += 1
-                        continue
-                    if pos < len(text) and text[pos] == ")":
-                        pos += 1
-                        break
-                    raise SkeletonSyntaxError("expected ',' or ')'", pos)
-            return Skeleton(name, tuple(children), function=True)
-        return Skeleton(name)
-
-    s = node(0)
-    skip_ws()
-    if pos != len(text):
-        raise SkeletonSyntaxError("trailing input after skeleton", pos)
+    s = scan_brackets(
+        text, _IDENT, "()", SkeletonSyntaxError, "an identifier", "skeleton", _name, _skeleton_node
+    )
     if s.is_variable:
         raise SkeletonSyntaxError("skeleton root must be a function", 0)
     return s

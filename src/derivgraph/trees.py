@@ -11,9 +11,9 @@ with that colour and those (already interned) children, so structural
 equality is identity and ``==`` is ``is``.  Each node computes its
 natural-order key and its structural numbers once, from its children's
 (Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).
-A tree's notation, its dict form and its formula bodies in
-:mod:`derivgraph.formulas` are bottom-up :func:`fold` results, which visit
-each shared node once.
+A tree's canonical form, its notation, its dict form and its formula
+bodies in :mod:`derivgraph.formulas` are bottom-up :func:`fold` results,
+which visit each shared node once.
 """
 
 from __future__ import annotations
@@ -188,39 +188,6 @@ def compare_trees(a: Tree, b: Tree) -> int:
 sort_key = attrgetter("key")
 
 
-def canonicalize(raw: Tree) -> Tree:
-    """Sort children recursively; idempotent, isomorphism-invariant."""
-    if raw.canonical:
-        return raw
-    return Tree(raw.colour, tuple(sorted(map(canonicalize, raw.children), key=sort_key)))
-
-
-def cardinality(t: Tree) -> int:
-    """Number of vertices."""
-    return t.vertices
-
-
-def entrance_count(t: Tree) -> int:
-    """Number of leaves; a lone vertex is its own entrance."""
-    return t.entrances
-
-
-def symmetry_number(t: Tree) -> int:
-    """Order of the colour-preserving automorphism group of a canonical tree.
-
-    Children are grouped into isomorphism classes with multiplicities
-    m_1..m_r; each vertex contributes prod(m_i!), on top of the children's
-    own symmetry numbers.  When all siblings are isomorphic everywhere this
-    reduces to the product of degree factorials.
-    """
-    return t.symmetry
-
-
-def complexity_number(t: Tree) -> int:
-    """Product over all vertices of the cardinalities of their child subtrees."""
-    return t.complexity
-
-
 # ---------------------------------------------------------------------------
 # Bottom-up folds.
 
@@ -278,6 +245,13 @@ def fold(
     return [memo[id(root)] for root in roots]
 
 
+def canonicalize(raw: Tree) -> Tree:
+    """Sort children at every vertex; idempotent, isomorphism-invariant."""
+    if raw.canonical:
+        return raw
+    return fold((raw,), lambda t, kids: Tree(t.colour, tuple(sorted(kids, key=sort_key))))[0]
+
+
 # ---------------------------------------------------------------------------
 # Textual notation: name{child,child,...}; a leaf may be written name{} or,
 # for the single default colour, just "*".
@@ -308,9 +282,65 @@ def make_palette(*names: str) -> dict[str, Colour]:
 
 
 _NAME = re.compile(r"\*|[A-Za-z_][A-Za-z0-9_.]*")
+_SPACE = re.compile(r"\s*")
 
 # Deepest bracket nesting the parsers accept: they and the code after them recurse.
 MAX_NESTING = 100
+
+
+def scan_brackets(
+    text: str,
+    pattern: re.Pattern,
+    brackets: str,
+    error: Callable[[str, int], Exception],
+    expected: str,
+    what: str,
+    name: Callable[[str, int], N],
+    node: Callable[[N, list[R] | None], R],
+) -> R:
+    """Recursive descent over ``name`` and ``name<open>child,...<close>``.
+
+    ``name(token, position)`` is called as soon as a name is read, so it can
+    reject the name before a later syntax error.  ``node(named, children)``
+    gets ``children=None`` when no bracket follows the name.  Errors are
+    ``error(message, position)``; ``expected`` and ``what`` name a missing
+    name and the whole input in their messages.
+    """
+    opening, closing = brackets
+    pos = 0
+
+    def item(depth: int) -> R:
+        nonlocal pos
+        pos = _SPACE.match(text, pos).end()
+        m = pattern.match(text, pos)
+        if m is None:
+            raise error(f"expected {expected}", pos)
+        named = name(m.group(), pos)
+        pos = _SPACE.match(text, m.end()).end()
+        if text[pos : pos + 1] != opening:
+            return node(named, None)
+        if depth == MAX_NESTING:
+            raise error(f"nesting deeper than {MAX_NESTING}", pos)
+        pos = _SPACE.match(text, pos + 1).end()
+        children: list[R] = []
+        if text[pos : pos + 1] == closing:
+            pos += 1
+            return node(named, children)
+        while True:
+            children.append(item(depth + 1))
+            pos = _SPACE.match(text, pos).end()
+            sep = text[pos : pos + 1]
+            if sep not in (",", closing):
+                raise error(f"expected ',' or '{closing}'", pos)
+            pos += 1
+            if sep == closing:
+                return node(named, children)
+
+    result = item(0)
+    pos = _SPACE.match(text, pos).end()
+    if pos != len(text):
+        raise error(f"trailing input after {what}", pos)
+    return result
 
 
 def parse_tree(text: str, palette: dict[str, Colour] | None = None) -> Tree:
@@ -330,48 +360,12 @@ def parse_tree(text: str, palette: dict[str, Colour] | None = None) -> Tree:
             pal[name] = Colour(len(pal), name)
         return pal[name]
 
-    pos = 0
+    def node(colour: Colour, children: list[Tree] | None) -> Tree:
+        return Tree(colour, tuple(children or ()))  # name{} is the leaf name
 
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def node(depth: int) -> Tree:
-        nonlocal pos
-        skip_ws()
-        m = _NAME.match(text, pos)
-        if m is None:
-            raise TreeSyntaxError("expected a colour name", pos)
-        colour = colour_for(m.group(), pos)
-        pos = m.end()
-        skip_ws()
-        children: list[Tree] = []
-        if pos < len(text) and text[pos] == "{":
-            if depth == MAX_NESTING:
-                raise TreeSyntaxError(f"nesting deeper than {MAX_NESTING}", pos)
-            pos += 1
-            skip_ws()
-            if pos < len(text) and text[pos] == "}":
-                pos += 1
-            else:
-                while True:
-                    children.append(node(depth + 1))
-                    skip_ws()
-                    if pos < len(text) and text[pos] == ",":
-                        pos += 1
-                        continue
-                    if pos < len(text) and text[pos] == "}":
-                        pos += 1
-                        break
-                    raise TreeSyntaxError("expected ',' or '}'", pos)
-        return Tree(colour, tuple(children))
-
-    t = node(0)
-    skip_ws()
-    if pos != len(text):
-        raise TreeSyntaxError("trailing input after tree", pos)
-    return t
+    return scan_brackets(
+        text, _NAME, "{}", TreeSyntaxError, "a colour name", "tree", colour_for, node
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,7 @@ from typing import Callable
 from .enumeration import DerivativeGraph, Regime, composite_context, enumerate_graphs
 from .jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
 from .skeletons import Skeleton
-# format_tree is not called here, but stays bound: benchmarks/tracing.py
-# wraps it in this module by name.
-from .trees import Tree, format_tree, format_trees  # noqa: F401
+from .trees import Tree, format_trees
 from .weights import weigh
 
 

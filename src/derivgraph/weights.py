@@ -13,36 +13,25 @@ from fractions import Fraction
 from math import factorial
 
 from .enumeration import DerivativeGraph, Regime
-from .trees import complexity_number, symmetry_number
-
-
-@dataclass(frozen=True)
-class StructuralSummary:
-    order_n: int
-    symmetry: int
-    complexity: int
 
 
 @dataclass(frozen=True)
 class WeightedGraph:
     graph: DerivativeGraph
-    summary: StructuralSummary
     sign: int  # +1 or -1
     weight: Fraction
 
 
 def weigh(graph: DerivativeGraph) -> WeightedGraph:
     """Attach the regime weight and sign to a canonical graph."""
-    n = graph.order
-    s = symmetry_number(graph.tree)
-    tau = complexity_number(graph.tree)
+    n, tree = graph.order, graph.tree
     if graph.regime is Regime.ODE:
-        weight = Fraction(factorial(n - 1), s * tau)
+        weight = Fraction(factorial(n - 1), tree.symmetry * tree.complexity)
         sign = 1
     else:
-        weight = Fraction(factorial(n), s)
-        sign = (-1) ** graph.tree.internal if graph.regime is Regime.INVERSE else 1
-    return WeightedGraph(graph, StructuralSummary(n, s, tau), sign, weight)
+        weight = Fraction(factorial(n), tree.symmetry)
+        sign = (-1) ** tree.internal if graph.regime is Regime.INVERSE else 1
+    return WeightedGraph(graph, sign, weight)
 
 
 def totally_symmetric(graph: DerivativeGraph) -> bool:
@@ -52,5 +41,4 @@ def totally_symmetric(graph: DerivativeGraph) -> bool:
 
 def totally_asymmetric(graph: DerivativeGraph) -> bool:
     """Only the identity fixes the representing graph: weight n!."""
-    wg = weigh(graph)
-    return wg.weight == factorial(wg.summary.order_n)
+    return weigh(graph).weight == factorial(graph.order)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .trees import Tree
+from derivgraph.trees import Tree
 
 
 def isomorphic(a: Tree, b: Tree) -> bool:

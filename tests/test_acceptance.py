@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-from derivgraph.brute import (
+from brute import (
     brute_automorphism_count,
     brute_increasing_tree_census,
     brute_rooted_trees,
@@ -42,7 +42,7 @@ def _report(name: str) -> None:
 def test_criterion_1_ode_table_reproduction():
     started = time.monotonic()
     rows = [
-        (wg.summary.symmetry, wg.summary.complexity, wg.weight)
+        (wg.graph.tree.symmetry, wg.graph.tree.complexity, wg.weight)
         for wg in map(weigh, enumerate_ode(4))
     ]
     assert rows == [(1, 6, 1), (2, 3, 1), (1, 2, 3), (6, 1, 1)]
@@ -67,7 +67,7 @@ def test_criterion_3_binomial_weights():
         return DerivativeGraph(canonicalize(tree), Regime.COMPOSITE)
 
     wg = weigh(coloured(2, 5))
-    assert wg.summary.symmetry == factorial(2) * factorial(3)
+    assert wg.graph.tree.symmetry == factorial(2) * factorial(3)
     assert wg.weight == Fraction(120, 12) == 10 == comb(5, 2)
     for n in range(1, 9):
         for k in range(n + 1):
@@ -135,9 +135,7 @@ def test_criterion_6_structural_property_suite():
             for _ in range(5):
                 assert canonicalize(shuffled(t)) == t
 
-    from derivgraph.trees import symmetry_number
-
     for n in range(1, 8):
         for t in trees_by_size[n]:
-            assert symmetry_number(t) == brute_automorphism_count(t)
+            assert t.symmetry == brute_automorphism_count(t)
     _report("6 total order, canonical idempotence, symmetry vs brute force")

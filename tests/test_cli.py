@@ -125,6 +125,14 @@ class TestFormula:
         )
         assert code == 0 and out == "f′(g(x))·g′(x)\n"
 
+    @pytest.mark.parametrize("style", ["text", "latex"])
+    def test_constant_derivative_prints_zero(self, run, style):
+        argv = ("formula", "--regime", "composite", "--skeleton", "F()", "--order", "2")
+        assert run(*argv, "--style", style) == (0, "0\n", "")
+        code, out, err = run(*argv, "--style", "machine")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"regime": "composite", "order": 2, "terms": []}
+
     def test_machine_terms_round_trip(self, run):
         code, out, _ = run(
             "formula", "--regime", "ode", "--order", "4", "--style", "machine"

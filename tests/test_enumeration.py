@@ -1,6 +1,6 @@
 import pytest
 
-from derivgraph.brute import (
+from brute import (
     brute_inverse_trees,
     brute_rooted_trees,
     integer_partitions,
@@ -18,7 +18,6 @@ from derivgraph.trees import (
     Tree,
     canonicalize,
     compare_trees,
-    entrance_count,
     format_tree,
     parse_tree,
 )
@@ -86,7 +85,7 @@ class TestComposite:
         seen = set()
         for g in graphs:
             # each child of the root is one g-derivative branch
-            part = tuple(sorted((entrance_count(c) for c in g.tree.children), reverse=True))
+            part = tuple(sorted((c.entrances for c in g.tree.children), reverse=True))
             assert sum(part) == n
             seen.add(part)
         assert len(seen) == len(graphs)
@@ -242,7 +241,7 @@ class TestInverse:
         for n in range(2, 8):
             for g in enumerate_inverse(n):
                 check(g.tree)
-                assert entrance_count(g.tree) == n
+                assert g.tree.entrances == n
 
     @pytest.mark.parametrize("n,count", list(enumerate(A000669, start=2)))
     def test_counts_follow_a000669(self, n, count):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivgraph import trees
-from derivgraph.brute import brute_automorphism_count, brute_rooted_trees, isomorphic
+from brute import brute_automorphism_count, brute_rooted_trees, isomorphic
 from derivgraph.enumeration import DerivativeGraph, Regime, enumerate_ode
 from derivgraph.formulas import render_term
 from derivgraph.trees import (
@@ -23,14 +23,10 @@ from derivgraph.trees import (
     Tree,
     TreeSyntaxError,
     canonicalize,
-    cardinality,
     compare_trees,
-    complexity_number,
-    entrance_count,
     format_tree,
     make_palette,
     parse_tree,
-    symmetry_number,
     tree_from_dict,
     tree_to_dict,
 )
@@ -129,24 +125,29 @@ class TestSymmetry:
         ],
     )
     def test_paper_values(self, tree, expected):
-        assert symmetry_number(tree) == expected
+        assert tree.symmetry == expected
 
     def test_coloured_binomial_graph(self):
         pal = make_palette("b", "w", "F")
         t = canonicalize(
             Tree(pal["F"], (Tree(pal["b"]),) * 2 + (Tree(pal["w"]),) * 3)
         )
-        assert symmetry_number(t) == 12
+        assert t.symmetry == 12
 
     def test_deep_chain_built_in_code(self):
-        # S is a stored field, and printing and the dict form are folds over
-        # an explicit stack, so trees far deeper than the recursion limit
-        # need no recursion.
+        # S is a stored field, and printing, the dict form and canonicalize
+        # are folds over an explicit stack, so trees far deeper than the
+        # recursion limit need no recursion.
         deep = chain(5000)
-        assert symmetry_number(deep) == 1
+        assert deep.symmetry == 1
         notation = "*{" * 4999 + "*{}" + "}" * 4999
         assert format_tree(deep) == notation
         assert tree_from_dict(tree_to_dict(deep)) is deep
+        unsorted, ordered = Tree(children=(chain(2), LEAF)), Tree(children=(LEAF, chain(2)))
+        for _ in range(4996):
+            unsorted, ordered = Tree(children=(unsorted,)), Tree(children=(ordered,))
+        assert ordered.vertices == 5000 and not unsorted.canonical
+        assert canonicalize(unsorted) is ordered
         wg = weigh(DerivativeGraph(deep, Regime.ODE))
         assert render_term(wg, "text") == "f(y)" + "·Df(y)" * 4999
         assert render_term(wg, "latex") == "f(y)" + r"\cdot Df(y)" * 4999
@@ -166,7 +167,7 @@ class TestSymmetry:
 
     def test_matches_brute_force_automorphisms(self):
         for t in all_trees_upto(7):
-            assert symmetry_number(t) == brute_automorphism_count(t)
+            assert t.symmetry == brute_automorphism_count(t)
 
     def test_degree_factorial_formula_when_siblings_isomorphic(self):
         def siblings_all_isomorphic(t: Tree) -> bool:
@@ -184,32 +185,32 @@ class TestSymmetry:
         checked = 0
         for t in all_trees_upto(7):
             if siblings_all_isomorphic(t):
-                assert symmetry_number(t) == degree_factorial_product(t)
+                assert t.symmetry == degree_factorial_product(t)
                 checked += 1
         assert checked > 10
 
 
 class TestComplexity:
     def test_chain_of_four(self):
-        assert complexity_number(chain(4)) == 6
+        assert chain(4).complexity == 6
 
     def test_star(self):
-        assert complexity_number(star(3)) == 1
+        assert star(3).complexity == 1
 
     def test_single_vertex(self):
-        assert complexity_number(LEAF) == 1
+        assert LEAF.complexity == 1
 
     def test_chain_is_factorial(self):
         for n in range(1, 9):
-            assert complexity_number(chain(n)) == factorial(n - 1)
+            assert chain(n).complexity == factorial(n - 1)
 
 
 class TestCounts:
     def test_cardinality_and_entrances(self):
-        assert (cardinality(LEAF), entrance_count(LEAF)) == (1, 1)
-        assert (cardinality(chain(4)), entrance_count(chain(4))) == (4, 1)
+        assert (LEAF.vertices, LEAF.entrances) == (1, 1)
+        assert (chain(4).vertices, chain(4).entrances) == (4, 1)
         t = canonicalize(Tree(children=(LEAF, chain(2))))
-        assert (cardinality(t), entrance_count(t)) == (4, 2)
+        assert (t.vertices, t.entrances) == (4, 2)
 
 
 class TestNotation:
@@ -384,7 +385,7 @@ class TestInterningProperties:
         c = canonicalize(t)
         assert c.canonical
         assert canonicalize(shuffled(t, rng)) is c
-        assert symmetry_number(c) == brute_automorphism_count(t)
+        assert c.symmetry == brute_automorphism_count(t)
         assert parse_tree(format_tree(t), PALETTE) is t
         assert tree_from_dict(tree_to_dict(t)) is t
 

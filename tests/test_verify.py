@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -19,13 +20,12 @@ class TestComposite:
 
     def test_partition_weights_at_order_four(self):
         from derivgraph.enumeration import enumerate_composite
-        from derivgraph.trees import entrance_count
         from derivgraph.weights import weigh
 
         by_partition = {}
         for g in enumerate_composite(CHAIN, 4):
             part = tuple(
-                sorted((entrance_count(c) for c in g.tree.children), reverse=True)
+                sorted((c.entrances for c in g.tree.children), reverse=True)
             )
             by_partition[part] = weigh(g).weight
         assert by_partition == {
@@ -128,7 +128,7 @@ class TestReport:
 
         def crooked(graph):
             wg = real(graph)
-            return type(wg)(wg.graph, wg.summary, wg.sign, wg.weight + Fraction(1, 7))
+            return dataclasses.replace(wg, weight=wg.weight + Fraction(1, 7))
 
         monkeypatch.setattr(verify_module, "weigh", crooked)
         for regime, n, skeleton in [

@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from derivgraph.brute import brute_increasing_tree_census, isomorphic
+from brute import brute_increasing_tree_census, isomorphic
 from derivgraph.enumeration import (
     DerivativeGraph,
     Regime,
@@ -35,7 +35,7 @@ class TestComposite:
 
     def test_binomial_graph(self):
         wg = weigh(coloured_leaf_graph(2, 3))
-        assert wg.summary.symmetry == 12
+        assert wg.graph.tree.symmetry == 12
         assert wg.weight == 10 == comb(5, 2)
 
     @pytest.mark.parametrize("n", range(0, 9))
@@ -108,7 +108,7 @@ class TestOde:
 
     def test_single_vertex(self):
         (wg,) = [weigh(g) for g in enumerate_ode(1)]
-        assert (wg.sign, wg.weight, wg.summary.symmetry, wg.summary.complexity) == (
+        assert (wg.sign, wg.weight, wg.graph.tree.symmetry, wg.graph.tree.complexity) == (
             1,
             Fraction(1),
             1,
