@@ -53,7 +53,7 @@ def _name(token: str, pos: int) -> str:
 
 def _skeleton_node(name: str, children: list[Skeleton] | None) -> Skeleton:
     # f() is a nullary function, f a variable.
-    return Skeleton(name) if children is None else Skeleton(name, tuple(children), True)
+    return Skeleton(name) if children is None else Skeleton(name, tuple(children), function=True)
 
 
 def parse_skeleton(text: str) -> Skeleton:

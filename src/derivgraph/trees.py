@@ -361,7 +361,7 @@ def parse_tree(text: str, palette: dict[str, Colour] | None = None) -> Tree:
         return pal[name]
 
     def node(colour: Colour, children: list[Tree] | None) -> Tree:
-        return Tree(colour, tuple(children or ()))  # name{} is the leaf name
+        return Tree(colour, tuple(children or ()))  # name{} and name are the same leaf
 
     return scan_brackets(
         text, _NAME, "{}", TreeSyntaxError, "a colour name", "tree", colour_for, node
