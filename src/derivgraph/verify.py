@@ -10,16 +10,17 @@ ever compared with a tolerance.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
-from operator import mul
-from typing import Callable
+from operator import attrgetter, mul
+from typing import Callable, Hashable
 
 from .enumeration import DerivativeGraph, Regime, composite_context, enumerate_graphs
 from .jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
 from .skeletons import Skeleton
-from .trees import Tree, format_trees
+from .trees import Tree, fold, format_trees
 from .weights import weigh
 
 
@@ -173,10 +174,13 @@ def verify(
 
     mismatches: list[Mismatch] = []
     for trial in range(trials):
-        expected, values = runner.run(rng)
+        expected, factor = runner.run(rng)
+        values = [prod(factor(k) ** c for k, c in m) for m in runner.monomials]
         actual = sum(map(mul, runner.coefficients, values), Fraction(0))
         if actual != expected:
-            terms = tuple(TermValue(*row, value) for row, value in zip(runner.rows, values))
+            terms = tuple(
+                TermValue(*row, values[m]) for row, m in zip(runner.rows, runner.row_monomial)
+            )
             mismatches.append(Mismatch(trial, expected, actual, terms))
     return Report(regime, n, trials, seed, runner.graph_count, tuple(mismatches))
 
@@ -186,13 +190,18 @@ def _derivatives(jet: Jet, n: int) -> list[Fraction]:
 
 
 class _Trial:
-    """The graphs of one regime and order, weighed and formatted once for all trials.
+    """The graphs of one regime and order, weighed, formatted and grouped once for all trials.
 
     ``rows`` holds each graph's (formatted tree, sign, weight) in enumeration
-    order, and ``coefficients`` each row's sign times weight.  A subclass's
-    ``run`` draws one trial's jets and returns the expected derivative
-    together with the value of every row.
+    order.  A tree's value is the product of its vertex factors, each fixed
+    by the vertex's ``vertex_key``, so trees with equal key multisets are
+    like terms: ``monomials`` holds each multiset as sorted (key, count)
+    pairs, ``coefficients`` its rows' summed sign times weight and
+    ``row_monomial`` each row's monomial.  ``run`` draws one trial's jets and
+    returns the expected derivative and a function from vertex key to factor.
     """
+
+    vertex_key: Callable[[Tree], Hashable] = attrgetter("degree")  # ode and inverse
 
     def __init__(self, graphs: list[DerivativeGraph]):
         weighted = [weigh(g) for g in graphs]
@@ -200,26 +209,16 @@ class _Trial:
         self.trees = [wg.graph.tree for wg in weighted]
         texts = format_trees(self.trees)
         self.rows = [(text, wg.sign, wg.weight) for text, wg in zip(texts, weighted)]
-        self.coefficients = [wg.sign * wg.weight for wg in weighted]
-
-    def values(self, vertex_factor: Callable[[Tree], Fraction]) -> list[Fraction]:
-        """Each tree's value: its vertex factor times its children's values.
-
-        Trees are interned, so a subtree shared by many graphs is one node;
-        the memo (one per trial, keyed by node identity) evaluates it once.
-        """
-        memo: dict[Tree, Fraction] = {}
-
-        def value(t: Tree) -> Fraction:
-            v = memo.get(t)
-            if v is None:
-                v = vertex_factor(t)
-                for c in t.children:
-                    v *= value(c)
-                memo[t] = v
-            return v
-
-        return [value(t) for t in self.trees]
+        key = self.vertex_key
+        index: dict[tuple, int] = {}  # a tree's sorted vertex keys -> its monomial
+        self.row_monomial = [
+            index.setdefault(keys, len(index))
+            for keys in fold(self.trees, lambda t, kids: tuple(sorted(sum(kids, (key(t),)))))
+        ]
+        self.monomials = [tuple(Counter(keys).items()) for keys in index]
+        self.coefficients = [Fraction(0)] * len(index)
+        for m, wg in zip(self.row_monomial, weighted):
+            self.coefficients[m] += wg.sign * wg.weight
 
 
 class _OdeTrial(_Trial):
@@ -227,13 +226,12 @@ class _OdeTrial(_Trial):
         super().__init__(enumerate_graphs(Regime.ODE, n))
         self.n = n
 
-    def run(self, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
+    def run(self, rng: random.Random) -> tuple[Fraction, Callable[[int], Fraction]]:
         field_jet = _random_jet(rng, self.n)
         y0 = _random_fraction(rng)
         flow = jet_ode_flow(field_jet, y0, self.n)
         expected = flow[self.n] * factorial(self.n)
-        derivs = _derivatives(field_jet, self.n)
-        return expected, self.values(lambda t: derivs[t.degree])
+        return expected, _derivatives(field_jet, self.n).__getitem__
 
 
 class _InverseTrial(_Trial):
@@ -241,20 +239,19 @@ class _InverseTrial(_Trial):
         super().__init__([] if n == 1 else enumerate_graphs(Regime.INVERSE, n))
         self.n = n
         if n == 1:
+            # The closed form (Df)^-1 = Dg is the value of a lone leaf.
             self.rows = [("(closed form)", 1, Fraction(1))]
-            self.coefficients = [Fraction(1)]
+            self.row_monomial, self.monomials, self.coefficients = [0], [((0, 1),)], [Fraction(1)]
 
-    def run(self, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
+    def run(self, rng: random.Random) -> tuple[Fraction, Callable[[int], Fraction]]:
         f = _random_jet(rng, self.n, zero_constant=True, nonzero_linear=True)
         g = jet_reverse(f)
         expected = g[self.n] * factorial(self.n)
         dg = 1 / f[1]
-        if self.n == 1:
-            return expected, [dg]
         # One Dg per entrance plus one per internal vertex wedge.  Inner
         # vertices have degree >= 2, so slot 0 is free for the leaf factor.
         factor = [dg] + [d * dg for d in _derivatives(f, self.n)[1:]]
-        return expected, self.values(lambda t: factor[t.degree])
+        return expected, factor.__getitem__
 
 
 class _CompositeTrial(_Trial):
@@ -265,7 +262,12 @@ class _CompositeTrial(_Trial):
         self.ctx = composite_context(skeleton)
         super().__init__(enumerate_graphs(Regime.COMPOSITE, n, skeleton))
 
-    def run(self, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
+    @staticmethod
+    def vertex_key(t: Tree) -> tuple[int, ...]:
+        """The vertex colour and its children's colours, which fix its factor."""
+        return (t.colour.index,) + tuple(c.colour.index for c in t.children)
+
+    def run(self, rng: random.Random) -> tuple[Fraction, Callable[[tuple[int, ...]], Fraction]]:
         # F's Taylor coefficients c_alpha, 1 <= |alpha| <= n, per position.
         outer = {
             ci: {a: _random_fraction(rng) for a in _exponents(node.arity, self.n) if any(a)}
@@ -282,15 +284,13 @@ class _CompositeTrial(_Trial):
         expected = direct[self.n] * factorial(self.n)
 
         # D^k F[v_1..v_k] at a vertex: the sum of d^alpha F(0) = alpha! c_alpha
-        # over every assignment of its children to matching slots.  It
-        # depends only on the vertex colour and the children's colours.
+        # over every assignment of its children to matching slots.
         factors: dict[tuple[int, ...], Fraction] = {}
 
-        def vertex_factor(t: Tree) -> Fraction:
-            ci = t.colour.index
+        def vertex_factor(key: tuple[int, ...]) -> Fraction:
+            ci = key[0]
             if ci not in outer:
                 return Fraction(1)  # a variable
-            key = (ci,) + tuple(c.colour.index for c in t.children)
             if key not in factors:
                 ways = _assignments(self.ctx.slot_root[ci], key[1:])
                 factors[key] = sum(
@@ -299,4 +299,4 @@ class _CompositeTrial(_Trial):
                 )
             return factors[key]
 
-        return expected, self.values(vertex_factor)
+        return expected, vertex_factor

@@ -1,15 +1,92 @@
 import dataclasses
+import importlib
 from fractions import Fraction
+from functools import cache
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute import integer_partitions
 from derivgraph.enumeration import Regime, enumerate_graphs
 from derivgraph.skeletons import parse_skeleton
-from derivgraph.trees import format_tree
+from derivgraph.trees import Tree, format_tree
 from derivgraph.verify import verify
+
+verify_module = importlib.import_module("derivgraph.verify")
 
 CHAIN = parse_skeleton("f(g(x))")
 TWO_COLOUR = parse_skeleton("F(f(x),g(x))")
+
+
+def tree_values(trees, vertex_factor):
+    """Independent reference: each tree's value, its vertex factor times its children's.
+
+    A memo keyed by node identity evaluates a subtree shared by many trees
+    once.  ``verify`` instead collects like terms; it is checked against this.
+    """
+    memo: dict[Tree, Fraction] = {}
+
+    def value(t: Tree) -> Fraction:
+        v = memo.get(t)
+        if v is None:
+            v = vertex_factor(t)
+            for c in t.children:
+                v *= value(c)
+            memo[t] = v
+        return v
+
+    return [value(t) for t in trees]
+
+
+@cache
+def trial(regime: Regime, n: int, skeleton: str | None = None):
+    if regime is Regime.ODE:
+        return verify_module._OdeTrial(n)
+    if regime is Regime.INVERSE:
+        return verify_module._InverseTrial(n)
+    return verify_module._CompositeTrial(parse_skeleton(skeleton), n)
+
+
+GROUPED_CASES = (
+    [(Regime.ODE, n, None) for n in range(1, 10)]
+    + [(Regime.INVERSE, n, None) for n in range(2, 9)]
+    + [(Regime.COMPOSITE, n, "f(g(x))") for n in range(1, 8)]
+    + [(Regime.COMPOSITE, n, "F(f(x),g(x))") for n in range(1, 7)]
+    + [(Regime.COMPOSITE, n, "F(x,x)") for n in range(1, 7)]
+    + [(Regime.COMPOSITE, n, "F(x,y,z)") for n in range(1, 6)]
+)
+
+
+class TestLikeTerms:
+    @pytest.mark.parametrize("regime,n,skeleton", GROUPED_CASES)
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_monomials_match_per_tree_products(self, regime, n, skeleton, data):
+        runner = trial(regime, n, skeleton)
+        keys = sorted({k for m in runner.monomials for k, _ in m})
+        nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+        factor = dict(zip(keys, data.draw(st.lists(nonzero, min_size=len(keys), max_size=len(keys)))))
+        values = [prod(factor[k] ** c for k, c in m) for m in runner.monomials]
+        reference = tree_values(runner.trees, lambda t: factor[runner.vertex_key(t)])
+        assert [values[m] for m in runner.row_monomial] == reference
+        assert sum(c * v for c, v in zip(runner.coefficients, values)) == sum(
+            sign * weight * v for (_, sign, weight), v in zip(runner.rows, reference)
+        )
+
+    def test_one_monomial_per_partition_of_n_minus_one(self):
+        # Pins the grouping key: a coarser one merges monomials, a finer one splits them.
+        build = trial.__wrapped__  # the large orders are not kept in the cache
+        for regime, orders in [(Regime.ODE, range(1, 13)), (Regime.INVERSE, range(2, 12))]:
+            for n in orders:
+                assert len(build(regime, n).monomials) == len(integer_partitions(n - 1)), n
+        assert len(build(Regime.INVERSE, 8).monomials) == 15
+
+    def test_two_variables_give_one_monomial_per_graph(self):
+        for n in range(1, 9):
+            runner = trial(Regime.COMPOSITE, n, "F(x,y)")
+            assert runner.graph_count == len(runner.monomials) == n + 1
 
 
 class TestComposite:
