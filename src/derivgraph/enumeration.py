@@ -113,10 +113,9 @@ class CompositeContext:
     """Colour palette and argument slots derived from a skeleton.
 
     Base variables get the lowest colour ranks in order of first appearance,
-    followed by function positions in preorder.  A function name occurring at
-    several positions is disambiguated with an ordinal suffix (f, f.2, ...).
-    A position is named by its path: the argument indices leading to it from
-    the root, () for the root itself.
+    followed by function positions in preorder, so a position's arguments
+    have higher colours than the position itself.  A function name occurring
+    at several positions is disambiguated with an ordinal suffix (f, f.2, ...).
     """
 
     def __init__(self, skeleton: Skeleton):
@@ -128,13 +127,15 @@ class CompositeContext:
             self.palette[name] = Colour(len(self.palette), name)
         self.variable_colours = frozenset(c.index for c in self.palette.values())
 
-        self._colour_at: dict[tuple[int, ...], Colour] = {}  # path -> colour
         self.node_by_colour: dict[int, Skeleton] = {}
+        # Root colour of a branch descending through each argument slot.
+        self.slot_root: dict[int, tuple[int, ...]] = {}
         name_count: dict[str, int] = {}
 
-        def assign(node: Skeleton, path: tuple[int, ...]) -> None:
+        def assign(node: Skeleton) -> Colour:
+            """Colour the positions under ``node`` in preorder; return its colour."""
             if node.is_variable:
-                return
+                return self.palette[node.name]
             name_count[node.name] = name_count.get(node.name, 0) + 1
             label = node.name
             if name_count[node.name] > 1:
@@ -143,44 +144,17 @@ class CompositeContext:
                 raise ValueError(f"{node.name!r} names both a function and a variable")
             colour = Colour(len(self.palette), label)
             self.palette[label] = colour
-            self._colour_at[path] = colour
             self.node_by_colour[colour.index] = node
-            for i, c in enumerate(node.children):
-                assign(c, path + (i,))
+            self.slot_root[colour.index] = tuple(assign(c).index for c in node.children)
+            return colour
 
-        assign(skeleton, ())
-        self.root_colour = self._colour_at[()]
+        self.root_colour = assign(skeleton)
 
         # Evaluation-point expressions (the undifferentiated sub-skeletons).
         self.point: dict[int, str] = {
             ci: ",".join(str(c) for c in node.children)
             for ci, node in self.node_by_colour.items()
         }
-
-        # Root colour of a branch descending through each argument slot.
-        self.slot_root: dict[int, tuple[int, ...]] = {
-            colour.index: tuple(
-                self._position_colour(child, path + (i,)).index
-                for i, child in enumerate(self.node_by_colour[colour.index].children)
-            )
-            for path, colour in self._colour_at.items()
-        }
-
-    def _position_colour(self, node: Skeleton, path: tuple[int, ...]) -> Colour:
-        return self.palette[node.name] if node.is_variable else self._colour_at[path]
-
-    def node_colour(self, position: Skeleton | tuple[int, ...]) -> Colour:
-        """Colour of one function position of the skeleton.
-
-        ``position`` is a path of argument indices from the root, or a
-        sub-skeleton equal to the one at exactly one function position.
-        """
-        if not isinstance(position, Skeleton):
-            return self._colour_at[position]
-        found = [c for c in self._colour_at.values() if self.node_by_colour[c.index] == position]
-        if len(found) != 1:
-            raise KeyError(f"{position} is at {len(found)} function positions; pass a path")
-        return found[0]
 
 
 @lru_cache(maxsize=None)

@@ -13,14 +13,16 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import combinations_with_replacement
 from math import factorial, prod
-from operator import attrgetter, mul
-from typing import Callable, Hashable
+from operator import mul
+from typing import Callable
 
-from .enumeration import DerivativeGraph, Regime, composite_context, enumerate_graphs
+from .enumeration import CompositeContext, Regime, composite_context, enumerate_graphs
 from .jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
 from .skeletons import Skeleton
-from .trees import Tree, fold, format_trees
+from .trees import DEFAULT_COLOUR, Tree, fold, format_trees
 from .weights import weigh
 
 
@@ -31,25 +33,17 @@ def _random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
             return value
 
 
-def _random_jet(
-    rng: random.Random,
-    order: int,
-    zero_constant: bool = False,
-    nonzero_linear: bool = False,
-) -> Jet:
-    coeffs = [_random_fraction(rng) for _ in range(order + 1)]
-    if zero_constant:
-        coeffs[0] = Fraction(0)
-    if nonzero_linear:
-        coeffs[1] = _random_fraction(rng, nonzero=True)
-    return Jet(coeffs)
-
-
 def _exponents(arity: int, n: int) -> list[tuple[int, ...]]:
     """Multi-indices with ``arity`` entries and total at most ``n``, in lexicographic order."""
-    if arity == 0:
-        return [()]
-    return [(a,) + rest for a in range(n + 1) for rest in _exponents(arity - 1, n - a)]
+    out = []
+    for m in range(n + 1):
+        # One per multiset of m argument slots, as its count per slot.
+        for slots in combinations_with_replacement(range(arity), m):
+            alpha = [0] * arity
+            for s in slots:
+                alpha[s] += 1
+            out.append(tuple(alpha))
+    return sorted(out)
 
 
 def _assignments(
@@ -166,137 +160,126 @@ def verify(
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     if regime is Regime.COMPOSITE:
-        runner = _CompositeTrial(skeleton, n)
-    elif regime is Regime.ODE:
-        runner = _OdeTrial(n)
-    else:
-        runner = _InverseTrial(n)
-
-    mismatches: list[Mismatch] = []
-    for trial in range(trials):
-        expected, factor = runner.run(rng)
-        values = [prod(factor(k) ** c for k, c in m) for m in runner.monomials]
-        actual = sum(map(mul, runner.coefficients, values), Fraction(0))
-        if actual != expected:
-            terms = tuple(
-                TermValue(*row, values[m]) for row, m in zip(runner.rows, runner.row_monomial)
-            )
-            mismatches.append(Mismatch(trial, expected, actual, terms))
-    return Report(regime, n, trials, seed, runner.graph_count, tuple(mismatches))
-
-
-def _derivatives(jet: Jet, n: int) -> list[Fraction]:
-    return [jet.derivative_at_zero(k) for k in range(n + 1)]
-
-
-class _Trial:
-    """The graphs of one regime and order, weighed, formatted and grouped once for all trials.
-
-    ``rows`` holds each graph's (formatted tree, sign, weight) in enumeration
-    order.  A tree's value is the product of its vertex factors, each fixed
-    by the vertex's ``vertex_key``, so trees with equal key multisets are
-    like terms: ``monomials`` holds each multiset as sorted (key, count)
-    pairs, ``coefficients`` its rows' summed sign times weight and
-    ``row_monomial`` each row's monomial.  ``run`` draws one trial's jets and
-    returns the expected derivative and a function from vertex key to factor.
-    """
-
-    vertex_key: Callable[[Tree], Hashable] = attrgetter("degree")  # ode and inverse
-
-    def __init__(self, graphs: list[DerivativeGraph]):
-        weighted = [weigh(g) for g in graphs]
-        self.graph_count = len(weighted)
-        self.trees = [wg.graph.tree for wg in weighted]
-        texts = format_trees(self.trees)
-        self.rows = [(text, wg.sign, wg.weight) for text, wg in zip(texts, weighted)]
-        key = self.vertex_key
-        index: dict[tuple, int] = {}  # a tree's sorted vertex keys -> its monomial
-        self.row_monomial = [
-            index.setdefault(keys, len(index))
-            for keys in fold(self.trees, lambda t, kids: tuple(sorted(sum(kids, (key(t),)))))
-        ]
-        self.monomials = [tuple(Counter(keys).items()) for keys in index]
-        self.coefficients = [Fraction(0)] * len(index)
-        for m, wg in zip(self.row_monomial, weighted):
-            self.coefficients[m] += wg.sign * wg.weight
-
-
-class _OdeTrial(_Trial):
-    def __init__(self, n: int):
-        super().__init__(enumerate_graphs(Regime.ODE, n))
-        self.n = n
-
-    def run(self, rng: random.Random) -> tuple[Fraction, Callable[[int], Fraction]]:
-        field_jet = _random_jet(rng, self.n)
-        y0 = _random_fraction(rng)
-        flow = jet_ode_flow(field_jet, y0, self.n)
-        expected = flow[self.n] * factorial(self.n)
-        return expected, _derivatives(field_jet, self.n).__getitem__
-
-
-class _InverseTrial(_Trial):
-    def __init__(self, n: int):
-        super().__init__([] if n == 1 else enumerate_graphs(Regime.INVERSE, n))
-        self.n = n
-        if n == 1:
-            # The closed form (Df)^-1 = Dg is the value of a lone leaf.
-            self.rows = [("(closed form)", 1, Fraction(1))]
-            self.row_monomial, self.monomials, self.coefficients = [0], [((0, 1),)], [Fraction(1)]
-
-    def run(self, rng: random.Random) -> tuple[Fraction, Callable[[int], Fraction]]:
-        f = _random_jet(rng, self.n, zero_constant=True, nonzero_linear=True)
-        g = jet_reverse(f)
-        expected = g[self.n] * factorial(self.n)
-        dg = 1 / f[1]
-        # One Dg per entrance plus one per internal vertex wedge.  Inner
-        # vertices have degree >= 2, so slot 0 is free for the leaf factor.
-        factor = [dg] + [d * dg for d in _derivatives(f, self.n)[1:]]
-        return expected, factor.__getitem__
-
-
-class _CompositeTrial(_Trial):
-    def __init__(self, skeleton: Skeleton | None, n: int):
         if skeleton is None:
             raise ValueError("composite regime requires a skeleton")
-        self.n = n
-        self.ctx = composite_context(skeleton)
-        super().__init__(enumerate_graphs(Regime.COMPOSITE, n, skeleton))
+        ctx = composite_context(skeleton)
+        arities = {node.arity for node in ctx.node_by_colour.values()}
+        draw = partial(_draw_composite, ctx, {k: _exponents(k, n) for k in arities}, n)
+    elif regime is Regime.ODE:
+        draw = partial(_draw_ode, n)
+    else:
+        draw = partial(_draw_inverse, n)
 
-    @staticmethod
-    def vertex_key(t: Tree) -> tuple[int, ...]:
-        """The vertex colour and its children's colours, which fix its factor."""
-        return (t.colour.index,) + tuple(c.colour.index for c in t.children)
+    closed_form = regime is Regime.INVERSE and n == 1
+    if closed_form:
+        # No graph: the closed form (Df)^-1 = Dg is the value of a lone leaf.
+        graphs, rows = [], [(Tree(DEFAULT_COLOUR), 1, Fraction(1))]
+    else:
+        graphs = enumerate_graphs(regime, n, skeleton)
+        rows = [(wg.graph.tree, wg.sign, wg.weight) for wg in map(weigh, graphs)]
+    row_monomial, monomials, coefficients = _like_terms(rows)
 
-    def run(self, rng: random.Random) -> tuple[Fraction, Callable[[tuple[int, ...]], Fraction]]:
-        # F's Taylor coefficients c_alpha, 1 <= |alpha| <= n, per position.
-        outer = {
-            ci: {a: _random_fraction(rng) for a in _exponents(node.arity, self.n) if any(a)}
-            for ci, node in self.ctx.node_by_colour.items()
-        }
+    texts: list[str] | None = None  # only a failing report prints the trees
+    mismatches: list[Mismatch] = []
+    for trial in range(trials):
+        expected, factor = draw(rng)
+        values = [prod(factor(k) ** c for k, c in m) for m in monomials]
+        actual = sum(map(mul, coefficients, values), Fraction(0))
+        if actual != expected:
+            if texts is None:
+                texts = ["(closed form)"] if closed_form else format_trees(t for t, _, _ in rows)
+            terms = tuple(
+                TermValue(text, sign, weight, values[m])
+                for text, (_, sign, weight), m in zip(texts, rows, row_monomial)
+            )
+            mismatches.append(Mismatch(trial, expected, actual, terms))
+    return Report(regime, n, trials, seed, len(graphs), tuple(mismatches))
 
-        def evaluate(node: Skeleton, path: tuple[int, ...] = ()) -> Jet:
-            if node.is_variable:
-                return identity_jet(self.n)
-            args = [evaluate(c, path + (i,)) for i, c in enumerate(node.children)]
-            return compose(outer[self.ctx.node_colour(path).index], args, self.n)
 
-        direct = evaluate(self.ctx.skeleton)
-        expected = direct[self.n] * factorial(self.n)
+def _vertex_key(t: Tree) -> tuple[int, ...]:
+    """The vertex colour and its children's colours: all that its factor depends on."""
+    return (t.colour.index,) + tuple(c.colour.index for c in t.children)
 
-        # D^k F[v_1..v_k] at a vertex: the sum of d^alpha F(0) = alpha! c_alpha
-        # over every assignment of its children to matching slots.
-        factors: dict[tuple[int, ...], Fraction] = {}
 
-        def vertex_factor(key: tuple[int, ...]) -> Fraction:
-            ci = key[0]
-            if ci not in outer:
-                return Fraction(1)  # a variable
-            if key not in factors:
-                ways = _assignments(self.ctx.slot_root[ci], key[1:])
-                factors[key] = sum(
-                    (count * prod(map(factorial, a)) * outer[ci][a] for a, count in ways.items()),
-                    Fraction(0),
-                )
-            return factors[key]
+def _like_terms(rows: list[tuple[Tree, int, Fraction]]) -> tuple[list[int], list, list[Fraction]]:
+    """Group (tree, sign, weight) rows into like terms, once for all trials.
 
-        return expected, vertex_factor
+    A tree's value is the product of its vertex factors, each fixed by the
+    vertex's ``_vertex_key``, so trees with equal key multisets are like
+    terms.  Returns each row's monomial, each monomial as sorted (key, count)
+    pairs, and each monomial's coefficient: its rows' summed sign times weight.
+    """
+    index: dict[tuple, int] = {}  # a tree's sorted vertex keys -> its monomial
+    trees = (t for t, _, _ in rows)
+    row_monomial = [
+        index.setdefault(keys, len(index))
+        for keys in fold(trees, lambda t, kids: tuple(sorted(sum(kids, (_vertex_key(t),)))))
+    ]
+    coefficients = [Fraction(0)] * len(index)
+    for m, (_, sign, weight) in zip(row_monomial, rows):
+        coefficients[m] += sign * weight
+    return row_monomial, [tuple(Counter(keys).items()) for keys in index], coefficients
+
+
+# One draw per trial and regime: random jets, in a fixed order, and the
+# expected derivative with a function from vertex key to factor.
+
+
+def _draw_ode(n: int, rng: random.Random) -> tuple[Fraction, Callable[[tuple], Fraction]]:
+    field_jet = Jet(_random_fraction(rng) for _ in range(n + 1))
+    y0 = _random_fraction(rng)
+    expected = jet_ode_flow(field_jet, y0, n)[n] * factorial(n)
+    derivatives = [field_jet.derivative_at_zero(k) for k in range(n + 1)]
+    # A vertex's key has one entry per child and its own: a vertex with k
+    # children carries the k-th derivative of the field.
+    return expected, lambda key: derivatives[len(key) - 1]
+
+
+def _draw_inverse(n: int, rng: random.Random) -> tuple[Fraction, Callable[[tuple], Fraction]]:
+    drawn = [_random_fraction(rng) for _ in range(n + 1)]
+    # f(0) = 0 and f'(0) != 0, so f has an inverse g.  drawn[:2] are
+    # replaced, not skipped, so each seed keeps its draws.
+    f = Jet([0, _random_fraction(rng, nonzero=True)] + drawn[2:])
+    expected = jet_reverse(f)[n] * factorial(n)
+    dg = 1 / f[1]
+    # One Dg per entrance plus one per internal vertex wedge.  Inner
+    # vertices have degree >= 2, so slot 0 is free for the leaf factor.
+    factor = [dg] + [f.derivative_at_zero(k) * dg for k in range(1, n + 1)]
+    return expected, lambda key: factor[len(key) - 1]
+
+
+def _draw_composite(
+    ctx: CompositeContext,
+    exponents: dict[int, list[tuple[int, ...]]],
+    n: int,
+    rng: random.Random,
+) -> tuple[Fraction, Callable[[tuple], Fraction]]:
+    # F's Taylor coefficients c_alpha, 1 <= |alpha| <= n, per position.
+    outer = {
+        ci: {a: _random_fraction(rng) for a in exponents[node.arity] if any(a)}
+        for ci, node in ctx.node_by_colour.items()
+    }
+    # Positions are coloured in preorder, so a position's arguments have
+    # higher colours: highest first, each argument's jet is ready in time.
+    jets = {ci: identity_jet(n) for ci in ctx.variable_colours}
+    for ci in reversed(ctx.node_by_colour):
+        jets[ci] = compose(outer[ci], [jets[c] for c in ctx.slot_root[ci]], n)
+    expected = jets[ctx.root_colour.index][n] * factorial(n)
+
+    # D^k F[v_1..v_k] at a vertex: the sum of d^alpha F(0) = alpha! c_alpha
+    # over every assignment of its children to matching slots.
+    factors: dict[tuple[int, ...], Fraction] = {}
+
+    def vertex_factor(key: tuple[int, ...]) -> Fraction:
+        ci = key[0]
+        if ci not in outer:
+            return Fraction(1)  # a variable
+        if key not in factors:
+            ways = _assignments(ctx.slot_root[ci], key[1:])
+            factors[key] = sum(
+                (count * prod(map(factorial, a)) * outer[ci][a] for a, count in ways.items()),
+                Fraction(0),
+            )
+        return factors[key]
+
+    return expected, vertex_factor

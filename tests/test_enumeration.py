@@ -139,17 +139,23 @@ class TestComposite:
 
     def test_context_of_an_equal_skeleton_finds_its_positions(self):
         # composite_context is cached by skeleton value; a caller's own copy
-        # of the skeleton must still resolve.
+        # of the skeleton gets the same context.
         ctx = composite_context(parse_skeleton("f(g(x))"))
-        assert ctx.node_colour(parse_skeleton("f(g(x))")) == ctx.root_colour
-        assert ctx.node_colour(()) == ctx.root_colour
-        assert ctx.node_colour((0,)).name == "g"
+        assert composite_context(parse_skeleton("f(g(x))")) is ctx
+        f, g, x = (ctx.palette[name].index for name in ("f", "g", "x"))
+        assert ctx.root_colour.index == f
+        assert ctx.node_by_colour == {f: parse_skeleton("f(g(x))"), g: parse_skeleton("g(x)")}
+        assert ctx.slot_root == {f: (g,), g: (x,)}
 
     def test_repeated_function_positions_are_named_by_path(self):
+        # Positions are coloured in preorder: the first f is "f", the second "f.2".
         ctx = composite_context(parse_skeleton("F(f(x),f(x))"))
-        assert [ctx.node_colour((i,)).name for i in (0, 1)] == ["f", "f.2"]
-        with pytest.raises(KeyError):
-            ctx.node_colour(parse_skeleton("f(x)"))
+        assert [c.name for c in ctx.palette.values()] == ["x", "F", "f", "f.2"]
+        F, f, f2, x = (ctx.palette[name].index for name in ("F", "f", "f.2", "x"))
+        assert ctx.slot_root == {F: (f, f2), f: (x,), f2: (x,)}
+        # The same sub-skeleton sits at two positions.
+        at = [ci for ci, node in ctx.node_by_colour.items() if node == parse_skeleton("f(x)")]
+        assert at == [f, f2]
 
 
 def _entrance_deletions(t: Tree):

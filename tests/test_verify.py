@@ -13,6 +13,7 @@ from derivgraph.enumeration import Regime, enumerate_graphs
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree, format_tree
 from derivgraph.verify import verify
+from derivgraph.weights import weigh
 
 verify_module = importlib.import_module("derivgraph.verify")
 
@@ -41,12 +42,11 @@ def tree_values(trees, vertex_factor):
 
 
 @cache
-def trial(regime: Regime, n: int, skeleton: str | None = None):
-    if regime is Regime.ODE:
-        return verify_module._OdeTrial(n)
-    if regime is Regime.INVERSE:
-        return verify_module._InverseTrial(n)
-    return verify_module._CompositeTrial(parse_skeleton(skeleton), n)
+def grouped(regime: Regime, n: int, skeleton: str | None = None):
+    """The (tree, sign, weight) rows ``verify`` groups, and its grouping of them."""
+    graphs = enumerate_graphs(regime, n, skeleton and parse_skeleton(skeleton))
+    rows = [(wg.graph.tree, wg.sign, wg.weight) for wg in map(weigh, graphs)]
+    return rows, verify_module._like_terms(rows)
 
 
 GROUPED_CASES = (
@@ -64,29 +64,32 @@ class TestLikeTerms:
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
     def test_monomials_match_per_tree_products(self, regime, n, skeleton, data):
-        runner = trial(regime, n, skeleton)
-        keys = sorted({k for m in runner.monomials for k, _ in m})
+        rows, (row_monomial, monomials, coefficients) = grouped(regime, n, skeleton)
+        keys = sorted({k for m in monomials for k, _ in m})
         nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
         factor = dict(zip(keys, data.draw(st.lists(nonzero, min_size=len(keys), max_size=len(keys)))))
-        values = [prod(factor[k] ** c for k, c in m) for m in runner.monomials]
-        reference = tree_values(runner.trees, lambda t: factor[runner.vertex_key(t)])
-        assert [values[m] for m in runner.row_monomial] == reference
-        assert sum(c * v for c, v in zip(runner.coefficients, values)) == sum(
-            sign * weight * v for (_, sign, weight), v in zip(runner.rows, reference)
+        values = [prod(factor[k] ** c for k, c in m) for m in monomials]
+        vertex_key = verify_module._vertex_key
+        reference = tree_values([t for t, _, _ in rows], lambda t: factor[vertex_key(t)])
+        assert [values[m] for m in row_monomial] == reference
+        assert sum(c * v for c, v in zip(coefficients, values)) == sum(
+            sign * weight * v for (_, sign, weight), v in zip(rows, reference)
         )
 
     def test_one_monomial_per_partition_of_n_minus_one(self):
         # Pins the grouping key: a coarser one merges monomials, a finer one splits them.
-        build = trial.__wrapped__  # the large orders are not kept in the cache
+        build = grouped.__wrapped__  # the large orders are not kept in the cache
         for regime, orders in [(Regime.ODE, range(1, 13)), (Regime.INVERSE, range(2, 12))]:
             for n in orders:
-                assert len(build(regime, n).monomials) == len(integer_partitions(n - 1)), n
-        assert len(build(Regime.INVERSE, 8).monomials) == 15
+                _, (_, monomials, _) = build(regime, n)
+                assert len(monomials) == len(integer_partitions(n - 1)), n
+        _, (_, monomials, _) = build(Regime.INVERSE, 8)
+        assert len(monomials) == 15
 
     def test_two_variables_give_one_monomial_per_graph(self):
         for n in range(1, 9):
-            runner = trial(Regime.COMPOSITE, n, "F(x,y)")
-            assert runner.graph_count == len(runner.monomials) == n + 1
+            rows, (_, monomials, _) = grouped(Regime.COMPOSITE, n, "F(x,y)")
+            assert len(rows) == len(monomials) == n + 1
 
 
 class TestComposite:
@@ -139,6 +142,14 @@ class TestComposite:
         skeleton = parse_skeleton(text)
         for n in range(1, top + 1):
             assert verify(Regime.COMPOSITE, n, 5, 2, skeleton).passed
+
+    @pytest.mark.parametrize("names", [["x"] * 1000, [f"x{i}" for i in range(1000)]])
+    def test_a_thousand_arguments_verify_at_order_one(self, names):
+        # One repeated slot (one graph) or a thousand distinct ones (one per slot).
+        skeleton = parse_skeleton("F(" + ",".join(names) + ")")
+        report = verify(Regime.COMPOSITE, 1, 2, 0, skeleton)
+        assert report.passed
+        assert report.graph_count == len(set(names))
 
     def test_deep_chain_passes(self):
         deep = parse_skeleton("f(g(h(x)))")
@@ -195,6 +206,20 @@ class TestReport:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             verify(Regime.ODE, 3, 0, 0)
+
+    def test_a_passing_run_formats_no_tree(self, monkeypatch):
+        # Only a failing report prints the trees.
+        def refuse(trees):
+            raise AssertionError("format_trees called on a passing run")
+
+        monkeypatch.setattr(verify_module, "format_trees", refuse)
+        for regime, n, skeleton in [
+            (Regime.ODE, 6, None),
+            (Regime.INVERSE, 6, None),
+            (Regime.INVERSE, 1, None),
+            (Regime.COMPOSITE, 4, TWO_COLOUR),
+        ]:
+            assert verify_module.verify(regime, n, 5, 0, skeleton).passed
 
     def test_corrupted_weight_is_detected(self, monkeypatch):
         import importlib
