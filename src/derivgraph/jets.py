@@ -7,6 +7,7 @@ and ODE flow computed directly on coefficients, with tolerance zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterable
 
 Rat = int | Fraction
@@ -64,10 +65,7 @@ class Jet:
 
     def derivative_at_zero(self, k: int) -> Fraction:
         """k-th derivative at the expansion point: k! * c_k."""
-        f = 1
-        for i in range(2, k + 1):
-            f *= i
-        return self.coeffs[k] * f
+        return self.coeffs[k] * factorial(k)
 
 
 def identity_jet(order: int) -> Jet:

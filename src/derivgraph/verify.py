@@ -46,26 +46,6 @@ def _exponents(arity: int, n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _assignments(
-    slot_root: tuple[int, ...], child_colours: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    """How many ways each multi-index alpha arises when children pick slots.
-
-    Each child goes to any argument slot whose root colour is its own;
-    alpha counts the children per slot.
-    """
-    ways = {(0,) * len(slot_root): 1}
-    for colour in child_colours:
-        step: dict[tuple[int, ...], int] = {}
-        for alpha, count in ways.items():
-            for s, root in enumerate(slot_root):
-                if root == colour:
-                    beta = alpha[:s] + (alpha[s] + 1,) + alpha[s + 1 :]
-                    step[beta] = step.get(beta, 0) + count
-        ways = step
-    return ways
-
-
 @dataclass(frozen=True)
 class TermValue:
     tree: str
@@ -163,8 +143,11 @@ def verify(
         if skeleton is None:
             raise ValueError("composite regime requires a skeleton")
         ctx = composite_context(skeleton)
-        arities = {node.arity for node in ctx.node_by_colour.values()}
-        draw = partial(_draw_composite, ctx, {k: _exponents(k, n) for k in arities}, n)
+        # One argument per distinct slot colour: slots of one colour are one
+        # base variable, so they always receive the same inner jet.
+        classes = {ci: tuple(dict.fromkeys(ctx.slot_root[ci])) for ci in ctx.node_by_colour}
+        sizes = {len(c) for c in classes.values()}
+        draw = partial(_draw_composite, ctx, classes, {m: _exponents(m, n) for m in sizes}, n)
     elif regime is Regime.ODE:
         draw = partial(_draw_ode, n)
     else:
@@ -250,24 +233,26 @@ def _draw_inverse(n: int, rng: random.Random) -> tuple[Fraction, Callable[[tuple
 
 def _draw_composite(
     ctx: CompositeContext,
+    classes: dict[int, tuple[int, ...]],
     exponents: dict[int, list[tuple[int, ...]]],
     n: int,
     rng: random.Random,
 ) -> tuple[Fraction, Callable[[tuple], Fraction]]:
-    # F's Taylor coefficients c_alpha, 1 <= |alpha| <= n, per position.
+    # F's Taylor coefficients c_alpha, 1 <= |alpha| <= n, per position, with
+    # one exponent per slot colour.
     outer = {
-        ci: {a: _random_fraction(rng) for a in exponents[node.arity] if any(a)}
-        for ci, node in ctx.node_by_colour.items()
+        ci: {a: _random_fraction(rng) for a in exponents[len(cls)] if any(a)}
+        for ci, cls in classes.items()
     }
     # Positions are coloured in preorder, so a position's arguments have
     # higher colours: highest first, each argument's jet is ready in time.
     jets = {ci: identity_jet(n) for ci in ctx.variable_colours}
-    for ci in reversed(ctx.node_by_colour):
-        jets[ci] = compose(outer[ci], [jets[c] for c in ctx.slot_root[ci]], n)
+    for ci in reversed(classes):
+        jets[ci] = compose(outer[ci], [jets[c] for c in classes[ci]], n)
     expected = jets[ctx.root_colour.index][n] * factorial(n)
 
-    # D^k F[v_1..v_k] at a vertex: the sum of d^alpha F(0) = alpha! c_alpha
-    # over every assignment of its children to matching slots.
+    # D^k F[v_1..v_k] at a vertex is d^alpha F(0) = alpha! c_alpha, with
+    # alpha counting its children per slot colour; 0 if a child fits no slot.
     factors: dict[tuple[int, ...], Fraction] = {}
 
     def vertex_factor(key: tuple[int, ...]) -> Fraction:
@@ -275,11 +260,9 @@ def _draw_composite(
         if ci not in outer:
             return Fraction(1)  # a variable
         if key not in factors:
-            ways = _assignments(ctx.slot_root[ci], key[1:])
-            factors[key] = sum(
-                (count * prod(map(factorial, a)) * outer[ci][a] for a, count in ways.items()),
-                Fraction(0),
-            )
+            alpha = tuple(map(key[1:].count, classes[ci]))
+            fits = sum(alpha) == len(key) - 1
+            factors[key] = prod(map(factorial, alpha)) * outer[ci][alpha] if fits else Fraction(0)
         return factors[key]
 
     return expected, vertex_factor

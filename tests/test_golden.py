@@ -6,7 +6,8 @@ argv, e.g. ``python -m derivgraph.cli table --style machine --regime ode
 formula --style latex --regime ode --order 7 >
 tests/golden/formula-ode-7-latex.tex``.  Any change to enumeration order,
 canonical form, S, tau, sign, weight or the printed formulas shows up here
-as a diff.
+as a diff.  ``verify-*.json`` holds a failing ``verify`` report, pinned by
+``tests/test_verify.py``.
 """
 
 from pathlib import Path

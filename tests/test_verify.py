@@ -1,15 +1,19 @@
 import dataclasses
 import importlib
+import json
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import comb, factorial, prod
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import integer_partitions
-from derivgraph.enumeration import Regime, enumerate_graphs
+from derivgraph.enumeration import Regime, composite_context, enumerate_graphs
+from derivgraph.jets import Jet, compose, identity_jet
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree, format_tree
 from derivgraph.verify import verify
@@ -19,6 +23,19 @@ verify_module = importlib.import_module("derivgraph.verify")
 
 CHAIN = parse_skeleton("f(g(x))")
 TWO_COLOUR = parse_skeleton("F(f(x),g(x))")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def crooked(monkeypatch):
+    """Make ``verify`` weigh every graph 1/7 too heavily; return the crooked ``weigh``."""
+    real = verify_module.weigh
+
+    def weigh_plus_one_seventh(graph):
+        wg = real(graph)
+        return dataclasses.replace(wg, weight=wg.weight + Fraction(1, 7))
+
+    monkeypatch.setattr(verify_module, "weigh", weigh_plus_one_seventh)
+    return weigh_plus_one_seventh
 
 
 def tree_values(trees, vertex_factor):
@@ -92,6 +109,113 @@ class TestLikeTerms:
             assert len(rows) == len(monomials) == n + 1
 
 
+# The per-slot oracle's vertex factor summed alpha! c_alpha over these; it
+# is the reference for the per-class draw.
+def _assignments(
+    slot_root: tuple[int, ...], child_colours: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    """How many ways each multi-index alpha arises when children pick slots.
+
+    Each child goes to any argument slot whose root colour is its own;
+    alpha counts the children per slot.
+    """
+    ways = {(0,) * len(slot_root): 1}
+    for colour in child_colours:
+        step: dict[tuple[int, ...], int] = {}
+        for alpha, count in ways.items():
+            for s, root in enumerate(slot_root):
+                if root == colour:
+                    beta = alpha[:s] + (alpha[s] + 1,) + alpha[s + 1 :]
+                    step[beta] = step.get(beta, 0) + count
+        ways = step
+    return ways
+
+
+def per_class(slot_root, c):
+    """c~_beta = sum of c_alpha over the alpha that add up to beta per slot colour."""
+    classes = tuple(dict.fromkeys(slot_root))
+    out: dict[tuple[int, ...], Fraction] = {}
+    for alpha, value in c.items():
+        beta = tuple(sum(a for a, r in zip(alpha, slot_root) if r == colour) for colour in classes)
+        out[beta] = out.get(beta, 0) + value
+    return classes, out
+
+
+@st.composite
+def slot_draws(draw):
+    """A position's slot root colours (repeats allowed), order, c and child colours."""
+    slot_root = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
+    n = draw(st.integers(1, 4))
+    rational = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    exponents = [a for a in verify_module._exponents(len(slot_root), n) if any(a)]
+    c = dict(zip(exponents, draw(st.lists(rational, min_size=len(exponents), max_size=len(exponents)))))
+    # Colour 4 is in no class; so is any of 1..3 that no slot has.
+    children = tuple(sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=n))))
+    inners = {
+        colour: Jet([0] + draw(st.lists(rational, min_size=n, max_size=n)))
+        for colour in set(slot_root)
+    }
+    return slot_root, n, c, children, inners
+
+
+class TestSlotColours:
+    """One argument per slot colour is F restricted to equal arguments per colour."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(slot_draws())
+    def test_per_class_draw_is_the_pushforward_of_the_per_slot_draw(self, case):
+        slot_root, n, c, children, inners = case
+        classes, c_tilde = per_class(slot_root, c)
+
+        # The graph side: the old sum over assignments is beta! c~_beta.
+        old = sum(
+            (count * prod(map(factorial, a)) * c[a] for a, count in _assignments(slot_root, children).items()),
+            Fraction(0),
+        )
+        beta = tuple(map(children.count, classes))
+        fits = sum(beta) == len(children)
+        assert old == (prod(map(factorial, beta)) * c_tilde[beta] if fits else 0)
+
+        # The direct side: one inner jet per slot or one per class, same jet.
+        per_slot = compose(c, [inners[r] for r in slot_root], n)
+        assert per_slot == compose(c_tilde, [inners[r] for r in classes], n)
+
+        # verify's own draw, fed c~ in its draw order, agrees with both.
+        exponents = verify_module._exponents(len(classes), n)
+        drawn = iter([c_tilde[a] for a in exponents if any(a)])
+        ctx = SimpleNamespace(variable_colours=range(1, 5), root_colour=SimpleNamespace(index=0))
+        original = verify_module._random_fraction
+        verify_module._random_fraction = lambda rng: next(drawn)
+        try:
+            expected, factor = verify_module._draw_composite(
+                ctx, {0: classes}, {len(classes): exponents}, n, None
+            )
+        finally:
+            verify_module._random_fraction = original
+        assert factor((0,) + children) == old
+        assert expected == compose(c, [identity_jet(n)] * len(slot_root), n)[n] * factorial(n)
+
+    @pytest.mark.parametrize(
+        "text,n,draws",
+        [("F(" + ",".join(["x"] * 40) + ")", 2, 2), ("F(f(x),g(h(x),x))", 3, 9 + 3 + 9 + 3)],
+    )
+    def test_one_draw_per_multi_index_over_slot_colours(self, monkeypatch, text, n, draws):
+        # C(n+m, m) - 1 per position and trial, m the number of distinct slot
+        # colours; where no slot colour repeats, m is the arity.  One draw
+        # per slot would take C(42, 2) - 1 = 860 for 40 x at order 2.
+        calls = []
+        real = verify_module._random_fraction
+        monkeypatch.setattr(
+            verify_module, "_random_fraction", lambda *a: calls.append(1) or real(*a)
+        )
+        skeleton = parse_skeleton(text)
+        ctx = composite_context(skeleton)
+        per_trial = sum(comb(n + len(set(r)), n) - 1 for r in ctx.slot_root.values())
+        assert per_trial == draws
+        assert verify_module.verify(Regime.COMPOSITE, n, 3, 0, skeleton).passed
+        assert len(calls) == 3 * draws
+
+
 class TestComposite:
     def test_chain_order_four_passes(self):
         report = verify(Regime.COMPOSITE, 4, trials=20, seed=1, skeleton=CHAIN)
@@ -136,6 +260,8 @@ class TestComposite:
             ("f(c(),x)", 5),
             ("F()", 5),
             ("F(x,g(x,y))", 5),
+            ("F(" + ",".join(["x"] * 40) + ")", 4),
+            ("F(" + ",".join(["x"] * 12) + ")", 6),
         ],
     )
     def test_any_arity_and_repeated_slots_pass(self, text, top):
@@ -222,23 +348,15 @@ class TestReport:
             assert verify_module.verify(regime, n, 5, 0, skeleton).passed
 
     def test_corrupted_weight_is_detected(self, monkeypatch):
-        import importlib
-
-        verify_module = importlib.import_module("derivgraph.verify")
-
-        real = verify_module.weigh
-
-        def crooked(graph):
-            wg = real(graph)
-            return dataclasses.replace(wg, weight=wg.weight + Fraction(1, 7))
-
-        monkeypatch.setattr(verify_module, "weigh", crooked)
+        weigh = crooked(monkeypatch)
         for regime, n, skeleton in [
             (Regime.ODE, 4, None),
             (Regime.INVERSE, 5, None),
             (Regime.COMPOSITE, 4, TWO_COLOUR),
             (Regime.COMPOSITE, 4, parse_skeleton("F(x,x)")),
             (Regime.COMPOSITE, 3, parse_skeleton("F(x,y,z)")),
+            (Regime.COMPOSITE, 4, parse_skeleton("f(x,x,y)")),
+            (Regime.COMPOSITE, 3, parse_skeleton("h(F(x,x),G(y,x))")),
         ]:
             report = verify_module.verify(regime, n, 3, 5, skeleton)
             assert not report.passed
@@ -252,6 +370,15 @@ class TestReport:
             for m in report.mismatches:
                 assert [tv.tree for tv in m.terms] == [format_tree(g.tree) for g in graphs]
                 assert [(tv.sign, tv.weight) for tv in m.terms] == [
-                    (wg.sign, wg.weight) for wg in map(crooked, graphs)
+                    (wg.sign, wg.weight) for wg in map(weigh, graphs)
                 ]
                 assert m.actual == sum(tv.sign * tv.weight * tv.value for tv in m.terms)
+
+    def test_failing_report_on_distinct_slots_matches_golden(self, monkeypatch):
+        # Pins the draw order where no slot colour repeats: the file is this
+        # report's to_dict() as json.dumps(..., indent=2) plus a newline.
+        crooked(monkeypatch)
+        skeleton = parse_skeleton("F(f(x),g(h(x),x))")
+        report = verify_module.verify(Regime.COMPOSITE, 4, 3, 5, skeleton)
+        golden = GOLDEN / "verify-composite-F_f_x_g_h_x_x-4-fail.json"
+        assert json.dumps(report.to_dict(), indent=2) + "\n" == golden.read_text()
