@@ -65,19 +65,38 @@ class _Family:
 
     def trees(self, colour: int, size: int) -> list[Tree]:
         """Every canonical tree with root ``colour`` and measure ``size``, in natural order."""
-        return [t for t in self._up_to(colour, size, {}) if getattr(t, self.measure) == size]
+        root = self.palette[colour]
+        out = [Tree(root)] if size == 1 and colour in self.leaves else []
+        out.extend(Tree(root, kids) for kids, _, left in self._inner(colour, size, {}) if not left)
+        return out
 
     def _up_to(self, colour: int, size: int, memo: dict) -> list[Tree]:
         """Every canonical tree with root ``colour`` and measure at most ``size``.
 
-        Each isomorphism class comes once, in natural order.  ``memo`` maps
-        (colour, size) to results for the length of one enumeration.
+        Each isomorphism class comes once, in natural order, and is built
+        once.  ``memo`` maps (colour, size) to results for the length of one
+        enumeration.
         """
         if (colour, size) in memo:
             return memo[colour, size]
+        # The trees measuring less than size are _up_to(colour, size - 1), in
+        # the same natural order: take each from there instead of building it
+        # again.  Natural order compares degree before children, so the leaf
+        # is first.
+        smaller = iter(self._up_to(colour, size - 1, memo) if size > 1 else ())
         root = self.palette[colour]
-        # Natural order compares degree before children, so the leaf is first.
-        out = [Tree(root)] if colour in self.leaves else []
+        out = [next(smaller) if size > 1 else Tree(root)] if colour in self.leaves else []
+        out.extend(
+            next(smaller) if left else Tree(root, kids)
+            for kids, _, left in self._inner(colour, size, memo)
+        )
+        memo[colour, size] = out
+        return out
+
+    def _inner(self, colour: int, size: int, memo: dict):
+        """Every inner tree with root ``colour`` and measure at most ``size``,
+        in natural order, as (children, least next pool position, measure left).
+        """
         # Measure left for the children: the root is one vertex but no entrance.
         budget = size - 1 if self.measure == "vertices" else size
         cap = budget - self.min_degree + 1  # the most one child can take
@@ -100,9 +119,7 @@ class _Family:
             runs = longer
             degree += 1
             if degree >= self.min_degree:
-                out.extend(Tree(root, kids) for kids, _, _ in runs)
-        memo[colour, size] = out
-        return out
+                yield from runs
 
 
 # ---------------------------------------------------------------------------

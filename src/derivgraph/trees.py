@@ -8,19 +8,21 @@ entrances of a graph, the root is its outlet.
 
 Trees are hash-consed: ``Tree(colour, children)`` returns the one live node
 with that colour and those (already interned) children, so structural
-equality is identity and ``==`` is ``is``.  Each node computes its
-natural-order key and its structural numbers once, from its children's
-(Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).
-A tree's canonical form, its notation, its dict form and its formula
-bodies in :mod:`derivgraph.formulas` are bottom-up :func:`fold` results,
-which visit each shared node once.
+equality is identity and ``==`` is ``is``.  Each node computes its counts
+and structural numbers once, when it is built, from its children's
+(Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).  Its
+natural-order key and canonical flag, which generation never needs, are
+derived on first read and then kept in the node.  A tree's canonical form,
+its notation, its dict form and its formula bodies in
+:mod:`derivgraph.formulas` are bottom-up :func:`fold` results, which visit
+each shared node once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, TypeVar
 from weakref import ref
 
@@ -66,38 +68,39 @@ class Tree:
 
     Fields are computed once when the node is first built and never change:
 
-    - ``key``: the natural-order sort key (colour index, colour name, degree,
-      children's keys left to right)
     - ``vertices``, ``entrances`` and ``internal`` (non-leaf vertex) counts
     - ``symmetry``: S, the order of the colour-preserving automorphism group
       (meaningful for canonical trees)
     - ``complexity``: tau, the product over all vertices of the
       cardinalities of their child subtrees
+
+    Derived on first read, by one :func:`fold` over the nodes that have not
+    derived them yet, and kept in the node:
+
+    - ``key``: the natural-order sort key (colour index, colour name, degree,
+      children's keys left to right)
     - ``canonical``: every child tuple in the tree is sorted by ``key``
     """
 
     __slots__ = (
         "colour",
         "children",
-        "key",
         "vertices",
         "entrances",
         "internal",
         "symmetry",
         "complexity",
-        "canonical",
+        "_derived",  # (key, canonical), once read
         "__weakref__",
     )
 
     colour: Colour
     children: tuple[Tree, ...]
-    key: tuple
     vertices: int
     entrances: int
     internal: int
     symmetry: int
     complexity: int
-    canonical: bool
 
     def __new__(cls, colour: Colour = DEFAULT_COLOUR, children: tuple[Tree, ...] = ()):
         children = tuple(children)
@@ -109,7 +112,7 @@ class Tree:
                 return node
 
         vertices, entrances, internal, complexity = 1, 0, 0, 1
-        symmetry, run, canonical, prev = 1, 0, True, None
+        symmetry, run, prev = 1, 0, None
         for c in children:
             vertices += c.vertices
             entrances += c.entrances
@@ -123,23 +126,16 @@ class Tree:
                 symmetry *= run
             else:
                 run = 1
-                if prev is not None and c.key < prev.key:
-                    canonical = False
-            canonical = canonical and c.canonical
             prev = c
 
         node = object.__new__(cls)
-        init = object.__setattr__
-        init(node, "colour", colour)
-        init(node, "children", children)
-        key = (colour.index, colour.name, len(children), tuple(c.key for c in children))
-        init(node, "key", key)
-        init(node, "vertices", vertices)
-        init(node, "entrances", entrances or 1)
-        init(node, "internal", internal + 1 if children else 0)
-        init(node, "symmetry", symmetry)
-        init(node, "complexity", complexity)
-        init(node, "canonical", canonical)
+        _set_colour(node, colour)
+        _set_children(node, children)
+        _set_vertices(node, vertices)
+        _set_entrances(node, entrances or 1)
+        _set_internal(node, internal + 1 if children else 0)
+        _set_symmetry(node, symmetry)
+        _set_complexity(node, complexity)
         entry = _Ref(node, _forget)
         entry.ident = ident
         _INTERNED[ident] = entry
@@ -159,6 +155,14 @@ class Tree:
         return f"Tree({self.colour!r}, {self.children!r})"
 
     @property
+    def key(self) -> tuple:
+        return _derived_fields(self)[0]
+
+    @property
+    def canonical(self) -> bool:
+        return _derived_fields(self)[1]
+
+    @property
     def degree(self) -> int:
         return len(self.children)
 
@@ -168,6 +172,40 @@ class Tree:
 
     def __str__(self) -> str:
         return format_tree(self)
+
+
+# __setattr__ refuses every write; the slot descriptors' own setters are how
+# a node is filled in, and the cheapest way to do it.
+_set_colour = Tree.colour.__set__
+_set_children = Tree.children.__set__
+_set_vertices = Tree.vertices.__set__
+_set_entrances = Tree.entrances.__set__
+_set_internal = Tree.internal.__set__
+_set_symmetry = Tree.symmetry.__set__
+_set_complexity = Tree.complexity.__set__
+_set_derived = Tree._derived.__set__
+
+
+def _underived(t: Tree) -> tuple[Tree, ...]:
+    # A node that has derived its fields is a leaf of the deriving fold.
+    return () if hasattr(t, "_derived") else t.children
+
+
+def _derive(t: Tree, kids: list[tuple[tuple, bool]]) -> tuple[tuple, bool]:
+    if hasattr(t, "_derived"):
+        return t._derived
+    keys = tuple(key for key, _ in kids)
+    canonical = all(c for _, c in kids) and all(a <= b for a, b in zip(keys, keys[1:]))
+    derived = (t.colour.index, t.colour.name, len(keys), keys), canonical
+    _set_derived(t, derived)
+    return derived
+
+
+def _derived_fields(t: Tree) -> tuple[tuple, bool]:
+    try:
+        return t._derived
+    except AttributeError:
+        return fold((t,), _derive, _underived)[0]
 
 
 LEAF = Tree()
@@ -205,28 +243,28 @@ def fold(
     Each distinct node under ``roots`` is visited once, however many roots
     share it: interned trees share their equal subtrees, so this is one step
     per node of the shared DAG.  Explicit stacks replace recursion, so depth
-    is unbounded.  Nodes are told apart by ``id``: every node stays reachable
-    from ``roots`` for the whole call, so no id is reused.  A result is kept
-    only until its last use, and nothing outlives the call.
+    is unbounded.  Nodes are dict keys, so they must be hashable; interned
+    trees hash and compare by identity.  A result is kept only until its
+    last use, and nothing outlives the call.
     """
     roots = list(roots)
     # First pass: the distinct nodes in post-order, and how many times each
     # is used, as a child of a distinct node or as a root.
-    uses: dict[int, int] = {}
+    uses: dict[N, int] = {}
     order: list[N] = []
     for root in roots:
-        if id(root) in uses:
-            uses[id(root)] += 1
+        if root in uses:
+            uses[root] += 1
             continue
-        uses[id(root)] = 1
+        uses[root] = 1
         stack = [(root, iter(children(root)))]
         while stack:
             node, kids = stack[-1]
             for c in kids:
-                if id(c) in uses:
-                    uses[id(c)] += 1
+                if c in uses:
+                    uses[c] += 1
                 else:
-                    uses[id(c)] = 1
+                    uses[c] = 1
                     stack.append((c, iter(children(c))))
                     break
             else:
@@ -234,15 +272,15 @@ def fold(
                 order.append(node)
     # Second pass: a child's result is dropped after its last use, so a deep
     # chain holds two results at a time, not every prefix of its output.
-    memo: dict[int, R] = {}
+    memo: dict[N, R] = {}
     for node in order:
         kids = children(node)
-        memo[id(node)] = vertex(node, [memo[id(c)] for c in kids])
+        memo[node] = vertex(node, [memo[c] for c in kids])
         for c in kids:
-            uses[id(c)] -= 1
-            if not uses[id(c)]:
-                del memo[id(c)]
-    return [memo[id(root)] for root in roots]
+            uses[c] -= 1
+            if not uses[c]:
+                del memo[c]
+    return [memo[root] for root in roots]
 
 
 def canonicalize(raw: Tree) -> Tree:
@@ -390,4 +428,13 @@ def tree_to_dict(t: Tree) -> dict:
 
 
 def tree_from_dict(d: dict) -> Tree:
-    return fold((d,), _from_dict, itemgetter("children"))[0]
+    # Dicts are unhashable, so the fold runs over their ids: every dict stays
+    # reachable from d for the whole call, so no id is reused.
+    dicts = {id(d): d}
+
+    def children(i: int) -> list[int]:
+        kids = dicts[i]["children"]
+        dicts.update((id(c), c) for c in kids)
+        return [id(c) for c in kids]
+
+    return fold((id(d),), lambda i, kids: _from_dict(dicts[i], kids), children)[0]

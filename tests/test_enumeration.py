@@ -6,6 +6,8 @@ from brute import (
     integer_partitions,
     isomorphic,
 )
+from derivgraph import enumeration
+from derivgraph.cli import main
 from derivgraph.enumeration import (
     Regime,
     composite_context,
@@ -261,3 +263,64 @@ class TestInverse:
 
     def test_no_duplicates(self):
         assert_canonical_and_sorted(enumerate_inverse(7))
+
+
+def distinct_nodes(roots: list[Tree]) -> int:
+    seen, stack = set(), list(roots)
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            stack.extend(t.children)
+    return len(seen)
+
+
+class TestBuiltOnce:
+    @pytest.fixture
+    def tree_calls(self, monkeypatch) -> list[tuple]:
+        calls = []
+
+        def counting_tree(*args):
+            calls.append(args)
+            return Tree(*args)
+
+        monkeypatch.setattr(enumeration, "Tree", counting_tree)
+        return calls
+
+    def test_ode_12_builds_each_tree_of_at_most_12_vertices_once(self, tree_calls):
+        graphs = enumerate_ode(12)
+        assert len(tree_calls) == distinct_nodes([g.tree for g in graphs]) == sum(A000081) == 7813
+
+    @pytest.mark.parametrize(
+        "enumerate_graphs",
+        [
+            lambda: enumerate_ode(1),
+            lambda: enumerate_inverse(9),
+            lambda: enumerate_composite(parse_skeleton("f(g(h(k(x))))"), 8),
+            lambda: enumerate_composite(parse_skeleton("h(F(x,x),G(y,x))"), 6),
+        ],
+        ids=["ode-1", "inverse-9", "composite-f_g_h_k_x-8", "composite-h_F_G-6"],
+    )
+    def test_each_tree_is_built_once(self, enumerate_graphs, tree_calls):
+        graphs = enumerate_graphs()
+        assert len(tree_calls) == distinct_nodes([g.tree for g in graphs])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--regime", "ode", "--order", "7"],
+            ["formula", "--regime", "inverse", "--order", "6"],
+            ["formula", "--style", "latex", "--regime", "composite", "--skeleton", "F(f(x),g(x))", "--order", "5"],
+            ["trees", "--style", "machine", "--regime", "composite", "--skeleton", "F(x,x)", "--order", "4"],
+            ["verify", "--regime", "ode", "--order", "6"],
+            ["verify", "--regime", "composite", "--skeleton", "F(f(x),g(h(x),x))", "--order", "4"],
+        ],
+    )
+    def test_no_command_reads_key_or_canonical(self, argv, monkeypatch, capsys):
+        def unread(t):
+            raise AssertionError("a derived field was read")
+
+        monkeypatch.setattr(Tree, "key", property(unread))
+        monkeypatch.setattr(Tree, "canonical", property(unread))
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""

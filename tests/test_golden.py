@@ -7,9 +7,11 @@ formula --style latex --regime ode --order 7 >
 tests/golden/formula-ode-7-latex.tex``.  Any change to enumeration order,
 canonical form, S, tau, sign, weight or the printed formulas shows up here
 as a diff.  ``verify-*.json`` holds a failing ``verify`` report, pinned by
-``tests/test_verify.py``.
+``tests/test_verify.py``.  Outputs too large to keep as files are pinned by
+their sha256.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,21 @@ def test_table_matches_golden(name, capsys):
 @pytest.mark.parametrize("name", sorted(FORMULA_CASES))
 def test_formula_matches_golden(name, capsys):
     _matches_golden(name, ["formula", *FORMULA_CASES[name]], capsys)
+
+
+# sha256 of stdout at the benchmark's full workload orders, the digests its
+# output checks compare against.
+DIGESTS = {
+    ("table", "--regime", "ode", "--order", "12", "--max-order", "12"):
+        "084adf65260cdd1fc0f55e41dd9bd7ca1cbbc6f7fd667e8da14bc73b685d6537",
+    ("formula", "--regime", "composite", "--skeleton", "f(g(h(k(x))))", "--order", "8"):
+        "6c146f25e7afe6ba23c8fcf92c43c3515b4cf8a9b908c03d19de7329284fdaf6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS), ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_stdout_digest(argv, capsys):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == DIGESTS[argv]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivgraph.cli import main
 from derivgraph.enumeration import composite_context
@@ -8,7 +10,7 @@ from derivgraph.skeletons import (
     base_variables,
     parse_skeleton,
 )
-from derivgraph.trees import MAX_NESTING
+from derivgraph.trees import MAX_NESTING, TreeSyntaxError, make_palette, parse_tree
 
 
 class TestParse:
@@ -101,3 +103,42 @@ class TestContext:
         ctx = composite_context(parse_skeleton("f(g(x))"))
         assert ctx.point[ctx.palette["f"].index] == "g(x)"
         assert ctx.point[ctx.palette["g"].index] == "x"
+
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
+def applications(args):
+    """A named function over up to three arguments drawn from ``args``."""
+    return st.builds(
+        lambda name, kids: Skeleton(name, tuple(kids), function=True),
+        NAMES,
+        st.lists(args, max_size=3),
+    )
+
+
+SKELETONS = applications(st.recursive(NAMES.map(Skeleton), applications, max_leaves=8))
+
+
+# Text near both grammars: their brackets, separators, names and spaces.
+NEAR_SYNTAX = st.text(alphabet="fgx*_.1(){},; \t", max_size=30)
+
+
+class TestParserProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(SKELETONS)
+    def test_str_round_trips(self, s):
+        assert parse_skeleton(str(s)) == s
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(NEAR_SYNTAX, st.text(max_size=30)))
+    def test_fuzzed_input_raises_only_syntax_errors(self, text):
+        try:
+            parse_skeleton(text)
+        except SkeletonSyntaxError:
+            pass
+        for palette in (None, make_palette("*", "f", "x")):
+            try:
+                parse_tree(text, palette)
+            except TreeSyntaxError:
+                pass

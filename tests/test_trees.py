@@ -5,7 +5,7 @@ import pickle
 import random
 import sys
 import weakref
-from itertools import product
+from itertools import count, product
 from math import factorial
 
 import pytest
@@ -24,6 +24,7 @@ from derivgraph.trees import (
     TreeSyntaxError,
     canonicalize,
     compare_trees,
+    fold,
     format_tree,
     make_palette,
     parse_tree,
@@ -308,6 +309,10 @@ class TestInterning:
             t.symmetry = 2
         with pytest.raises(AttributeError):
             del t.colour
+        with pytest.raises(AttributeError):
+            t.key = ()
+        with pytest.raises(AttributeError):
+            t.canonical = False
         assert t is chain(3) and t.children == (chain(2),)
 
     def test_canonical_flag(self):
@@ -394,3 +399,35 @@ class TestInterningProperties:
     def test_compare_is_zero_iff_same_node(self, a, data):
         b = data.draw(st.sampled_from([a, canonicalize(a), *a.children, LEAF]))
         assert (compare_trees(a, b) == 0) == (a is b)
+
+
+def reference_key(t: Tree) -> tuple:
+    return (t.colour.index, t.colour.name, t.degree, tuple(reference_key(c) for c in t.children))
+
+
+def reference_canonical(t: Tree) -> bool:
+    keys = [reference_key(c) for c in t.children]
+    return keys == sorted(keys) and all(reference_canonical(c) for c in t.children)
+
+
+def nodes_of(t: Tree) -> list[Tree]:
+    return [t] + [n for c in t.children for n in nodes_of(c)]
+
+
+FRESH = count()
+
+
+class TestLazyFields:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_trees([Colour(0, "x"), Colour(0, "y"), Colour(1, "x")]), st.data())
+    def test_key_and_canonical_match_a_reference(self, t, data):
+        # Recoloured with names no other node has, so no node has derived
+        # its fields before this test reads them.
+        tag = next(FRESH)
+        t = fold((t,), lambda n, kids: Tree(Colour(n.colour.index, f"{n.colour.name}#{tag}"), tuple(kids)))[0]
+        nodes = nodes_of(t)
+        first = data.draw(st.sampled_from(nodes))
+        getattr(first, data.draw(st.sampled_from(["key", "canonical"])))
+        for n in nodes:
+            assert n.key == reference_key(n)
+            assert n.canonical is reference_canonical(n)
