@@ -14,7 +14,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .skeletons import Skeleton, base_variables
-from .trees import DEFAULT_COLOUR, Colour, Tree
+from .trees import DEFAULT_COLOUR, Colour, Tree, fold
 
 
 class Regime(str, Enum):
@@ -69,6 +69,14 @@ class _Family:
         out = [Tree(root)] if size == 1 and colour in self.leaves else []
         out.extend(Tree(root, kids) for kids, _, left in self._inner(colour, size, {}) if not left)
         return out
+
+    def keeps(self, t: Tree, kids: list[bool]) -> bool:
+        """A fold vertex: whether every vertex under ``t`` keeps the rules above."""
+        if not kids:
+            return t.colour.index in self.leaves
+        allowed = {self.palette[i] for i in self.children.get(t.colour.index, ())}
+        kinds = {c.colour for c in t.children}
+        return all(kids) and len(kids) >= self.min_degree and kinds <= allowed
 
     def _up_to(self, colour: int, size: int, memo: dict) -> list[Tree]:
         """Every canonical tree with root ``colour`` and measure at most ``size``.
@@ -166,6 +174,8 @@ class CompositeContext:
             return colour
 
         self.root_colour = assign(skeleton)
+        palette = tuple(self.palette.values())  # in index order
+        self.family = _Family(palette, self.slot_root, self.variable_colours, 1, "entrances")
 
         # Evaluation-point expressions (the undifferentiated sub-skeletons).
         self.point: dict[int, str] = {
@@ -189,10 +199,8 @@ def enumerate_composite(skeleton: Skeleton, n: int) -> list[DerivativeGraph]:
     if n < 1:
         raise ValueError("derivative order must be >= 1")
     ctx = composite_context(skeleton)
-    palette = tuple(ctx.palette.values())  # in index order
-    family = _Family(palette, ctx.slot_root, ctx.variable_colours, min_degree=1, measure="entrances")
     # A nullary skeleton has no argument slots: constant, no derivatives.
-    trees = family.trees(ctx.root_colour.index, n)
+    trees = ctx.family.trees(ctx.root_colour.index, n)
     return [DerivativeGraph(t, Regime.COMPOSITE, skeleton) for t in trees]
 
 
@@ -237,3 +245,16 @@ def enumerate_graphs(
     if regime is Regime.ODE:
         return enumerate_ode(n)
     return enumerate_inverse(n)
+
+
+def in_regime(graph: DerivativeGraph) -> bool:
+    """Whether ``enumerate_graphs`` lists ``graph`` up to child order; one fold, no enumeration."""
+    tree, regime = graph.tree, graph.regime
+    if regime is Regime.INVERSE and tree.is_leaf:
+        return False  # order 1 is the closed form
+    if regime is Regime.COMPOSITE:
+        ctx = composite_context(graph.skeleton)
+        family, root = ctx.family, ctx.root_colour
+    else:
+        family, root = (_ODE if regime is Regime.ODE else _INVERSE), DEFAULT_COLOUR
+    return tree.colour == root and fold((tree,), family.keeps)[0]

@@ -17,9 +17,10 @@ from .enumeration import (
     Regime,
     composite_context,
     enumerate_graphs,
+    in_regime,
 )
 from .skeletons import Skeleton
-from .trees import DEFAULT_COLOUR, Tree, fold, format_trees, parse_tree
+from .trees import DEFAULT_COLOUR, Tree, canonicalize, fold, format_trees, parse_tree
 from .weights import WeightedGraph, weigh
 
 STYLES = ("text", "latex", "machine")
@@ -203,7 +204,7 @@ def parse_machine_term(text: str, skeleton: Skeleton | None = None) -> WeightedG
     """Invert :func:`render_term` for the machine style.
 
     Composite terms need the original skeleton to resolve colour names.  The
-    embedded sign and weight are recomputed and verified.
+    graph must be one ``enumerate_graphs`` lists, with the sign and weight it has.
     """
     m = _MACHINE.fullmatch(text.strip())
     if m is None:
@@ -216,8 +217,10 @@ def parse_machine_term(text: str, skeleton: Skeleton | None = None) -> WeightedG
     else:
         palette = {DEFAULT_COLOUR.name: DEFAULT_COLOUR}
         skeleton = None
-    tree = parse_tree(m.group("tree"), palette)
-    wg = weigh(DerivativeGraph(tree, regime, skeleton))
+    graph = DerivativeGraph(parse_tree(m.group("tree"), palette), regime, skeleton)
+    if canonicalize(graph.tree) is not graph.tree or not in_regime(graph):
+        raise ValueError(f"{m.group('tree')} is not a canonical {regime.value} graph")
+    wg = weigh(graph)
     if wg.sign != int(m.group("sign")) or wg.weight != Fraction(m.group("weight")):
         raise ValueError("embedded sign/weight disagree with the graph")
     return wg

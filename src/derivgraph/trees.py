@@ -10,10 +10,10 @@ Trees are hash-consed: ``Tree(colour, children)`` returns the one live node
 with that colour and those (already interned) children, so structural
 equality is identity and ``==`` is ``is``.  Each node computes its counts
 and structural numbers once, when it is built, from its children's
-(Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).  Its
-natural-order key and canonical flag, which generation never needs, are
-derived on first read and then kept in the node.  A tree's canonical form,
-its notation, its dict form and its formula bodies in
+(Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).  The
+natural order is walked, not stored: :func:`compare_trees` steps down both
+trees with an explicit stack and skips every node they share.  A tree's
+canonical form, its notation, its dict form and its formula bodies in
 :mod:`derivgraph.formulas` are bottom-up :func:`fold` results, which visit
 each shared node once.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cmp_to_key
 from operator import attrgetter
 from typing import Callable, Iterable, TypeVar
 from weakref import ref
@@ -64,7 +65,10 @@ def _forget(dead: _Ref, table: dict[tuple, _Ref] = _INTERNED) -> None:
 
 
 class Tree:
-    """Interned coloured rooted tree.  Canonical iff every child tuple is sorted.
+    """Interned coloured rooted tree.
+
+    Canonical iff every child tuple is sorted under :func:`compare_trees`,
+    that is iff ``canonicalize(t) is t``.
 
     Fields are computed once when the node is first built and never change:
 
@@ -73,13 +77,6 @@ class Tree:
       (meaningful for canonical trees)
     - ``complexity``: tau, the product over all vertices of the
       cardinalities of their child subtrees
-
-    Derived on first read, by one :func:`fold` over the nodes that have not
-    derived them yet, and kept in the node:
-
-    - ``key``: the natural-order sort key (colour index, colour name, degree,
-      children's keys left to right)
-    - ``canonical``: every child tuple in the tree is sorted by ``key``
     """
 
     __slots__ = (
@@ -90,7 +87,6 @@ class Tree:
         "internal",
         "symmetry",
         "complexity",
-        "_derived",  # (key, canonical), once read
         "__weakref__",
     )
 
@@ -155,14 +151,6 @@ class Tree:
         return f"Tree({self.colour!r}, {self.children!r})"
 
     @property
-    def key(self) -> tuple:
-        return _derived_fields(self)[0]
-
-    @property
-    def canonical(self) -> bool:
-        return _derived_fields(self)[1]
-
-    @property
     def degree(self) -> int:
         return len(self.children)
 
@@ -183,30 +171,6 @@ _set_entrances = Tree.entrances.__set__
 _set_internal = Tree.internal.__set__
 _set_symmetry = Tree.symmetry.__set__
 _set_complexity = Tree.complexity.__set__
-_set_derived = Tree._derived.__set__
-
-
-def _underived(t: Tree) -> tuple[Tree, ...]:
-    # A node that has derived its fields is a leaf of the deriving fold.
-    return () if hasattr(t, "_derived") else t.children
-
-
-def _derive(t: Tree, kids: list[tuple[tuple, bool]]) -> tuple[tuple, bool]:
-    if hasattr(t, "_derived"):
-        return t._derived
-    keys = tuple(key for key, _ in kids)
-    canonical = all(c for _, c in kids) and all(a <= b for a, b in zip(keys, keys[1:]))
-    derived = (t.colour.index, t.colour.name, len(keys), keys), canonical
-    _set_derived(t, derived)
-    return derived
-
-
-def _derived_fields(t: Tree) -> tuple[tuple, bool]:
-    try:
-        return t._derived
-    except AttributeError:
-        return fold((t,), _derive, _underived)[0]
-
 
 LEAF = Tree()
 
@@ -216,14 +180,24 @@ def compare_trees(a: Tree, b: Tree) -> int:
 
     Lexicographic: colour rank first, then colour name (a tie-break; ranks
     are unique within a palette), then degree, then children left to right.
-    On canonical trees, zero means isomorphic.
+    On canonical trees, zero means isomorphic.  Node pairs are walked first
+    children first on an explicit stack, skipping shared nodes: no depth limit.
     """
-    ka, kb = a.key, b.key
-    return (ka > kb) - (ka < kb)
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        ka = (a.colour.index, a.colour.name, len(a.children))
+        kb = (b.colour.index, b.colour.name, len(b.children))
+        if ka != kb:
+            return -1 if ka < kb else 1
+        stack.extend(zip(reversed(a.children), reversed(b.children)))
+    return 0
 
 
 # Sort key realising the compare_trees order.
-sort_key = attrgetter("key")
+sort_key = cmp_to_key(compare_trees)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +258,10 @@ def fold(
 
 
 def canonicalize(raw: Tree) -> Tree:
-    """Sort children at every vertex; idempotent, isomorphism-invariant."""
-    if raw.canonical:
-        return raw
+    """Sort children at every vertex; idempotent, isomorphism-invariant.
+
+    ``raw`` is canonical exactly when ``canonicalize(raw) is raw``.
+    """
     return fold((raw,), lambda t, kids: Tree(t.colour, tuple(sorted(kids, key=sort_key))))[0]
 
 

@@ -6,7 +6,7 @@ from brute import (
     integer_partitions,
     isomorphic,
 )
-from derivgraph import enumeration
+from derivgraph import enumeration, trees
 from derivgraph.cli import main
 from derivgraph.enumeration import (
     Regime,
@@ -53,8 +53,8 @@ SKELETONS = [
 
 
 def assert_canonical_and_sorted(graphs):
-    """Strictly increasing natural-order keys: canonical, sorted, no duplicates."""
-    assert all(g.tree.canonical for g in graphs)
+    """Strictly increasing in natural order: canonical, sorted, no duplicates."""
+    assert all(canonicalize(g.tree) is g.tree for g in graphs)
     for a, b in zip(graphs, graphs[1:]):
         assert compare_trees(a.tree, b.tree) < 0
 
@@ -317,10 +317,12 @@ class TestBuiltOnce:
         ],
     )
     def test_no_command_reads_key_or_canonical(self, argv, monkeypatch, capsys):
-        def unread(t):
-            raise AssertionError("a derived field was read")
+        # No command orders trees: neither the natural-order sort key nor
+        # compare_trees is called.
+        def unordered(*args):
+            raise AssertionError("trees were ordered")
 
-        monkeypatch.setattr(Tree, "key", property(unread))
-        monkeypatch.setattr(Tree, "canonical", property(unread))
+        monkeypatch.setattr(trees, "compare_trees", unordered)
+        monkeypatch.setattr(trees, "sort_key", unordered)
         assert main(argv) == 0
         assert capsys.readouterr().err == ""

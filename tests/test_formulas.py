@@ -128,6 +128,23 @@ class TestMachineRoundTrip:
         with pytest.raises(ValueError):
             parse_machine_term(text)
 
+    @pytest.mark.parametrize(
+        "text,skeleton",
+        [
+            # Not canonical: the stored S is 1, the canonical tree has S 2 and weight 6.
+            ("(term (regime ode) (sign 1) (weight 12) (tree *{*{},*{*{}},*{}}))", None),
+            # Inverse order 1 is the closed form; inner vertices have degree >= 2.
+            ("(term (regime inverse) (sign 1) (weight 1) (tree *{}))", None),
+            ("(term (regime inverse) (sign -1) (weight 1) (tree *{*{}}))", None),
+            # f(g(x)) has no x child under f, and its root is f.
+            ("(term (regime composite) (sign 1) (weight 1) (tree f{x{}}))", CHAIN),
+            ("(term (regime composite) (sign 1) (weight 1) (tree x{}))", CHAIN),
+        ],
+    )
+    def test_tree_outside_the_regime_is_rejected(self, text, skeleton):
+        with pytest.raises(ValueError, match="is not a canonical"):
+            parse_machine_term(text, skeleton)
+
     def test_unsupported_style_rejected(self):
         wg = weigh(enumerate_graphs(Regime.ODE, 2, None)[0])
         with pytest.raises(ValueError):

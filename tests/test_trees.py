@@ -5,7 +5,7 @@ import pickle
 import random
 import sys
 import weakref
-from itertools import count, product
+from itertools import product
 from math import factorial
 
 import pytest
@@ -24,7 +24,6 @@ from derivgraph.trees import (
     TreeSyntaxError,
     canonicalize,
     compare_trees,
-    fold,
     format_tree,
     make_palette,
     parse_tree,
@@ -147,7 +146,7 @@ class TestSymmetry:
         unsorted, ordered = Tree(children=(chain(2), LEAF)), Tree(children=(LEAF, chain(2)))
         for _ in range(4996):
             unsorted, ordered = Tree(children=(unsorted,)), Tree(children=(ordered,))
-        assert ordered.vertices == 5000 and not unsorted.canonical
+        assert ordered.vertices == 5000 and canonicalize(unsorted) is not unsorted
         assert canonicalize(unsorted) is ordered
         wg = weigh(DerivativeGraph(deep, Regime.ODE))
         assert render_term(wg, "text") == "f(y)" + "·Df(y)" * 4999
@@ -165,6 +164,16 @@ class TestSymmetry:
         assert render_term(wg) == (
             "⟨Dg(y)," * 4999 + "⟨Dg(y),Dg(y)" + wedge + wedge * 4999
         )
+
+    def test_deep_chains_compare_and_sort(self):
+        # The order is walked on an explicit stack, so chains that differ
+        # only at the bottom compare and sort far below the recursion limit.
+        low, high = Tree(children=(LEAF,)), Tree(children=(LEAF, LEAF))
+        for _ in range(4998):
+            low, high = Tree(children=(low,)), Tree(children=(high,))
+        assert low.vertices == high.vertices - 1 == 5000
+        assert compare_trees(low, high) == -1 and compare_trees(high, low) == 1
+        assert canonicalize(Tree(children=(high, low))) is Tree(children=(low, high))
 
     def test_matches_brute_force_automorphisms(self):
         for t in all_trees_upto(7):
@@ -317,10 +326,10 @@ class TestInterning:
 
     def test_canonical_flag(self):
         raw = Tree(children=(chain(2), LEAF))
-        assert not raw.canonical
-        assert not Tree(children=(raw,)).canonical
+        assert canonicalize(raw) is not raw
+        assert canonicalize(Tree(children=(raw,))) is not Tree(children=(raw,))
         t = canonicalize(raw)
-        assert t.canonical and canonicalize(t) is t
+        assert t is not raw and canonicalize(t) is t
 
     def test_table_forgets_collected_nodes(self):
         gc.collect()
@@ -388,7 +397,7 @@ class TestInterningProperties:
     @given(raw_trees(list(PALETTE.values())), st.randoms(use_true_random=False))
     def test_canonical_form_and_stored_symmetry(self, t, rng):
         c = canonicalize(t)
-        assert c.canonical
+        assert canonicalize(c) is c
         assert canonicalize(shuffled(t, rng)) is c
         assert c.symmetry == brute_automorphism_count(t)
         assert parse_tree(format_tree(t), PALETTE) is t
@@ -410,24 +419,19 @@ def reference_canonical(t: Tree) -> bool:
     return keys == sorted(keys) and all(reference_canonical(c) for c in t.children)
 
 
-def nodes_of(t: Tree) -> list[Tree]:
-    return [t] + [n for c in t.children for n in nodes_of(c)]
+def reference_canonicalize(t: Tree) -> Tree:
+    kids = sorted((reference_canonicalize(c) for c in t.children), key=reference_key)
+    return Tree(t.colour, tuple(kids))
 
 
-FRESH = count()
-
-
-class TestLazyFields:
+class TestReferenceOrder:
     @settings(max_examples=150, deadline=None)
     @given(raw_trees([Colour(0, "x"), Colour(0, "y"), Colour(1, "x")]), st.data())
-    def test_key_and_canonical_match_a_reference(self, t, data):
-        # Recoloured with names no other node has, so no node has derived
-        # its fields before this test reads them.
-        tag = next(FRESH)
-        t = fold((t,), lambda n, kids: Tree(Colour(n.colour.index, f"{n.colour.name}#{tag}"), tuple(kids)))[0]
-        nodes = nodes_of(t)
-        first = data.draw(st.sampled_from(nodes))
-        getattr(first, data.draw(st.sampled_from(["key", "canonical"])))
-        for n in nodes:
-            assert n.key == reference_key(n)
-            assert n.canonical is reference_canonical(n)
+    def test_order_and_canonical_form_match_a_reference(self, a, data):
+        # b is unrelated to a, or shares its nodes, or differs only in order.
+        clash = raw_trees([Colour(0, "x"), Colour(0, "y"), Colour(1, "x")])
+        b = data.draw(st.one_of(clash, st.sampled_from([a, canonicalize(a), *a.children])))
+        ka, kb = reference_key(a), reference_key(b)
+        assert compare_trees(a, b) == (ka > kb) - (ka < kb) == -compare_trees(b, a)
+        assert canonicalize(a) is reference_canonicalize(a)
+        assert (canonicalize(a) is a) == reference_canonical(a)
