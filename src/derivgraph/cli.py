@@ -134,21 +134,16 @@ def _cmd_trees(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_rows(graphs: list[DerivativeGraph], regime: Regime) -> list[dict]:
-    rows = []
-    for graph, tree in zip(graphs, format_trees(g.tree for g in graphs)):
-        wg = weigh(graph)
-        tau = graph.tree.complexity if regime is Regime.ODE else 1
-        rows.append(
-            {
-                "tree": tree,
-                "S": graph.tree.symmetry,
-                "tau": tau,
-                "sign": wg.sign,
-                "weight": str(wg.weight),
-            }
-        )
-    return rows
+_COLUMNS = ("tree", "S", "tau", "sign", "weight")
+
+
+def _table_rows(graphs: list[DerivativeGraph], regime: Regime) -> list[tuple]:
+    """One (tree text, S, tau, sign, weight text) tuple per graph."""
+    ode = regime is Regime.ODE
+    return [
+        (text, g.tree.symmetry, g.tree.complexity if ode else 1, wg.sign, str(wg.weight))
+        for text, g, wg in zip(format_trees(g.tree for g in graphs), graphs, map(weigh, graphs))
+    ]
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -157,20 +152,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
     # layout: holding them through it raises the peak memory.
     rows = _table_rows(_listed_graphs(args, regime), regime)
     if args.style == "machine":
+        rows = [dict(zip(_COLUMNS, row)) for row in rows]
         payload = {"regime": regime.value, "order": args.order, "rows": rows}
         _emit(args, json.dumps(payload, indent=2) + "\n")
         return 0
-    headers = ["tree", "S", "tau", "sign", "weight"]
-    table = [headers] + [
-        [row["tree"], str(row["S"]), str(row["tau"]), f"{row['sign']:+d}", row["weight"]]
-        for row in rows
-    ]
-    widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
-    rendered = "".join(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip() + "\n"
-        for line in table
-    )
-    _emit(args, rendered)
+    # Left-aligned columns two spaces apart.  The last is not padded, so no
+    # line ends in a blank, and a sign (+1 or -1) is narrower than its header.
+    columns = list(zip(*rows)) or [()] * len(_COLUMNS)
+    widths = [max([len(h), *map(len, map(str, col))]) for h, col in zip(_COLUMNS[:3], columns)]
+    line = "{:<%d}  {:<%d}  {:<%d}  {:<%s4}  {}\n"
+    header = (line % (*widths, "")).format(*_COLUMNS)
+    _emit(args, header + "".join(map((line % (*widths, "+")).format, *columns)))
     return 0
 
 

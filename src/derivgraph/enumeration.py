@@ -23,7 +23,7 @@ class Regime(str, Enum):
     ODE = "ode"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivativeGraph:
     """A canonical virtual graph tagged with its regime.
 
@@ -42,6 +42,22 @@ class DerivativeGraph:
         if self.regime is Regime.ODE:
             return self.tree.vertices
         return self.tree.entrances
+
+
+# The frozen __setattr__ refuses writes: fill slots as Tree.__new__ does.
+_set_tree = DerivativeGraph.tree.__set__
+_set_regime = DerivativeGraph.regime.__set__
+_set_skeleton = DerivativeGraph.skeleton.__set__
+
+
+def _graphs(trees: list[Tree], regime: Regime, skeleton: Skeleton | None) -> list[DerivativeGraph]:
+    """``DerivativeGraph(t, regime, skeleton)`` for each tree ``t``."""
+    graphs = [object.__new__(DerivativeGraph) for _ in trees]
+    for g, t in zip(graphs, trees):
+        _set_tree(g, t)
+        _set_regime(g, regime)
+        _set_skeleton(g, skeleton)
+    return graphs
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +217,7 @@ def enumerate_composite(skeleton: Skeleton, n: int) -> list[DerivativeGraph]:
     ctx = composite_context(skeleton)
     # A nullary skeleton has no argument slots: constant, no derivatives.
     trees = ctx.family.trees(ctx.root_colour.index, n)
-    return [DerivativeGraph(t, Regime.COMPOSITE, skeleton) for t in trees]
+    return _graphs(trees, Regime.COMPOSITE, skeleton)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +232,7 @@ def enumerate_ode(n: int) -> list[DerivativeGraph]:
     """All rooted trees with n vertices, isomorph-free, in natural order."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    return [DerivativeGraph(t, Regime.ODE) for t in _ODE.trees(0, n)]
+    return _graphs(_ODE.trees(0, n), Regime.ODE, None)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +248,7 @@ def enumerate_inverse(n: int) -> list[DerivativeGraph]:
     """All order-n inverse-regime trees; n = 1 is the closed form, rejected."""
     if n < 2:
         raise ValueError("inverse regime needs order >= 2 (order 1 is the closed form)")
-    return [DerivativeGraph(t, Regime.INVERSE) for t in _INVERSE.trees(0, n)]
+    return _graphs(_INVERSE.trees(0, n), Regime.INVERSE, None)
 
 
 def enumerate_graphs(

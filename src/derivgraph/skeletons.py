@@ -45,6 +45,8 @@ class SkeletonSyntaxError(ValueError):
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Deepest nesting parse_skeleton accepts: __str__ and CompositeContext recurse.
+MAX_NESTING = 100
 
 
 def _name(token: str, pos: int) -> str:
@@ -58,7 +60,8 @@ def _skeleton_node(name: str, children: list[Skeleton] | None) -> Skeleton:
 
 def parse_skeleton(text: str) -> Skeleton:
     s = scan_brackets(
-        text, _IDENT, "()", SkeletonSyntaxError, "an identifier", "skeleton", _name, _skeleton_node
+        text, _IDENT, "()", SkeletonSyntaxError, "an identifier", "skeleton", _name, _skeleton_node,
+        MAX_NESTING,
     )
     if s.is_variable:
         raise SkeletonSyntaxError("skeleton root must be a function", 0)

@@ -222,39 +222,36 @@ def fold(
     last use, and nothing outlives the call.
     """
     roots = list(roots)
-    # First pass: the distinct nodes in post-order, and how many times each
-    # is used, as a child of a distinct node or as a root.
+    # First pass: each distinct node in post-order, and its uses as a child of
+    # a distinct node or of None, the virtual top node over the roots.
     uses: dict[N, int] = {}
     order: list[N] = []
-    for root in roots:
-        if root in uses:
-            uses[root] += 1
-            continue
-        uses[root] = 1
-        stack = [(root, iter(children(root)))]
-        while stack:
-            node, kids = stack[-1]
-            for c in kids:
-                if c in uses:
-                    uses[c] += 1
-                else:
-                    uses[c] = 1
-                    stack.append((c, iter(children(c))))
-                    break
+    stack = [(None, iter(roots))]
+    while stack:
+        node, kids = stack[-1]
+        for c in kids:
+            if c in uses:
+                uses[c] += 1
             else:
-                stack.pop()
-                order.append(node)
+                uses[c] = 1
+                stack.append((c, iter(children(c))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    order.pop()
     # Second pass: a child's result is dropped after its last use, so a deep
     # chain holds two results at a time, not every prefix of its output.
     memo: dict[N, R] = {}
+    result = memo.__getitem__
     for node in order:
         kids = children(node)
-        memo[node] = vertex(node, [memo[c] for c in kids])
+        memo[node] = vertex(node, list(map(result, kids)))
         for c in kids:
             uses[c] -= 1
             if not uses[c]:
-                del memo[c]
-    return [memo[root] for root in roots]
+                del memo[c], uses[c]
+    return list(map(result, roots))
 
 
 def canonicalize(raw: Tree) -> Tree:
@@ -297,9 +294,6 @@ def make_palette(*names: str) -> dict[str, Colour]:
 _NAME = re.compile(r"\*|[A-Za-z_][A-Za-z0-9_.]*")
 _SPACE = re.compile(r"\s*")
 
-# Deepest bracket nesting the parsers accept: they and the code after them recurse.
-MAX_NESTING = 100
-
 
 def scan_brackets(
     text: str,
@@ -310,20 +304,22 @@ def scan_brackets(
     what: str,
     name: Callable[[str, int], N],
     node: Callable[[N, list[R] | None], R],
+    max_depth: int | None = None,
 ) -> R:
-    """Recursive descent over ``name`` and ``name<open>child,...<close>``.
+    """Descent over ``name`` and ``name<open>child,...<close>``, on an explicit stack.
 
     ``name(token, position)`` is called as soon as a name is read, so it can
     reject the name before a later syntax error.  ``node(named, children)``
     gets ``children=None`` when no bracket follows the name.  Errors are
     ``error(message, position)``; ``expected`` and ``what`` name a missing
-    name and the whole input in their messages.
+    name and the whole input in their messages.  Brackets may nest at most
+    ``max_depth`` deep; with None, as deep as the input goes.
     """
     opening, closing = brackets
     pos = 0
-
-    def item(depth: int) -> R:
-        nonlocal pos
+    # The brackets still open: each one's name and the children read so far.
+    unclosed: list[tuple[N, list[R]]] = []
+    while True:
         pos = _SPACE.match(text, pos).end()
         m = pattern.match(text, pos)
         if m is None:
@@ -331,29 +327,32 @@ def scan_brackets(
         named = name(m.group(), pos)
         pos = _SPACE.match(text, m.end()).end()
         if text[pos : pos + 1] != opening:
-            return node(named, None)
-        if depth == MAX_NESTING:
-            raise error(f"nesting deeper than {MAX_NESTING}", pos)
-        pos = _SPACE.match(text, pos + 1).end()
-        children: list[R] = []
-        if text[pos : pos + 1] == closing:
+            done = node(named, None)
+        elif len(unclosed) == max_depth:
+            raise error(f"nesting deeper than {max_depth}", pos)
+        else:
+            pos = _SPACE.match(text, pos + 1).end()
+            if text[pos : pos + 1] != closing:
+                unclosed.append((named, []))
+                continue
             pos += 1
-            return node(named, children)
-        while True:
-            children.append(item(depth + 1))
+            done = node(named, [])
+        # Close every bracket that ends here; after a ',' the next child starts.
+        while unclosed:
             pos = _SPACE.match(text, pos).end()
             sep = text[pos : pos + 1]
             if sep not in (",", closing):
                 raise error(f"expected ',' or '{closing}'", pos)
             pos += 1
-            if sep == closing:
-                return node(named, children)
-
-    result = item(0)
-    pos = _SPACE.match(text, pos).end()
-    if pos != len(text):
-        raise error(f"trailing input after {what}", pos)
-    return result
+            unclosed[-1][1].append(done)
+            if sep == ",":
+                break
+            done = node(*unclosed.pop())
+        else:
+            pos = _SPACE.match(text, pos).end()
+            if pos != len(text):
+                raise error(f"trailing input after {what}", pos)
+            return done
 
 
 def parse_tree(text: str, palette: dict[str, Colour] | None = None) -> Tree:

@@ -15,23 +15,33 @@ from math import factorial
 from .enumeration import DerivativeGraph, Regime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedGraph:
     graph: DerivativeGraph
     sign: int  # +1 or -1
     weight: Fraction
 
 
+# The frozen __setattr__ refuses writes: fill slots as Tree.__new__ does.
+_set_graph = WeightedGraph.graph.__set__
+_set_sign = WeightedGraph.sign.__set__
+_set_weight = WeightedGraph.weight.__set__
+
+
 def weigh(graph: DerivativeGraph) -> WeightedGraph:
     """Attach the regime weight and sign to a canonical graph."""
-    n, tree = graph.order, graph.tree
-    if graph.regime is Regime.ODE:
-        weight = Fraction(factorial(n - 1), tree.symmetry * tree.complexity)
+    tree, regime = graph.tree, graph.regime
+    if regime is Regime.ODE:
+        weight = Fraction(factorial(tree.vertices - 1), tree.symmetry * tree.complexity)
         sign = 1
     else:
-        weight = Fraction(factorial(n), tree.symmetry)
-        sign = (-1) ** tree.internal if graph.regime is Regime.INVERSE else 1
-    return WeightedGraph(graph, sign, weight)
+        weight = Fraction(factorial(tree.entrances), tree.symmetry)
+        sign = (-1) ** tree.internal if regime is Regime.INVERSE else 1
+    wg = object.__new__(WeightedGraph)
+    _set_graph(wg, graph)
+    _set_sign(wg, sign)
+    _set_weight(wg, weight)
+    return wg
 
 
 def totally_symmetric(graph: DerivativeGraph) -> bool:

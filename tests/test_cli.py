@@ -1,9 +1,13 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivgraph.cli import main
-from derivgraph.trees import MAX_NESTING
+from derivgraph.skeletons import MAX_NESTING
 
 
 @pytest.fixture
@@ -272,3 +276,40 @@ class TestUnexpectedError:
         assert code == 1 and out == ""
         assert err == "derivgraph: error: RuntimeError: internal fault\n"
         assert "Traceback" not in err
+
+
+# Skeleton text: a few well-formed skeletons, or anything over a small alphabet.
+SKELETON_TEXT = st.one_of(
+    st.sampled_from(["f(x)", "F(f(x),g(x))", "F(x,x)", "f(g(x),y)"]),
+    st.text(alphabet="fgxy(), ", max_size=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fuzzed_argv_never_prints_a_traceback(data):
+    command = data.draw(st.sampled_from(["trees", "table", "formula", "verify"]))
+    styles = ["text", "latex", "machine"] if command == "formula" else ["text", "machine"]
+    argv = [
+        command,
+        "--regime",
+        data.draw(st.sampled_from(["ode", "inverse", "composite"])),
+        "--order",
+        str(data.draw(st.integers(-1, 4))),
+        "--style",
+        data.draw(st.sampled_from(styles)),
+    ]
+    if data.draw(st.booleans()):
+        argv.append("--skeleton=" + data.draw(SKELETON_TEXT))
+    if command == "verify":
+        trials, seed = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        argv += ["--trials", str(trials), "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert code == 1 and err.getvalue().startswith("derivgraph: error:")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and out.getvalue()

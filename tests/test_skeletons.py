@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from derivgraph.cli import main
 from derivgraph.enumeration import composite_context
 from derivgraph.skeletons import (
+    MAX_NESTING,
     Skeleton,
     SkeletonSyntaxError,
     base_variables,
     parse_skeleton,
 )
-from derivgraph.trees import MAX_NESTING, TreeSyntaxError, make_palette, parse_tree
+from derivgraph.trees import TreeSyntaxError, make_palette, parse_tree
 
 
 class TestParse:

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from derivgraph import trees
 from brute import brute_automorphism_count, brute_rooted_trees, isomorphic
 from derivgraph.enumeration import DerivativeGraph, Regime, enumerate_ode
-from derivgraph.formulas import render_term
+from derivgraph.formulas import parse_machine_term, render_term
+from derivgraph.skeletons import MAX_NESTING
 from derivgraph.trees import (
     LEAF,
-    MAX_NESTING,
     Colour,
     Tree,
     TreeSyntaxError,
@@ -135,9 +135,10 @@ class TestSymmetry:
         assert t.symmetry == 12
 
     def test_deep_chain_built_in_code(self):
-        # S is a stored field, and printing, the dict form and canonicalize
-        # are folds over an explicit stack, so trees far deeper than the
-        # recursion limit need no recursion.
+        # S is a stored field, printing, the dict form and canonicalize are
+        # folds over an explicit stack, and the parser keeps its open
+        # brackets on one, so trees far deeper than the recursion limit need
+        # no recursion.
         deep = chain(5000)
         assert deep.symmetry == 1
         notation = "*{" * 4999 + "*{}" + "}" * 4999
@@ -154,6 +155,8 @@ class TestSymmetry:
         assert render_term(wg, "machine") == (
             f"(term (regime ode) (sign 1) (weight 1) (tree {notation}))"
         )
+        assert parse_tree(notation) is deep
+        assert parse_machine_term(render_term(wg, "machine")) == wg
 
         # An inverse comb: each inner vertex has a leaf and the rest of the comb.
         comb = Tree(children=(LEAF, LEAF))
@@ -250,11 +253,9 @@ class TestNotation:
             parse_tree("h{}", make_palette("f"))
 
     def test_nesting_limit(self):
-        assert parse_tree("*{" * MAX_NESTING + "}" * MAX_NESTING).vertices == MAX_NESTING
+        # Only skeletons have a nesting limit; a tree nests as deep as its text.
         for depth in (MAX_NESTING + 1, 2000):
-            with pytest.raises(TreeSyntaxError) as err:
-                parse_tree("*{" * depth + "}" * depth)
-            assert err.value.position == 2 * MAX_NESTING + 1
+            assert parse_tree("*{" * depth + "}" * depth) is chain(depth)
 
 
 # Malformed notation: (text, palette names or None, message, position).
@@ -271,7 +272,6 @@ MALFORMED_TREES = [
     ("*}", None, "trailing input after tree", 1),
     ("h{x{}", ("x", "f"), "unknown colour 'h'", 0),
     ("f{h{},;", ("x", "f"), "unknown colour 'h'", 2),
-    ("*{" * (MAX_NESTING + 1), None, f"nesting deeper than {MAX_NESTING}", 2 * MAX_NESTING + 1),
 ]
 
 

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 from math import comb, factorial
 
@@ -13,7 +16,7 @@ from derivgraph.enumeration import (
 )
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import LEAF, Tree, make_palette
-from derivgraph.weights import totally_asymmetric, totally_symmetric, weigh
+from derivgraph.weights import WeightedGraph, totally_asymmetric, totally_symmetric, weigh
 
 CHAIN = parse_skeleton("f(g(x))")
 
@@ -114,3 +117,39 @@ class TestOde:
             1,
             1,
         )
+
+
+
+def _wrappers():
+    """(built, constructed) pairs: each wrapper as enumerate_*/weigh fill its
+    slots and as its public constructor builds it."""
+    skeleton = parse_skeleton("F(f(x),g(x))")
+    built = [enumerate_ode(4)[2], enumerate_inverse(4)[1], enumerate_composite(skeleton, 3)[3]]
+    pairs = {}
+    for g in built:
+        made = DerivativeGraph(g.tree, g.regime, g.skeleton)
+        wg = weigh(g)
+        pairs[f"graph-{g.regime.value}"] = (g, made)
+        pairs[f"weighted-{g.regime.value}"] = (wg, WeightedGraph(made, wg.sign, wg.weight))
+    return pairs
+
+
+WRAPPERS = _wrappers()
+
+
+@pytest.mark.parametrize("name", WRAPPERS)
+def test_slotted_wrappers_keep_the_dataclass_contract(name):
+    built, made = WRAPPERS[name]
+    assert type(built) is type(made) and not hasattr(built, "__dict__")
+    assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+    assert repr(built).startswith(type(built).__name__ + "(" + dataclasses.fields(built)[0].name)
+    for w in (built, made):
+        assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
+        assert dataclasses.replace(w) == w
+        for field in dataclasses.fields(w):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(w, field.name, getattr(w, field.name))
+    if isinstance(built, WeightedGraph):
+        assert dataclasses.replace(built, sign=-built.sign) != built
+    else:
+        assert dataclasses.replace(built, tree=LEAF) != built
