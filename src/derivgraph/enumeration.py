@@ -68,22 +68,24 @@ def _graphs(trees: list[Tree], regime: Regime, skeleton: Skeleton | None) -> lis
 class _Family:
     """The trees one regime enumerates; colours are indices into ``palette``.
 
-    ``measure`` names the count a tree is sized by, "vertices" or
-    "entrances".  A leaf has a colour in ``leaves``; an inner vertex has at
-    least ``min_degree`` children, coloured from ``children[colour]``.
+    Every tree has root colour ``root``.  ``measure`` names the count a tree
+    is sized by, "vertices" or "entrances".  A leaf has a colour in
+    ``leaves``; an inner vertex has at least ``min_degree`` children,
+    coloured from ``children[colour]``, which lists each colour once.
     """
 
     palette: tuple[Colour, ...]
+    root: int
     children: dict[int, tuple[int, ...]]
     leaves: frozenset[int]
     min_degree: int
     measure: str
 
-    def trees(self, colour: int, size: int) -> list[Tree]:
-        """Every canonical tree with root ``colour`` and measure ``size``, in natural order."""
-        root = self.palette[colour]
-        out = [Tree(root)] if size == 1 and colour in self.leaves else []
-        out.extend(Tree(root, kids) for kids, _, left in self._inner(colour, size, {}) if not left)
+    def trees(self, size: int) -> list[Tree]:
+        """Every canonical tree with measure ``size``, in natural order."""
+        root = self.palette[self.root]
+        out = [Tree(root)] if size == 1 and self.root in self.leaves else []
+        out.extend(Tree(root, kids) for kids, _, left in self._inner(self.root, size, {}) if not left)
         return out
 
     def keeps(self, t: Tree, kids: list[bool]) -> bool:
@@ -125,7 +127,7 @@ class _Family:
         budget = size - 1 if self.measure == "vertices" else size
         cap = budget - self.min_degree + 1  # the most one child can take
         # Natural order compares colour first, so the pool is sorted as built.
-        kinds = sorted(set(self.children.get(colour, ()))) if cap > 0 else []
+        kinds = sorted(self.children.get(colour, ())) if cap > 0 else []
         pool = [t for c in kinds for t in self._up_to(c, cap, memo)]
         measures = [getattr(t, self.measure) for t in pool]
         # Ascending pool positions of the trees measuring at most r.
@@ -147,7 +149,16 @@ class _Family:
 
 
 # ---------------------------------------------------------------------------
-# Composite regime.
+# The regimes.  ODE, y' = f(y): order n = vertex count; a vertex of degree k
+# carries the k-th derivative of the field.
+
+
+_ODE = _Family((DEFAULT_COLOUR,), 0, {0: (0,)}, frozenset({0}), min_degree=1, measure="vertices")
+
+# Inverse, x = g(y) for y = f(x): order n = entrance count; internal vertices
+# have degree >= 2 (unary first-derivative wedges cancel against Dg and are
+# never drawn) and a degree-k vertex carries the k-th derivative of f.
+_INVERSE = _Family(_ODE.palette, 0, _ODE.children, _ODE.leaves, min_degree=2, measure="entrances")
 
 
 class CompositeContext:
@@ -157,20 +168,20 @@ class CompositeContext:
     followed by function positions in preorder, so a position's arguments
     have higher colours than the position itself.  A function name occurring
     at several positions is disambiguated with an ordinal suffix (f, f.2, ...).
+    ``family.children`` holds each position's slot colours once, in slot
+    order: x in F(x,x) is one kind of child, and F() has none, so no graph.
     """
 
     def __init__(self, skeleton: Skeleton):
         if skeleton.is_variable:
             raise ValueError("skeleton root must be a function")
-        self.skeleton = skeleton
         self.palette: dict[str, Colour] = {}
         for name in base_variables(skeleton):
             self.palette[name] = Colour(len(self.palette), name)
-        self.variable_colours = frozenset(c.index for c in self.palette.values())
+        leaves = frozenset(c.index for c in self.palette.values())
 
         self.node_by_colour: dict[int, Skeleton] = {}
-        # Root colour of a branch descending through each argument slot.
-        self.slot_root: dict[int, tuple[int, ...]] = {}
+        slots: dict[int, tuple[int, ...]] = {}
         name_count: dict[str, int] = {}
 
         def assign(node: Skeleton) -> Colour:
@@ -186,12 +197,13 @@ class CompositeContext:
             colour = Colour(len(self.palette), label)
             self.palette[label] = colour
             self.node_by_colour[colour.index] = node
-            self.slot_root[colour.index] = tuple(assign(c).index for c in node.children)
+            slots[colour.index] = tuple(dict.fromkeys(assign(c).index for c in node.children))
             return colour
 
-        self.root_colour = assign(skeleton)
+        root = assign(skeleton).index
+        children = {ci: slots[ci] for ci in self.node_by_colour}  # preorder: the draw order
         palette = tuple(self.palette.values())  # in index order
-        self.family = _Family(palette, self.slot_root, self.variable_colours, 1, "entrances")
+        self.family = _Family(palette, root, children, leaves, 1, "entrances")
 
         # Evaluation-point expressions (the undifferentiated sub-skeletons).
         self.point: dict[int, str] = {
@@ -205,72 +217,48 @@ def composite_context(skeleton: Skeleton) -> CompositeContext:
     return CompositeContext(skeleton)
 
 
-def enumerate_composite(skeleton: Skeleton, n: int) -> list[DerivativeGraph]:
-    """All order-n derivative graphs of the joint mapping, canonical, sorted.
-
-    Order counts entrances.  n must be >= 1: the order-0 "derivative" is the
-    skeleton itself and is not a graph of this family.  A repeated argument
-    slot, such as x in F(x,x), adds no second kind of child.
-    """
-    if n < 1:
-        raise ValueError("derivative order must be >= 1")
-    ctx = composite_context(skeleton)
-    # A nullary skeleton has no argument slots: constant, no derivatives.
-    trees = ctx.family.trees(ctx.root_colour.index, n)
-    return _graphs(trees, Regime.COMPOSITE, skeleton)
-
-
-# ---------------------------------------------------------------------------
-# ODE regime: y' = f(y).  Order n = vertex count; a vertex of degree k
-# carries the k-th derivative of the field.
-
-
-_ODE = _Family((DEFAULT_COLOUR,), {0: (0,)}, frozenset({0}), min_degree=1, measure="vertices")
-
-
-def enumerate_ode(n: int) -> list[DerivativeGraph]:
-    """All rooted trees with n vertices, isomorph-free, in natural order."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return _graphs(_ODE.trees(0, n), Regime.ODE, None)
-
-
-# ---------------------------------------------------------------------------
-# Inverse regime: x = g(y) for y = f(x).  Order n = entrance count; internal
-# vertices have degree >= 2 (unary first-derivative wedges cancel against Dg
-# and are never drawn) and a degree-k vertex carries the k-th derivative of f.
-
-
-_INVERSE = _Family(_ODE.palette, _ODE.children, _ODE.leaves, min_degree=2, measure="entrances")
-
-
-def enumerate_inverse(n: int) -> list[DerivativeGraph]:
-    """All order-n inverse-regime trees; n = 1 is the closed form, rejected."""
-    if n < 2:
-        raise ValueError("inverse regime needs order >= 2 (order 1 is the closed form)")
-    return _graphs(_INVERSE.trees(0, n), Regime.INVERSE, None)
+def family_of(regime: Regime, skeleton: Skeleton | None) -> _Family:
+    """The generator of ``regime``'s trees: the one place each regime's rules live."""
+    if regime is Regime.COMPOSITE:
+        if skeleton is None:
+            raise ValueError("composite regime requires a skeleton")
+        return composite_context(skeleton).family
+    return _ODE if regime is Regime.ODE else _INVERSE
 
 
 def enumerate_graphs(
     regime: Regime, n: int, skeleton: Skeleton | None = None
 ) -> list[DerivativeGraph]:
-    if regime is Regime.COMPOSITE:
-        if skeleton is None:
-            raise ValueError("composite regime requires a skeleton")
-        return enumerate_composite(skeleton, n)
-    if regime is Regime.ODE:
-        return enumerate_ode(n)
-    return enumerate_inverse(n)
+    """All order-n derivative graphs of ``regime``, canonical, in natural order."""
+    family = family_of(regime, skeleton)
+    if regime is Regime.INVERSE and n < 2:
+        raise ValueError("inverse regime needs order >= 2 (order 1 is the closed form)")
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    return _graphs(family.trees(n), regime, skeleton)
+
+
+def enumerate_ode(n: int) -> list[DerivativeGraph]:
+    """All rooted trees with n vertices, isomorph-free, in natural order."""
+    return enumerate_graphs(Regime.ODE, n)
+
+
+def enumerate_inverse(n: int) -> list[DerivativeGraph]:
+    """All order-n inverse-regime trees; n = 1 is the closed form, rejected."""
+    return enumerate_graphs(Regime.INVERSE, n)
+
+
+def enumerate_composite(skeleton: Skeleton, n: int) -> list[DerivativeGraph]:
+    """All order-n derivative graphs of the joint mapping; order counts entrances.
+
+    n must be >= 1: the order-0 "derivative" is the skeleton itself.
+    """
+    return enumerate_graphs(Regime.COMPOSITE, n, skeleton)
 
 
 def in_regime(graph: DerivativeGraph) -> bool:
     """Whether ``enumerate_graphs`` lists ``graph`` up to child order; one fold, no enumeration."""
-    tree, regime = graph.tree, graph.regime
-    if regime is Regime.INVERSE and tree.is_leaf:
-        return False  # order 1 is the closed form
-    if regime is Regime.COMPOSITE:
-        ctx = composite_context(graph.skeleton)
-        family, root = ctx.family, ctx.root_colour
-    else:
-        family, root = (_ODE if regime is Regime.ODE else _INVERSE), DEFAULT_COLOUR
-    return tree.colour == root and fold((tree,), family.keeps)[0]
+    family, tree = family_of(graph.regime, graph.skeleton), graph.tree
+    if tree.is_leaf and family.min_degree > 1:
+        return False  # the inverse order 1: the closed form, no graph
+    return tree.colour == family.palette[family.root] and fold((tree,), family.keeps)[0]

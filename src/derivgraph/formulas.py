@@ -17,10 +17,11 @@ from .enumeration import (
     Regime,
     composite_context,
     enumerate_graphs,
+    family_of,
     in_regime,
 )
 from .skeletons import Skeleton
-from .trees import DEFAULT_COLOUR, Tree, canonicalize, fold, format_trees, parse_tree
+from .trees import Tree, canonicalize, fold, format_trees, parse_tree
 from .weights import WeightedGraph, weigh
 
 STYLES = ("text", "latex", "machine")
@@ -88,7 +89,7 @@ def _composite_vertex(style: str, skeleton: Skeleton):
 
     def body(t: Tree, args: list[str]) -> str:
         ci = t.colour.index
-        if ci in ctx.variable_colours:
+        if ci in ctx.family.leaves:
             return ""  # increments are implicit in the printed multilinear form
         head = ctx.node_by_colour[ci].name + _prime(len(args), style) + "(" + ctx.point[ci] + ")"
         parts = [p for p in args if p]
@@ -210,13 +211,7 @@ def parse_machine_term(text: str, skeleton: Skeleton | None = None) -> WeightedG
     if m is None:
         raise ValueError(f"not a machine-style term: {text!r}")
     regime = Regime(m.group("regime"))
-    if regime is Regime.COMPOSITE:
-        if skeleton is None:
-            raise ValueError("composite terms need their skeleton to be parsed")
-        palette = composite_context(skeleton).palette
-    else:
-        palette = {DEFAULT_COLOUR.name: DEFAULT_COLOUR}
-        skeleton = None
+    palette = {c.name: c for c in family_of(regime, skeleton).palette}
     graph = DerivativeGraph(parse_tree(m.group("tree"), palette), regime, skeleton)
     if canonicalize(graph.tree) is not graph.tree or not in_regime(graph):
         raise ValueError(f"{m.group('tree')} is not a canonical {regime.value} graph")

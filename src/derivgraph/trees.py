@@ -72,7 +72,7 @@ class Tree:
 
     Fields are computed once when the node is first built and never change:
 
-    - ``vertices``, ``entrances`` and ``internal`` (non-leaf vertex) counts
+    - ``vertices`` and ``entrances`` counts (``internal`` is their difference)
     - ``symmetry``: S, the order of the colour-preserving automorphism group
       (meaningful for canonical trees)
     - ``complexity``: tau, the product over all vertices of the
@@ -84,7 +84,6 @@ class Tree:
         "children",
         "vertices",
         "entrances",
-        "internal",
         "symmetry",
         "complexity",
         "__weakref__",
@@ -94,7 +93,6 @@ class Tree:
     children: tuple[Tree, ...]
     vertices: int
     entrances: int
-    internal: int
     symmetry: int
     complexity: int
 
@@ -107,12 +105,11 @@ class Tree:
             if node is not None:
                 return node
 
-        vertices, entrances, internal, complexity = 1, 0, 0, 1
+        vertices, entrances, complexity = 1, 0, 1
         symmetry, run, prev = 1, 0, None
         for c in children:
             vertices += c.vertices
             entrances += c.entrances
-            internal += c.internal
             complexity *= c.vertices * c.complexity
             symmetry *= c.symmetry
             # Equal siblings are adjacent in a canonical child tuple; each
@@ -129,7 +126,6 @@ class Tree:
         _set_children(node, children)
         _set_vertices(node, vertices)
         _set_entrances(node, entrances or 1)
-        _set_internal(node, internal + 1 if children else 0)
         _set_symmetry(node, symmetry)
         _set_complexity(node, complexity)
         entry = _Ref(node, _forget)
@@ -144,11 +140,24 @@ class Tree:
         raise AttributeError("Tree nodes are interned and immutable")
 
     def __reduce__(self):
-        # Copies and unpickled trees go back through the intern table.
-        return (Tree, (self.colour, self.children))
+        # Copies and unpickled trees go back through the intern table.  The
+        # nodes are listed flat, so depth is unbounded: each distinct node
+        # once, children first, as its colour and its children's positions.
+        nodes: list[tuple[Colour, tuple[int, ...]]] = []
+
+        def number(t: Tree, kids: list[int]) -> int:
+            nodes.append((t.colour, tuple(kids)))
+            return len(nodes) - 1
+
+        fold((self,), number)
+        return (_rebuild, (tuple(nodes),))
 
     def __repr__(self) -> str:
-        return f"Tree({self.colour!r}, {self.children!r})"
+        return fold((self,), _repr)[0]
+
+    @property
+    def internal(self) -> int:
+        return self.vertices - self.entrances  # the leaves are the entrances
 
     @property
     def degree(self) -> int:
@@ -168,11 +177,24 @@ _set_colour = Tree.colour.__set__
 _set_children = Tree.children.__set__
 _set_vertices = Tree.vertices.__set__
 _set_entrances = Tree.entrances.__set__
-_set_internal = Tree.internal.__set__
 _set_symmetry = Tree.symmetry.__set__
 _set_complexity = Tree.complexity.__set__
 
 LEAF = Tree()
+
+
+def _rebuild(nodes: tuple[tuple[Colour, tuple[int, ...]], ...]) -> Tree:
+    """The last tree of ``Tree.__reduce__``'s flat list, built children first."""
+    built: list[Tree] = []
+    for colour, kids in nodes:
+        built.append(Tree(colour, tuple(map(built.__getitem__, kids))))
+    return built[-1]
+
+
+def _repr(t: Tree, kids: list[str]) -> str:
+    # The repr of the children tuple: "()", "(a,)" or "(a, b)".
+    inner = kids[0] + "," if len(kids) == 1 else ", ".join(kids)
+    return f"Tree({t.colour!r}, ({inner}))"
 
 
 def compare_trees(a: Tree, b: Tree) -> int:

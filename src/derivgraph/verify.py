@@ -19,7 +19,7 @@ from math import factorial, prod
 from operator import mul
 from typing import Callable
 
-from .enumeration import CompositeContext, Regime, composite_context, enumerate_graphs
+from .enumeration import Regime, _Family, enumerate_graphs, family_of
 from .jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
 from .skeletons import Skeleton
 from .trees import DEFAULT_COLOUR, Tree, fold, format_trees
@@ -138,21 +138,6 @@ def verify(
     """Run ``trials`` independent exact comparisons at order ``n``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    if regime is Regime.COMPOSITE:
-        if skeleton is None:
-            raise ValueError("composite regime requires a skeleton")
-        ctx = composite_context(skeleton)
-        # One argument per distinct slot colour: slots of one colour are one
-        # base variable, so they always receive the same inner jet.
-        classes = {ci: tuple(dict.fromkeys(ctx.slot_root[ci])) for ci in ctx.node_by_colour}
-        sizes = {len(c) for c in classes.values()}
-        draw = partial(_draw_composite, ctx, classes, {m: _exponents(m, n) for m in sizes}, n)
-    elif regime is Regime.ODE:
-        draw = partial(_draw_ode, n)
-    else:
-        draw = partial(_draw_inverse, n)
-
     closed_form = regime is Regime.INVERSE and n == 1
     if closed_form:
         # No graph: the closed form (Df)^-1 = Dg is the value of a lone leaf.
@@ -161,6 +146,16 @@ def verify(
         graphs = enumerate_graphs(regime, n, skeleton)
         rows = [(wg.graph.tree, wg.sign, wg.weight) for wg in map(weigh, graphs)]
     row_monomial, monomials, coefficients = _like_terms(rows)
+
+    rng = random.Random(seed)
+    if regime is Regime.COMPOSITE:
+        family = family_of(regime, skeleton)
+        sizes = {len(c) for c in family.children.values()}
+        draw = partial(_draw_composite, family, {m: _exponents(m, n) for m in sizes}, n)
+    elif regime is Regime.ODE:
+        draw = partial(_draw_ode, n)
+    else:
+        draw = partial(_draw_inverse, n)
 
     texts: list[str] | None = None  # only a failing report prints the trees
     mismatches: list[Mismatch] = []
@@ -232,24 +227,25 @@ def _draw_inverse(n: int, rng: random.Random) -> tuple[Fraction, Callable[[tuple
 
 
 def _draw_composite(
-    ctx: CompositeContext,
-    classes: dict[int, tuple[int, ...]],
+    family: _Family,
     exponents: dict[int, list[tuple[int, ...]]],
     n: int,
     rng: random.Random,
 ) -> tuple[Fraction, Callable[[tuple], Fraction]]:
     # F's Taylor coefficients c_alpha, 1 <= |alpha| <= n, per position, with
-    # one exponent per slot colour.
+    # one exponent per slot colour: slots of one colour are one base
+    # variable, so they always receive the same inner jet.
+    classes = family.children
     outer = {
         ci: {a: _random_fraction(rng) for a in exponents[len(cls)] if any(a)}
         for ci, cls in classes.items()
     }
     # Positions are coloured in preorder, so a position's arguments have
     # higher colours: highest first, each argument's jet is ready in time.
-    jets = {ci: identity_jet(n) for ci in ctx.variable_colours}
+    jets = {ci: identity_jet(n) for ci in family.leaves}
     for ci in reversed(classes):
         jets[ci] = compose(outer[ci], [jets[c] for c in classes[ci]], n)
-    expected = jets[ctx.root_colour.index][n] * factorial(n)
+    expected = jets[family.root][n] * factorial(n)
 
     # D^k F[v_1..v_k] at a vertex is d^alpha F(0) = alpha! c_alpha, with
     # alpha counting its children per slot colour; 0 if a child fits no slot.

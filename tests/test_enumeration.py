@@ -1,4 +1,8 @@
+from functools import cache
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from brute import (
     brute_inverse_trees,
@@ -9,14 +13,21 @@ from brute import (
 from derivgraph import enumeration, trees
 from derivgraph.cli import main
 from derivgraph.enumeration import (
+    DerivativeGraph,
     Regime,
     composite_context,
     enumerate_composite,
+    enumerate_graphs,
     enumerate_inverse,
     enumerate_ode,
+    in_regime,
 )
+from derivgraph.formulas import parse_machine_term, render_derivative
 from derivgraph.skeletons import parse_skeleton
+from derivgraph.verify import verify
 from derivgraph.trees import (
+    DEFAULT_COLOUR,
+    Colour,
     Tree,
     canonicalize,
     compare_trees,
@@ -145,16 +156,16 @@ class TestComposite:
         ctx = composite_context(parse_skeleton("f(g(x))"))
         assert composite_context(parse_skeleton("f(g(x))")) is ctx
         f, g, x = (ctx.palette[name].index for name in ("f", "g", "x"))
-        assert ctx.root_colour.index == f
+        assert ctx.family.root == f
         assert ctx.node_by_colour == {f: parse_skeleton("f(g(x))"), g: parse_skeleton("g(x)")}
-        assert ctx.slot_root == {f: (g,), g: (x,)}
+        assert ctx.family.children == {f: (g,), g: (x,)}
 
     def test_repeated_function_positions_are_named_by_path(self):
         # Positions are coloured in preorder: the first f is "f", the second "f.2".
         ctx = composite_context(parse_skeleton("F(f(x),f(x))"))
         assert [c.name for c in ctx.palette.values()] == ["x", "F", "f", "f.2"]
         F, f, f2, x = (ctx.palette[name].index for name in ("F", "f", "f.2", "x"))
-        assert ctx.slot_root == {F: (f, f2), f: (x,), f2: (x,)}
+        assert ctx.family.children == {F: (f, f2), f: (x,), f2: (x,)}
         # The same sub-skeleton sits at two positions.
         at = [ci for ci, node in ctx.node_by_colour.items() if node == parse_skeleton("f(x)")]
         assert at == [f, f2]
@@ -326,3 +337,64 @@ class TestBuiltOnce:
         monkeypatch.setattr(trees, "sort_key", unordered)
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
+
+
+@cache
+def listing(regime: Regime, text: str | None) -> tuple[list[Colour], list[Tree]]:
+    """The regime's palette plus colours clashing with it, and its trees of order <= 6."""
+    if text is None:
+        colours = [DEFAULT_COLOUR, Colour(0, "y"), Colour(1, "*")]
+    else:
+        colours = [*composite_context(parse_skeleton(text)).palette.values(), Colour(0, "z")]
+    skeleton = text and parse_skeleton(text)
+    least = 2 if regime is Regime.INVERSE else 1
+    listed = [g.tree for n in range(least, 7) for g in enumerate_graphs(regime, n, skeleton)]
+    return colours, listed
+
+
+def candidate_trees(colours: list[Colour], listed: list[Tree]):
+    """Raw trees over ``colours``, listed trees, and listed trees with one vertex more."""
+    colour = st.sampled_from(colours)
+    raw = st.recursive(
+        colour.map(Tree),
+        lambda kids: st.builds(Tree, colour, st.lists(kids, min_size=1, max_size=3).map(tuple)),
+        max_leaves=6,
+    )
+    near = st.builds(
+        lambda t, c, wrap: Tree(c, (t,)) if wrap else Tree(t.colour, t.children + (Tree(c),)),
+        st.sampled_from(listed),
+        colour,
+        st.booleans(),
+    )
+    return st.one_of(raw, st.sampled_from(listed), near)
+
+
+class TestInRegime:
+    @pytest.mark.parametrize(
+        "regime,text",
+        [
+            (Regime.ODE, None),
+            (Regime.INVERSE, None),
+            (Regime.COMPOSITE, "F(f(x),g(x))"),
+            (Regime.COMPOSITE, "h(F(x,x),G(y,x))"),
+        ],
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_in_regime_iff_enumerated(self, regime, text, data):
+        colours, listed = listing(regime, text)
+        t = canonicalize(data.draw(candidate_trees(colours, listed)))
+        graph = DerivativeGraph(t, regime, text and parse_skeleton(text))
+        assume(graph.order <= 6)
+        assert in_regime(graph) == (t in set(listed))
+
+    def test_composite_without_a_skeleton_is_refused(self):
+        term = "(term (regime composite) (sign 1) (weight 1) (tree f{g{x{}}}))"
+        for call in [
+            lambda: enumerate_graphs(Regime.COMPOSITE, 2),
+            lambda: render_derivative(Regime.COMPOSITE, 2),
+            lambda: verify(Regime.COMPOSITE, 2),
+            lambda: parse_machine_term(term),
+        ]:
+            with pytest.raises(ValueError, match="composite regime requires a skeleton"):
+                call()

@@ -310,6 +310,40 @@ class TestInterning:
             assert parse_tree(format_tree(t)) is t
         assert parse_tree(format_tree(coloured), pal) is coloured
 
+    def test_repr_is_the_constructor_call(self):
+        def reference(t: Tree) -> str:
+            return f"Tree({t.colour!r}, {tuple(ReprOf(c) for c in t.children)!r})"
+
+        class ReprOf:
+            def __init__(self, t):
+                self.t = t
+
+            def __repr__(self):
+                return reference(self.t)
+
+        pal = make_palette("x", "f")
+        coloured = Tree(pal["f"], (Tree(pal["x"]), Tree(pal["f"], (Tree(pal["x"]),))))
+        for t in all_trees_upto(5) + [coloured]:
+            assert repr(t) == reference(t)
+        assert repr(LEAF) == "Tree(Colour(index=0, name='*'), ())"
+        assert repr(chain(2)) == f"Tree(Colour(index=0, name='*'), ({LEAF!r},))"
+
+    def test_deep_chain_repr_pickle_and_copy(self):
+        # repr and the flat pickle encoding are folds: no recursion, and
+        # copies are still the interned node.
+        deep = chain(5000)
+        head = "Tree(Colour(index=0, name='*'), ("
+        assert repr(deep) == head * 5000 + "))" + ",))" * 4999
+        assert pickle.loads(pickle.dumps(deep)) is deep
+        assert copy.deepcopy(deep) is deep and copy.copy(deep) is deep
+        graph = DerivativeGraph(deep, Regime.ODE)
+        for wrapper in (graph, weigh(graph)):
+            assert repr(deep) in repr(wrapper)
+            assert pickle.loads(pickle.dumps(wrapper)) == wrapper
+            assert copy.deepcopy(wrapper) == wrapper
+        assert pickle.loads(pickle.dumps(graph)).tree is deep
+        assert copy.deepcopy(weigh(graph)).graph.tree is deep
+
     def test_nodes_are_immutable(self):
         t = chain(3)
         with pytest.raises(AttributeError):
@@ -322,6 +356,8 @@ class TestInterning:
             t.key = ()
         with pytest.raises(AttributeError):
             t.canonical = False
+        with pytest.raises(AttributeError):
+            t.internal = 0
         assert t is chain(3) and t.children == (chain(2),)
 
     def test_canonical_flag(self):

@@ -183,12 +183,12 @@ class TestSlotColours:
         # verify's own draw, fed c~ in its draw order, agrees with both.
         exponents = verify_module._exponents(len(classes), n)
         drawn = iter([c_tilde[a] for a in exponents if any(a)])
-        ctx = SimpleNamespace(variable_colours=range(1, 5), root_colour=SimpleNamespace(index=0))
+        family = SimpleNamespace(children={0: classes}, leaves=range(1, 5), root=0)
         original = verify_module._random_fraction
         verify_module._random_fraction = lambda rng: next(drawn)
         try:
             expected, factor = verify_module._draw_composite(
-                ctx, {0: classes}, {len(classes): exponents}, n, None
+                family, {len(classes): exponents}, n, None
             )
         finally:
             verify_module._random_fraction = original
@@ -210,7 +210,7 @@ class TestSlotColours:
         )
         skeleton = parse_skeleton(text)
         ctx = composite_context(skeleton)
-        per_trial = sum(comb(n + len(set(r)), n) - 1 for r in ctx.slot_root.values())
+        per_trial = sum(comb(n + len(r), n) - 1 for r in ctx.family.children.values())
         assert per_trial == draws
         assert verify_module.verify(Regime.COMPOSITE, n, 3, 0, skeleton).passed
         assert len(calls) == 3 * draws
@@ -381,4 +381,13 @@ class TestReport:
         skeleton = parse_skeleton("F(f(x),g(h(x),x))")
         report = verify_module.verify(Regime.COMPOSITE, 4, 3, 5, skeleton)
         golden = GOLDEN / "verify-composite-F_f_x_g_h_x_x-4-fail.json"
+        assert json.dumps(report.to_dict(), indent=2) + "\n" == golden.read_text()
+
+    def test_failing_report_on_repeated_slots_matches_golden(self, monkeypatch):
+        # Pins the draw order per slot colour: F(x,x) has one class, G(y,x)
+        # two, in slot order.  Same file format as above.
+        crooked(monkeypatch)
+        skeleton = parse_skeleton("h(F(x,x),G(y,x))")
+        report = verify_module.verify(Regime.COMPOSITE, 3, 3, 5, skeleton)
+        golden = GOLDEN / "verify-composite-h_F_x_x_G_y_x-3-fail.json"
         assert json.dumps(report.to_dict(), indent=2) + "\n" == golden.read_text()
