@@ -11,9 +11,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache
 
-from .skeletons import Skeleton, base_variables
+from .skeletons import Skeleton, base_variables, positions
 from .trees import DEFAULT_COLOUR, Colour, Tree, fold
 
 
@@ -83,9 +83,19 @@ class _Family:
 
     def trees(self, size: int) -> list[Tree]:
         """Every canonical tree with measure ``size``, in natural order."""
+        # memo maps (colour, size) to _up_to's result for each argument colour,
+        # sizes ascending (up to size - 1 for the root, built here).  Colours
+        # with no arguments come first, then the deepest: a colour's arguments
+        # rank above it (in ode and inverse, they are it).
+        memo: dict[tuple[int, int], list[Tree]] = {}
+        kinds = {c for kids in self.children.values() for c in kids}
+        for colour in sorted(kinds, key=lambda c: (c in self.children, -c)):
+            for s in range(1, size + (colour != self.root)):
+                memo[colour, s] = self._up_to(colour, s, memo)
         root = self.palette[self.root]
         out = [Tree(root)] if size == 1 and self.root in self.leaves else []
-        out.extend(Tree(root, kids) for kids, _, left in self._inner(self.root, size, {}) if not left)
+        runs = self._inner(self.root, size, memo)
+        out.extend(Tree(root, kids) for kids, _, left in runs if not left)
         return out
 
     def keeps(self, t: Tree, kids: list[bool]) -> bool:
@@ -100,23 +110,20 @@ class _Family:
         """Every canonical tree with root ``colour`` and measure at most ``size``.
 
         Each isomorphism class comes once, in natural order, and is built
-        once.  ``memo`` maps (colour, size) to results for the length of one
-        enumeration.
+        once.  ``memo`` holds the results for this colour's smaller sizes and
+        for its arguments' colours.
         """
-        if (colour, size) in memo:
-            return memo[colour, size]
         # The trees measuring less than size are _up_to(colour, size - 1), in
         # the same natural order: take each from there instead of building it
         # again.  Natural order compares degree before children, so the leaf
         # is first.
-        smaller = iter(self._up_to(colour, size - 1, memo) if size > 1 else ())
+        smaller = iter(memo[colour, size - 1] if size > 1 else ())
         root = self.palette[colour]
         out = [next(smaller) if size > 1 else Tree(root)] if colour in self.leaves else []
         out.extend(
             next(smaller) if left else Tree(root, kids)
             for kids, _, left in self._inner(colour, size, memo)
         )
-        memo[colour, size] = out
         return out
 
     def _inner(self, colour: int, size: int, memo: dict):
@@ -128,7 +135,7 @@ class _Family:
         cap = budget - self.min_degree + 1  # the most one child can take
         # Natural order compares colour first, so the pool is sorted as built.
         kinds = sorted(self.children.get(colour, ())) if cap > 0 else []
-        pool = [t for c in kinds for t in self._up_to(c, cap, memo)]
+        pool = [t for c in kinds for t in memo[c, cap]]
         measures = [getattr(t, self.measure) for t in pool]
         # Ascending pool positions of the trees measuring at most r.
         at_most = [[i for i, m in enumerate(measures) if m <= r] for r in range(budget + 1)]
@@ -181,40 +188,30 @@ class CompositeContext:
         leaves = frozenset(c.index for c in self.palette.values())
 
         self.node_by_colour: dict[int, Skeleton] = {}
-        slots: dict[int, tuple[int, ...]] = {}
+        slots: dict[int, list[int]] = {}  # each position's argument colours, in slot order
+        colours: list[int] = []  # each position's colour, in preorder
         name_count: dict[str, int] = {}
-
-        def assign(node: Skeleton) -> Colour:
-            """Colour the positions under ``node`` in preorder; return its colour."""
+        for parent, node in positions(skeleton):
             if node.is_variable:
-                return self.palette[node.name]
-            name_count[node.name] = name_count.get(node.name, 0) + 1
-            label = node.name
-            if name_count[node.name] > 1:
-                label = f"{node.name}.{name_count[node.name]}"
-            if label in self.palette:  # a variable has that name
-                raise ValueError(f"{node.name!r} names both a function and a variable")
-            colour = Colour(len(self.palette), label)
-            self.palette[label] = colour
-            self.node_by_colour[colour.index] = node
-            slots[colour.index] = tuple(dict.fromkeys(assign(c).index for c in node.children))
-            return colour
-
-        root = assign(skeleton).index
-        children = {ci: slots[ci] for ci in self.node_by_colour}  # preorder: the draw order
+                ci = self.palette[node.name].index
+            else:
+                count = name_count[node.name] = name_count.get(node.name, 0) + 1
+                label = node.name if count == 1 else f"{node.name}.{count}"
+                if label in self.palette:  # a variable has that name
+                    raise ValueError(f"{node.name!r} names both a function and a variable")
+                ci = len(self.palette)
+                self.palette[label] = Colour(ci, label)
+                self.node_by_colour[ci] = node
+                slots[ci] = []
+            colours.append(ci)
+            if parent >= 0:
+                slots[colours[parent]].append(ci)
+        children = {ci: tuple(dict.fromkeys(cs)) for ci, cs in slots.items()}  # the draw order
         palette = tuple(self.palette.values())  # in index order
-        self.family = _Family(palette, root, children, leaves, 1, "entrances")
-
-        # Evaluation-point expressions (the undifferentiated sub-skeletons).
-        self.point: dict[int, str] = {
-            ci: ",".join(str(c) for c in node.children)
-            for ci, node in self.node_by_colour.items()
-        }
+        self.family = _Family(palette, colours[0], children, leaves, 1, "entrances")
 
 
-@lru_cache(maxsize=None)
-def composite_context(skeleton: Skeleton) -> CompositeContext:
-    return CompositeContext(skeleton)
+composite_context = cache(CompositeContext)
 
 
 def family_of(regime: Regime, skeleton: Skeleton | None) -> _Family:

@@ -86,12 +86,14 @@ def _inverse_vertex(style: str):
 def _composite_vertex(style: str, skeleton: Skeleton):
     lbr, rbr, dot = _joiners(style)
     ctx = composite_context(skeleton)
+    # Each position's evaluation point: its undifferentiated arguments.
+    point = {ci: ",".join(map(str, node.children)) for ci, node in ctx.node_by_colour.items()}
 
     def body(t: Tree, args: list[str]) -> str:
         ci = t.colour.index
         if ci in ctx.family.leaves:
             return ""  # increments are implicit in the printed multilinear form
-        head = ctx.node_by_colour[ci].name + _prime(len(args), style) + "(" + ctx.point[ci] + ")"
+        head = ctx.node_by_colour[ci].name + _prime(len(args), style) + "(" + point[ci] + ")"
         parts = [p for p in args if p]
         if not parts:
             return head

@@ -9,44 +9,43 @@ written arity.  Argument positions are meaningful and ordered.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Iterator
 
-from .trees import scan_brackets
+from .trees import Colour, Tree, fold, scan_brackets
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    name: str
-    children: tuple["Skeleton", ...] = ()
-    function: bool = False
+class Skeleton(Tree):
+    """An interned tree: a function has colour rank 1, a base variable rank 0."""
 
-    def __post_init__(self) -> None:
-        if not self.function and self.children:
+    __slots__ = ()
+    children: tuple[Skeleton, ...]
+
+    def __new__(cls, name: str, children: tuple[Skeleton, ...] = (), function: bool = False):
+        if not _IDENT.fullmatch(name):
+            raise ValueError(f"{name!r} is not an identifier")
+        if not function and children:
             raise ValueError("a base variable cannot take arguments")
+        return Tree.__new__(cls, Colour(1 if function else 0, name), children)
 
-    @property
-    def arity(self) -> int:
-        return len(self.children)
-
-    @property
-    def is_variable(self) -> bool:
-        return not self.function
+    name = property(lambda self: self.colour.name)
+    function = property(lambda self: self.colour.index == 1)
+    is_variable = property(lambda self: self.colour.index == 0)
+    arity = Tree.degree
 
     def __str__(self) -> str:
-        if self.is_variable:
-            return self.name
-        return f"{self.name}({','.join(str(c) for c in self.children)})"
+        return fold((self,), _text)[0]
+
+
+def _text(s: Skeleton, args: list[str]) -> str:
+    return s.name + "(" + ",".join(args) + ")" if s.function else s.name
 
 
 class SkeletonSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# Deepest nesting parse_skeleton accepts: __str__ and CompositeContext recurse.
-MAX_NESTING = 100
 
 
 def _name(token: str, pos: int) -> str:
@@ -60,25 +59,27 @@ def _skeleton_node(name: str, children: list[Skeleton] | None) -> Skeleton:
 
 def parse_skeleton(text: str) -> Skeleton:
     s = scan_brackets(
-        text, _IDENT, "()", SkeletonSyntaxError, "an identifier", "skeleton", _name, _skeleton_node,
-        MAX_NESTING,
+        text, _IDENT, "()", SkeletonSyntaxError, "an identifier", "skeleton", _name, _skeleton_node
     )
     if s.is_variable:
         raise SkeletonSyntaxError("skeleton root must be a function", 0)
     return s
 
 
+def positions(s: Skeleton) -> Iterator[tuple[int, Skeleton]]:
+    """Each position under ``s`` in preorder, with its parent's preorder number (-1 for ``s``).
+
+    f(x) in F(f(x),f(x)) is one node but two positions.  No depth limit.
+    """
+    stack = [(-1, s)]
+    number = 0
+    while stack:
+        parent, node = stack.pop()
+        yield parent, node
+        stack.extend((number, c) for c in reversed(node.children))
+        number += 1
+
+
 def base_variables(s: Skeleton) -> list[str]:
     """Variable names in order of first appearance."""
-    seen: list[str] = []
-
-    def walk(node: Skeleton) -> None:
-        if node.is_variable:
-            if node.name not in seen:
-                seen.append(node.name)
-        else:
-            for c in node.children:
-                walk(c)
-
-    walk(s)
-    return seen
+    return list(dict.fromkeys(node.name for _, node in positions(s) if node.is_variable))

@@ -49,10 +49,11 @@ class _Ref(ref):
     __slots__ = ("ident",)
 
 
-# (colour index, colour name, children) -> weak reference to the live node.
-# Colour equality is exactly that index and name, and children are interned,
-# so the key hashes in C, children by identity.  A node leaves the table when
-# it is collected.
+# (class, colour index, colour name, children) -> weak reference to the live
+# node.  Colour equality is exactly that index and name, and children are
+# interned, so the key hashes in C, children by identity.  The class keeps a
+# subclass's nodes, such as skeletons, apart from trees of the same colours.
+# A node leaves the table when it is collected.
 _INTERNED: dict[tuple, _Ref] = {}
 
 
@@ -98,7 +99,7 @@ class Tree:
 
     def __new__(cls, colour: Colour = DEFAULT_COLOUR, children: tuple[Tree, ...] = ()):
         children = tuple(children)
-        ident = (colour.index, colour.name, children)
+        ident = (cls, colour.index, colour.name, children)
         known = _INTERNED.get(ident)
         if known is not None:
             node = known()
@@ -142,11 +143,12 @@ class Tree:
     def __reduce__(self):
         # Copies and unpickled trees go back through the intern table.  The
         # nodes are listed flat, so depth is unbounded: each distinct node
-        # once, children first, as its colour and its children's positions.
-        nodes: list[tuple[Colour, tuple[int, ...]]] = []
+        # once, children first, as its class, its colour and its children's
+        # positions.
+        nodes: list[tuple[type, Colour, tuple[int, ...]]] = []
 
         def number(t: Tree, kids: list[int]) -> int:
-            nodes.append((t.colour, tuple(kids)))
+            nodes.append((type(t), t.colour, tuple(kids)))
             return len(nodes) - 1
 
         fold((self,), number)
@@ -183,18 +185,18 @@ _set_complexity = Tree.complexity.__set__
 LEAF = Tree()
 
 
-def _rebuild(nodes: tuple[tuple[Colour, tuple[int, ...]], ...]) -> Tree:
+def _rebuild(nodes: tuple[tuple[type, Colour, tuple[int, ...]], ...]) -> Tree:
     """The last tree of ``Tree.__reduce__``'s flat list, built children first."""
     built: list[Tree] = []
-    for colour, kids in nodes:
-        built.append(Tree(colour, tuple(map(built.__getitem__, kids))))
+    for cls, colour, kids in nodes:
+        built.append(Tree.__new__(cls, colour, tuple(map(built.__getitem__, kids))))
     return built[-1]
 
 
 def _repr(t: Tree, kids: list[str]) -> str:
     # The repr of the children tuple: "()", "(a,)" or "(a, b)".
     inner = kids[0] + "," if len(kids) == 1 else ", ".join(kids)
-    return f"Tree({t.colour!r}, ({inner}))"
+    return f"{type(t).__name__}({t.colour!r}, ({inner}))"
 
 
 def compare_trees(a: Tree, b: Tree) -> int:
@@ -326,7 +328,6 @@ def scan_brackets(
     what: str,
     name: Callable[[str, int], N],
     node: Callable[[N, list[R] | None], R],
-    max_depth: int | None = None,
 ) -> R:
     """Descent over ``name`` and ``name<open>child,...<close>``, on an explicit stack.
 
@@ -334,8 +335,8 @@ def scan_brackets(
     reject the name before a later syntax error.  ``node(named, children)``
     gets ``children=None`` when no bracket follows the name.  Errors are
     ``error(message, position)``; ``expected`` and ``what`` name a missing
-    name and the whole input in their messages.  Brackets may nest at most
-    ``max_depth`` deep; with None, as deep as the input goes.
+    name and the whole input in their messages.  Brackets nest as deep as
+    the input goes.
     """
     opening, closing = brackets
     pos = 0
@@ -350,8 +351,6 @@ def scan_brackets(
         pos = _SPACE.match(text, m.end()).end()
         if text[pos : pos + 1] != opening:
             done = node(named, None)
-        elif len(unclosed) == max_depth:
-            raise error(f"nesting deeper than {max_depth}", pos)
         else:
             pos = _SPACE.match(text, pos + 1).end()
             if text[pos : pos + 1] != closing:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivgraph.cli import main
-from derivgraph.skeletons import MAX_NESTING
 
 
 @pytest.fixture
@@ -245,23 +244,37 @@ class TestOutputFile:
 
 
 class TestNesting:
-    @staticmethod
-    def argv(command, depth):
-        skeleton = "f(" * depth + "x" + ")" * depth
-        return [command, "--regime", "composite", "--order", "1", "--skeleton", skeleton]
+    """Skeletons have no nesting limit: the 10,000-deep chain f0(f1(...f9999(x)...))."""
 
-    @pytest.mark.parametrize("command", ["trees", "table"])
-    def test_order_one_at_the_limit(self, run, command):
-        code, out, err = run(*self.argv(command, MAX_NESTING))
+    DEPTH = 10_000
+    CHAIN = "".join(f"f{i}(" for i in range(DEPTH)) + "x" + ")" * DEPTH
+
+    @pytest.mark.parametrize(
+        "command,source",
+        [
+            ("trees", "inline"),
+            ("trees", "file"),
+            ("table", "inline"),
+            ("table", "file"),
+            ("verify", "file"),
+        ],
+    )
+    def test_deep_chain_at_order_one(self, run, tmp_path, command, source):
+        skeleton = self.CHAIN
+        if source == "file":
+            (tmp_path / "chain.txt").write_text(self.CHAIN + "\n")
+            skeleton = f"@{tmp_path / 'chain.txt'}"
+        extra = ["--trials", "2"] if command == "verify" else []
+        argv = [command, "--regime", "composite", "--order", "1", "--skeleton", skeleton, *extra]
+        code, out, err = run(*argv)
         assert code == 0 and err == ""
-        assert out.count(f"f.{MAX_NESTING}{{x{{}}}}") == 1
-
-    @pytest.mark.parametrize("command", ["trees", "table"])
-    def test_one_level_deeper_is_a_one_line_error(self, run, command):
-        code, out, err = run(*self.argv(command, MAX_NESTING + 1))
-        assert code == 1 and out == ""
-        assert err.startswith("derivgraph: error:") and "nesting" in err
-        assert err.count("\n") == 1
+        tree = "".join(f"f{i}{{" for i in range(self.DEPTH)) + "x{}" + "}" * self.DEPTH
+        if command == "trees":
+            assert out == tree + "\n"
+        elif command == "table":
+            assert out.splitlines()[1].split() == [tree, "1", "1", "+1", "1"]
+        else:
+            assert out == "verify regime=composite order=1 trials=2 seed=0 graphs=1: PASS\n"
 
 
 class TestUnexpectedError:

@@ -1,17 +1,32 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivgraph.cli import main
-from derivgraph.enumeration import composite_context
+from derivgraph.enumeration import Regime, composite_context, enumerate_composite
+from derivgraph.formulas import parse_machine_term, render_derivative, render_term
 from derivgraph.skeletons import (
-    MAX_NESTING,
     Skeleton,
     SkeletonSyntaxError,
     base_variables,
     parse_skeleton,
 )
-from derivgraph.trees import TreeSyntaxError, make_palette, parse_tree
+from derivgraph.trees import Colour, Tree, TreeSyntaxError, make_palette, parse_tree
+from derivgraph.verify import verify
+from derivgraph.weights import weigh
+
+DEPTH = 10_000
+
+
+def deep_chain() -> tuple[str, Skeleton]:
+    """The chain f0(f1(...f9999(x)...)) as text and as built with Skeleton(...)."""
+    built = Skeleton("x")
+    for i in reversed(range(DEPTH)):
+        built = Skeleton(f"f{i}", (built,), function=True)
+    return "".join(f"f{i}(" for i in range(DEPTH)) + "x" + ")" * DEPTH, built
 
 
 class TestParse:
@@ -38,11 +53,15 @@ class TestParse:
         assert err.value.position == 6
 
     def test_nesting_limit(self):
-        deepest = parse_skeleton("f(" * MAX_NESTING + "x" + ")" * MAX_NESTING)
-        assert deepest.children[0].name == "f"
-        with pytest.raises(SkeletonSyntaxError) as err:
-            parse_skeleton("f(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1))
-        assert err.value.position == 2 * MAX_NESTING + 1
+        # There is none: a skeleton nests as deep as its text, and no walk recurses.
+        text, built = deep_chain()
+        s = parse_skeleton(text)
+        assert s is built and str(s) == text and hash(s) == hash(built)
+        assert pickle.loads(pickle.dumps(s)) is s and copy.deepcopy(s) is s
+        assert base_variables(s) == ["x"]
+        graphs = enumerate_composite(s, 1)
+        assert len(graphs) == 1 and graphs[0].tree.vertices == DEPTH + 1
+        assert verify(Regime.COMPOSITE, 1, trials=2, skeleton=s).passed
 
     def test_root_must_be_function(self):
         with pytest.raises(SkeletonSyntaxError):
@@ -51,6 +70,39 @@ class TestParse:
     def test_variable_with_children_rejected(self):
         with pytest.raises(ValueError):
             Skeleton("x", (Skeleton("y"),), function=False)
+
+    @pytest.mark.parametrize("name", ["a,b", "a b", "", "1f", "f()"])
+    def test_names_are_identifiers(self, name):
+        # F(a,b) would print text that parses back to another skeleton, and a
+        # space would print machine terms that do not parse.
+        with pytest.raises(ValueError, match="is not an identifier"):
+            Skeleton(name)
+        with pytest.raises(ValueError, match="is not an identifier"):
+            Skeleton(name, (Skeleton("x"),), function=True)
+
+
+class TestInterning:
+    def test_equal_skeletons_are_the_same_node(self):
+        s = parse_skeleton("F(f(x),f(x))")
+        assert s is Skeleton("F", (Skeleton("f", (Skeleton("x"),), True),) * 2, True)
+        assert s.children[0] is s.children[1]
+
+    def test_copies_return_the_node(self):
+        for text in ("f(g(x))", "F(f(x),f(x))", "F(c(),x,y)"):
+            s = parse_skeleton(text)
+            assert pickle.loads(pickle.dumps(s)) is s
+            assert copy.deepcopy(s) is s and copy.copy(s) is s
+
+    def test_apart_from_trees_of_the_same_colours(self):
+        s = Skeleton("f", (Skeleton("x"),), function=True)
+        t = Tree(Colour(1, "f"), (Tree(Colour(0, "x")),))
+        assert s is not t and s.children[0] is not t.children[0]
+        assert str(s) == "f(x)" and str(t) == "f{x{}}"
+        # The composite graph f{x{}} of the skeleton f(x) is a tree.
+        (graph,) = enumerate_composite(s, 1)
+        assert type(graph.tree) is Tree and graph.tree is t
+        text = render_term(weigh(graph), "machine")
+        assert parse_machine_term(text, s) == weigh(graph)
 
 
 # Malformed skeletons: (text, message, position).
@@ -68,7 +120,6 @@ MALFORMED_SKELETONS = [
     ("f(x))", "trailing input after skeleton", 4),
     ("x", "skeleton root must be a function", 0),
     ("x y", "trailing input after skeleton", 2),
-    ("f(" * (MAX_NESTING + 1) + "x", f"nesting deeper than {MAX_NESTING}", 2 * MAX_NESTING + 1),
 ]
 
 
@@ -101,9 +152,9 @@ class TestContext:
         assert {"f", "f.2"} <= set(ctx.palette)
 
     def test_evaluation_points(self):
-        ctx = composite_context(parse_skeleton("f(g(x))"))
-        assert ctx.point[ctx.palette["f"].index] == "g(x)"
-        assert ctx.point[ctx.palette["g"].index] == "x"
+        # Each function is evaluated at its undifferentiated arguments.
+        formula = render_derivative(Regime.COMPOSITE, 1, skeleton=parse_skeleton("f(g(x))"))
+        assert str(formula) == "f′(g(x))·g′(x)"
 
 
 NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
@@ -129,7 +180,7 @@ class TestParserProperties:
     @settings(max_examples=300, deadline=None)
     @given(SKELETONS)
     def test_str_round_trips(self, s):
-        assert parse_skeleton(str(s)) == s
+        assert parse_skeleton(str(s)) is s
 
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(NEAR_SYNTAX, st.text(max_size=30)))

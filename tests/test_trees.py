@@ -16,7 +16,6 @@ from derivgraph import trees
 from brute import brute_automorphism_count, brute_rooted_trees, isomorphic
 from derivgraph.enumeration import DerivativeGraph, Regime, enumerate_ode
 from derivgraph.formulas import parse_machine_term, render_term
-from derivgraph.skeletons import MAX_NESTING
 from derivgraph.trees import (
     LEAF,
     Colour,
@@ -253,8 +252,8 @@ class TestNotation:
             parse_tree("h{}", make_palette("f"))
 
     def test_nesting_limit(self):
-        # Only skeletons have a nesting limit; a tree nests as deep as its text.
-        for depth in (MAX_NESTING + 1, 2000):
+        # There is none: a tree nests as deep as its text.
+        for depth in (2000, 10_000):
             assert parse_tree("*{" * depth + "}" * depth) is chain(depth)
 
 
