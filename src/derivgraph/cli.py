@@ -9,7 +9,6 @@ arguments and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -109,6 +108,12 @@ def _emit(args: argparse.Namespace, data: str) -> None:
         sys.stdout.write(data)
 
 
+def _emit_json(args: argparse.Namespace, payload: dict) -> None:
+    import json  # only the machine style needs it: kept off start-up
+
+    _emit(args, json.dumps(payload, indent=2) + "\n")
+
+
 def _listed_graphs(args: argparse.Namespace, regime: Regime) -> list[DerivativeGraph]:
     """The graphs that ``trees`` and ``table`` list.
 
@@ -128,7 +133,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
     lines = format_trees(g.tree for g in _listed_graphs(args, regime))
     if args.style == "machine":
         payload = {"regime": regime.value, "order": args.order, "trees": lines}
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit_json(args, payload)
     else:
         _emit(args, "".join(line + "\n" for line in lines))
     return 0
@@ -154,7 +159,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.style == "machine":
         rows = [dict(zip(_COLUMNS, row)) for row in rows]
         payload = {"regime": regime.value, "order": args.order, "rows": rows}
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit_json(args, payload)
         return 0
     # Left-aligned columns two spaces apart.  The last is not padded, so no
     # line ends in a blank, and a sign (+1 or -1) is narrower than its header.
@@ -185,7 +190,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
                 for term in formula.terms
             ],
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit_json(args, payload)
     else:
         _emit(args, str(formula) + "\n")
     return 0
@@ -196,7 +201,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     skeleton = _load_skeleton(args, regime)
     report = verify(regime, args.order, args.trials, args.seed, skeleton)
     if args.style == "machine":
-        _emit(args, json.dumps(report.to_dict(), indent=2) + "\n")
+        _emit_json(args, report.to_dict())
     else:
         _emit(args, report.to_text() + "\n")
     return 0 if report.passed else 1

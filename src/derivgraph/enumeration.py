@@ -9,9 +9,9 @@ time, yields each isomorphism class once, canonical and already sorted.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from .skeletons import Skeleton, base_variables, positions
 from .trees import DEFAULT_COLOUR, Colour, Tree, fold
@@ -23,8 +23,7 @@ class Regime(str, Enum):
     ODE = "ode"
 
 
-@dataclass(frozen=True, slots=True)
-class DerivativeGraph:
+class DerivativeGraph(NamedTuple):
     """A canonical virtual graph tagged with its regime.
 
     Composite graphs carry their skeleton; vertex colours name the skeleton
@@ -44,28 +43,11 @@ class DerivativeGraph:
         return self.tree.entrances
 
 
-# The frozen __setattr__ refuses writes: fill slots as Tree.__new__ does.
-_set_tree = DerivativeGraph.tree.__set__
-_set_regime = DerivativeGraph.regime.__set__
-_set_skeleton = DerivativeGraph.skeleton.__set__
-
-
-def _graphs(trees: list[Tree], regime: Regime, skeleton: Skeleton | None) -> list[DerivativeGraph]:
-    """``DerivativeGraph(t, regime, skeleton)`` for each tree ``t``."""
-    graphs = [object.__new__(DerivativeGraph) for _ in trees]
-    for g, t in zip(graphs, trees):
-        _set_tree(g, t)
-        _set_regime(g, regime)
-        _set_skeleton(g, skeleton)
-    return graphs
-
-
 # ---------------------------------------------------------------------------
 # The generator.
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """The trees one regime enumerates; colours are indices into ``palette``.
 
     Every tree has root colour ``root``.  ``measure`` names the count a tree
@@ -232,7 +214,8 @@ def enumerate_graphs(
         raise ValueError("inverse regime needs order >= 2 (order 1 is the closed form)")
     if n < 1:
         raise ValueError("order must be >= 1")
-    return _graphs(family.trees(n), regime, skeleton)
+    # tuple.__new__ builds the record without the constructor's Python-level call.
+    return [tuple.__new__(DerivativeGraph, (t, regime, skeleton)) for t in family.trees(n)]
 
 
 def enumerate_ode(n: int) -> list[DerivativeGraph]:

@@ -9,8 +9,8 @@ canonical tree order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .enumeration import (
     DerivativeGraph,
@@ -131,16 +131,14 @@ def render_term(wg: WeightedGraph, style: str = "text") -> str:
 # Whole-derivative formulas.
 
 
-@dataclass(frozen=True)
-class FormulaTerm:
+class FormulaTerm(NamedTuple):
     sign: int
     weight: Fraction
     text: str
     graph: WeightedGraph | None = None  # None only for closed forms
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(NamedTuple):
     regime: Regime
     order: int
     style: str

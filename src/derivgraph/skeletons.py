@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .trees import Colour, Tree, fold, scan_brackets
+from .trees import Colour, Tree, scan_brackets, write_tree
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -35,11 +35,15 @@ class Skeleton(Tree):
     arity = Tree.degree
 
     def __str__(self) -> str:
-        return fold((self,), _text)[0]
+        return write_tree(self, _head, ",", _tail)
 
 
-def _text(s: Skeleton, args: list[str]) -> str:
-    return s.name + "(" + ",".join(args) + ")" if s.function else s.name
+def _head(s: Skeleton) -> str:
+    return s.name + "(" if s.function else s.name
+
+
+def _tail(s: Skeleton) -> str:
+    return ")" if s.function else ""
 
 
 class SkeletonSyntaxError(ValueError):

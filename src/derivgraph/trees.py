@@ -13,31 +13,31 @@ and structural numbers once, when it is built, from its children's
 (Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).  The
 natural order is walked, not stored: :func:`compare_trees` steps down both
 trees with an explicit stack and skips every node they share.  A tree's
-canonical form, its notation, its dict form and its formula bodies in
-:mod:`derivgraph.formulas` are bottom-up :func:`fold` results, which visit
-each shared node once.
+canonical form, its dict form, the notation of many trees and their formula
+bodies in :mod:`derivgraph.formulas` are bottom-up :func:`fold` results,
+which visit each shared node once.  The text of one tree is written in one
+linear pass by :func:`write_tree`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cmp_to_key
 from operator import attrgetter
 from typing import Callable, Iterable, TypeVar
 from weakref import ref
 
 
-@dataclass(frozen=True)
-class Colour:
-    """A rank in a totally ordered palette of vertex kinds."""
+class Colour(namedtuple("Colour", "index name")):
+    """A rank in a totally ordered palette of vertex kinds: (index, name)."""
 
-    index: int
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+    def __new__(cls, index: int, name: str):
+        if index < 0:
             raise ValueError("colour index must be non-negative")
+        return tuple.__new__(cls, (index, name))
 
 
 DEFAULT_COLOUR = Colour(0, "*")
@@ -155,7 +155,7 @@ class Tree:
         return (_rebuild, (tuple(nodes),))
 
     def __repr__(self) -> str:
-        return fold((self,), _repr)[0]
+        return write_tree(self, _repr_head, ", ", _repr_tail)
 
     @property
     def internal(self) -> int:
@@ -193,10 +193,13 @@ def _rebuild(nodes: tuple[tuple[type, Colour, tuple[int, ...]], ...]) -> Tree:
     return built[-1]
 
 
-def _repr(t: Tree, kids: list[str]) -> str:
-    # The repr of the children tuple: "()", "(a,)" or "(a, b)".
-    inner = kids[0] + "," if len(kids) == 1 else ", ".join(kids)
-    return f"{type(t).__name__}({t.colour!r}, ({inner}))"
+def _repr_head(t: Tree) -> str:
+    return f"{type(t).__name__}({t.colour!r}, ("
+
+
+def _repr_tail(t: Tree) -> str:
+    # Closes the repr of the children tuple: "()", "(a,)" or "(a, b)".
+    return ",))" if len(t.children) == 1 else "))"
 
 
 def compare_trees(a: Tree, b: Tree) -> int:
@@ -212,8 +215,8 @@ def compare_trees(a: Tree, b: Tree) -> int:
         a, b = stack.pop()
         if a is b:
             continue
-        ka = (a.colour.index, a.colour.name, len(a.children))
-        kb = (b.colour.index, b.colour.name, len(b.children))
+        ka = (a.colour, len(a.children))  # a colour compares as (index, name)
+        kb = (b.colour, len(b.children))
         if ka != kb:
             return -1 if ka < kb else 1
         stack.extend(zip(reversed(a.children), reversed(b.children)))
@@ -297,6 +300,31 @@ class TreeSyntaxError(ValueError):
         self.position = position
 
 
+def write_tree(
+    root: Tree, head: Callable[[Tree], str], sep: str, tail: Callable[[Tree], str]
+) -> str:
+    """The text of ``root``: at each node ``t``, ``head(t)``, the texts of its
+    children joined by ``sep``, then ``tail(t)``.
+
+    The pieces go to one list on an explicit stack and are joined once: the
+    time is linear in the output, and depth is unbounded.  A subtree is
+    written at each occurrence; :func:`fold` writes one shared by many trees once.
+    """
+    out: list[str] = []
+    stack: list[Tree | str] = [root]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):  # a separator or a tail
+            out.append(t)
+            continue
+        out.append(head(t))
+        stack.append(tail(t))
+        for c in reversed(t.children[1:]):
+            stack += (c, sep)
+        stack.extend(t.children[:1])
+    return "".join(out)
+
+
 def _notation(t: Tree, inner: list[str]) -> str:
     return t.colour.name + "{" + ",".join(inner) + "}"
 
@@ -307,7 +335,7 @@ def format_trees(roots: Iterable[Tree]) -> list[str]:
 
 
 def format_tree(t: Tree) -> str:
-    return fold((t,), _notation)[0]
+    return write_tree(t, lambda t: t.colour.name + "{", ",", lambda t: "}")
 
 
 def make_palette(*names: str) -> dict[str, Colour]:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
 from math import factorial, prod
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .enumeration import Regime, _Family, enumerate_graphs, family_of
 from .jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
@@ -46,16 +45,14 @@ def _exponents(arity: int, n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class TermValue:
+class TermValue(NamedTuple):
     tree: str
     sign: int
     weight: Fraction
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     trial: int
     expected: Fraction
     actual: Fraction
@@ -66,14 +63,13 @@ class Mismatch:
         return self.actual - self.expected
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     regime: Regime
     n: int
     trials: int
     seed: int
     graph_count: int
-    mismatches: tuple[Mismatch, ...] = field(default_factory=tuple)
+    mismatches: tuple[Mismatch, ...] = ()
 
     @property
     def passed(self) -> bool:

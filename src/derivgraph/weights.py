@@ -8,24 +8,17 @@ arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .enumeration import DerivativeGraph, Regime
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedGraph:
+class WeightedGraph(NamedTuple):
     graph: DerivativeGraph
     sign: int  # +1 or -1
     weight: Fraction
-
-
-# The frozen __setattr__ refuses writes: fill slots as Tree.__new__ does.
-_set_graph = WeightedGraph.graph.__set__
-_set_sign = WeightedGraph.sign.__set__
-_set_weight = WeightedGraph.weight.__set__
 
 
 def weigh(graph: DerivativeGraph) -> WeightedGraph:
@@ -37,11 +30,7 @@ def weigh(graph: DerivativeGraph) -> WeightedGraph:
     else:
         weight = Fraction(factorial(tree.entrances), tree.symmetry)
         sign = (-1) ** tree.internal if regime is Regime.INVERSE else 1
-    wg = object.__new__(WeightedGraph)
-    _set_graph(wg, graph)
-    _set_sign(wg, sign)
-    _set_weight(wg, weight)
-    return wg
+    return tuple.__new__(WeightedGraph, (graph, sign, weight))  # as in enumerate_graphs
 
 
 def totally_symmetric(graph: DerivativeGraph) -> bool:

@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import derivgraph
 from derivgraph.cli import main
 
 
@@ -326,3 +331,24 @@ def test_fuzzed_argv_never_prints_a_traceback(data):
         assert err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == "" and out.getvalue()
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_json():
+    # A fresh interpreter: the modules that importing the CLI and one
+    # text-style run add to those the interpreter started with.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import derivgraph.cli\n"
+        "assert derivgraph.cli.main(['table', '--regime', 'ode', '--order', '3']) == 0\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(derivgraph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("tree  ")
+    added = set(done.stderr.split())
+    assert "derivgraph.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}, sorted(added)

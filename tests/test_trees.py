@@ -4,7 +4,9 @@ import json
 import pickle
 import random
 import sys
+import timeit
 import weakref
+from functools import partial
 from itertools import product
 from math import factorial
 
@@ -24,6 +26,7 @@ from derivgraph.trees import (
     canonicalize,
     compare_trees,
     format_tree,
+    format_trees,
     make_palette,
     parse_tree,
     tree_from_dict,
@@ -401,6 +404,10 @@ class TestInterning:
 
 
 class TestColourIdentity:
+    def test_negative_index_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Colour(-1, "x")
+
     def test_name_breaks_a_rank_tie(self):
         a, b = Tree(Colour(0, "x")), Tree(Colour(0, "y"))
         assert a is not b
@@ -443,6 +450,43 @@ class TestInterningProperties:
     def test_compare_is_zero_iff_same_node(self, a, data):
         b = data.draw(st.sampled_from([a, canonicalize(a), *a.children, LEAF]))
         assert (compare_trees(a, b) == 0) == (a is b)
+
+
+class _Bare(Tree):
+    """A node built without ``Tree.__new__``'s counts, for chains deeper than a
+    test can afford: a real 40,000-vertex chain stores tau = k! at depth k,
+    about 1.4 GB of integers."""
+
+    __slots__ = ()
+
+    def __new__(cls, children: tuple[Tree, ...] = ()):
+        node = object.__new__(cls)
+        trees._set_colour(node, trees.DEFAULT_COLOUR)
+        trees._set_children(node, children)
+        return node
+
+
+class TestWriters:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_trees([Colour(0, "x"), Colour(0, "y"), Colour(1, "x")]))
+    def test_one_tree_writes_as_the_shared_fold(self, t):
+        assert format_tree(t) == format_trees([t])[0] == str(t)
+        assert eval(repr(t), {"Tree": Tree, "Colour": Colour}) is t
+
+    def test_writers_take_linear_time(self):
+        # Doubling the depth at most doubles the time, with room for noise.
+        t, chains = _Bare(), {}
+        for depth in range(2, 40_001):
+            t = _Bare((t,))
+            if depth in (20_000, 40_000):
+                chains[depth] = t
+        assert format_tree(chains[40_000]) == "*{" * 39_999 + "*{}" + "}" * 39_999
+        for write in (repr, format_tree):
+            # Best of 7, the two depths taken in turn so that drift hits both.
+            rounds = [[timeit.timeit(partial(write, t), number=1) for t in chains.values()]
+                      for _ in range(7)]
+            small, large = map(min, zip(*rounds))
+            assert large <= 2.5 * small, (write, small, large)
 
 
 def reference_key(t: Tree) -> tuple:

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 from fractions import Fraction
@@ -32,7 +31,7 @@ def crooked(monkeypatch):
 
     def weigh_plus_one_seventh(graph):
         wg = real(graph)
-        return dataclasses.replace(wg, weight=wg.weight + Fraction(1, 7))
+        return wg._replace(weight=wg.weight + Fraction(1, 7))
 
     monkeypatch.setattr(verify_module, "weigh", weigh_plus_one_seventh)
     return weigh_plus_one_seventh

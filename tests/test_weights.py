@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 from fractions import Fraction
 from math import comb, factorial
@@ -14,8 +13,10 @@ from derivgraph.enumeration import (
     enumerate_inverse,
     enumerate_ode,
 )
+from derivgraph.formulas import render_derivative
 from derivgraph.skeletons import parse_skeleton
-from derivgraph.trees import LEAF, Tree, make_palette
+from derivgraph.trees import Tree, make_palette
+from derivgraph.verify import Mismatch, TermValue, verify
 from derivgraph.weights import WeightedGraph, totally_asymmetric, totally_symmetric, weigh
 
 CHAIN = parse_skeleton("f(g(x))")
@@ -120,9 +121,9 @@ class TestOde:
 
 
 
-def _wrappers():
-    """(built, constructed) pairs: each wrapper as enumerate_*/weigh fill its
-    slots and as its public constructor builds it."""
+def _records():
+    """(built, made) pairs: each public record as the library builds it and
+    as its public constructor builds it from the same fields."""
     skeleton = parse_skeleton("F(f(x),g(x))")
     built = [enumerate_ode(4)[2], enumerate_inverse(4)[1], enumerate_composite(skeleton, 3)[3]]
     pairs = {}
@@ -131,25 +132,38 @@ def _wrappers():
         wg = weigh(g)
         pairs[f"graph-{g.regime.value}"] = (g, made)
         pairs[f"weighted-{g.regime.value}"] = (wg, WeightedGraph(made, wg.sign, wg.weight))
+    formula = render_derivative(Regime.INVERSE, 4)
+    term = TermValue("*{*{},*{}}", -1, Fraction(3), Fraction(-2, 3))
+    mismatch = Mismatch(2, Fraction(1), Fraction(5, 3), (term,))
+    others = {
+        "colour": make_palette("x", "f")["f"],
+        "formula-term": formula.terms[1],
+        "formula": formula,
+        "term-value": term,
+        "mismatch": mismatch,
+        "report": verify(Regime.INVERSE, 4, trials=2),
+    }
+    pairs.update((name, (r, type(r)(*r))) for name, r in others.items())
     return pairs
 
 
-WRAPPERS = _wrappers()
+RECORDS = _records()
 
 
-@pytest.mark.parametrize("name", WRAPPERS)
-def test_slotted_wrappers_keep_the_dataclass_contract(name):
-    built, made = WRAPPERS[name]
-    assert type(built) is type(made) and not hasattr(built, "__dict__")
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_keep_one_contract(name):
+    built, made = RECORDS[name]
+    cls = type(built)
+    assert type(made) is cls and not hasattr(built, "__dict__")
     assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
-    assert repr(built).startswith(type(built).__name__ + "(" + dataclasses.fields(built)[0].name)
-    for w in (built, made):
-        assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
-        assert dataclasses.replace(w) == w
-        for field in dataclasses.fields(w):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(w, field.name, getattr(w, field.name))
-    if isinstance(built, WeightedGraph):
-        assert dataclasses.replace(built, sign=-built.sign) != built
-    else:
-        assert dataclasses.replace(built, tree=LEAF) != built
+    fields = ", ".join(f"{f}={getattr(built, f)!r}" for f in cls._fields)
+    assert repr(built) == f"{cls.__name__}({fields})"
+    changed = object()
+    for r in (built, made):
+        assert copy.copy(r) == r and pickle.loads(pickle.dumps(r)) == r
+        assert r._replace() == r
+        for f in cls._fields:
+            assert getattr(r._replace(**{f: changed}), f) is changed
+            assert r._replace(**{f: changed}) != r
+            with pytest.raises(AttributeError):
+                setattr(r, f, getattr(r, f))
