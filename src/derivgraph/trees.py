@@ -39,6 +39,10 @@ class Colour(namedtuple("Colour", "index name")):
             raise ValueError("colour index must be non-negative")
         return tuple.__new__(cls, (index, name))
 
+    @classmethod
+    def _make(cls, fields) -> Colour:  # _replace builds through this: check it too
+        return cls(*fields)
+
 
 DEFAULT_COLOUR = Colour(0, "*")
 

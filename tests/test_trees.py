@@ -405,8 +405,9 @@ class TestInterning:
 
 class TestColourIdentity:
     def test_negative_index_is_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Colour(-1, "x")
+        for make in (lambda: Colour(-1, "x"), lambda: Colour(0, "x")._replace(index=-1)):
+            with pytest.raises(ValueError, match="non-negative"):
+                make()
 
     def test_name_breaks_a_rank_tie(self):
         a, b = Tree(Colour(0, "x")), Tree(Colour(0, "y"))

@@ -158,7 +158,7 @@ def test_records_keep_one_contract(name):
     assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
     fields = ", ".join(f"{f}={getattr(built, f)!r}" for f in cls._fields)
     assert repr(built) == f"{cls.__name__}({fields})"
-    changed = object()
+    changed = 2**70  # no field holds it, and it is a valid colour index
     for r in (built, made):
         assert copy.copy(r) == r and pickle.loads(pickle.dumps(r)) == r
         assert r._replace() == r
