@@ -9,6 +9,7 @@ arguments and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -163,11 +164,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return 0
     # Left-aligned columns two spaces apart.  The last is not padded, so no
     # line ends in a blank, and a sign (+1 or -1) is narrower than its header.
-    columns = list(zip(*rows)) or [()] * len(_COLUMNS)
-    widths = [max([len(h), *map(len, map(str, col))]) for h, col in zip(_COLUMNS[:3], columns)]
-    line = "{:<%d}  {:<%d}  {:<%d}  {:<%s4}  {}\n"
-    header = (line % (*widths, "")).format(*_COLUMNS)
-    _emit(args, header + "".join(map((line % (*widths, "+")).format, *columns)))
+    # S and tau are positive ints: the widest is the largest.
+    texts, symmetries, taus = list(zip(*rows))[:3] or [()] * 3
+    widths = (
+        max(len("tree"), max(map(len, texts), default=0)),
+        max(len("S"), len(str(max(symmetries, default=0)))),
+        max(len("tau"), len(str(max(taus, default=0)))),
+    )
+    header = "".join(h.ljust(w) + "  " for h, w in zip(_COLUMNS, widths)) + "sign  weight\n"
+    line = "%%-%ds  %%-%dd  %%-%dd  %%+-4d  %%s\n" % widths
+    _emit(args, header + "".join(map(line.__mod__, rows)))
     return 0
 
 
@@ -216,19 +222,29 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # The interned trees, their tuples and their weights never form a cycle,
+    # yet the cyclic collector would walk them again and again as they pile
+    # up.  So the command runs with it paused, and the caller gets back the
+    # state it had.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        _check_order(args)
-        return _COMMANDS[args.command](args)
-    except (_CliError, ValueError) as exc:
-        print(f"derivgraph: error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        # Anything else is a defect, but it still ends in one line, not a
-        # traceback; the type name says which defect.
-        detail = " ".join(str(exc).split())
-        print(f"derivgraph: error: {type(exc).__name__}: {detail}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        try:
+            _check_order(args)
+            return _COMMANDS[args.command](args)
+        except (_CliError, ValueError) as exc:
+            print(f"derivgraph: error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:
+            # Anything else is a defect, but it still ends in one line, not a
+            # traceback; the type name says which defect.
+            detail = " ".join(str(exc).split())
+            print(f"derivgraph: error: {type(exc).__name__}: {detail}", file=sys.stderr)
+            return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -208,12 +208,17 @@ def family_of(regime: Regime, skeleton: Skeleton | None) -> _Family:
 def enumerate_graphs(
     regime: Regime, n: int, skeleton: Skeleton | None = None
 ) -> list[DerivativeGraph]:
-    """All order-n derivative graphs of ``regime``, canonical, in natural order."""
+    """All order-n derivative graphs of ``regime``, canonical, in natural order.
+
+    ``skeleton`` is read in the composite regime only; other graphs carry none.
+    """
     family = family_of(regime, skeleton)
     if regime is Regime.INVERSE and n < 2:
         raise ValueError("inverse regime needs order >= 2 (order 1 is the closed form)")
     if n < 1:
         raise ValueError("order must be >= 1")
+    if regime is not Regime.COMPOSITE:
+        skeleton = None  # only composite graphs carry one
     # tuple.__new__ builds the record without the constructor's Python-level call.
     return [tuple.__new__(DerivativeGraph, (t, regime, skeleton)) for t in family.trees(n)]
 

@@ -204,14 +204,17 @@ _MACHINE = re.compile(
 def parse_machine_term(text: str, skeleton: Skeleton | None = None) -> WeightedGraph:
     """Invert :func:`render_term` for the machine style.
 
-    Composite terms need the original skeleton to resolve colour names.  The
-    graph must be one ``enumerate_graphs`` lists, with the sign and weight it has.
+    Composite terms need the original skeleton to resolve colour names;
+    other regimes ignore it, so one skeleton serves a mix of terms.  The graph
+    must be one ``enumerate_graphs`` lists, with the sign and weight it has.
     """
     m = _MACHINE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a machine-style term: {text!r}")
     regime = Regime(m.group("regime"))
     palette = {c.name: c for c in family_of(regime, skeleton).palette}
+    if regime is not Regime.COMPOSITE:
+        skeleton = None  # only composite graphs carry one
     graph = DerivativeGraph(parse_tree(m.group("tree"), palette), regime, skeleton)
     if canonicalize(graph.tree) is not graph.tree or not in_regime(graph):
         raise ValueError(f"{m.group('tree')} is not a canonical {regime.value} graph")

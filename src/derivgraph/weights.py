@@ -9,6 +9,7 @@ arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
@@ -21,14 +22,22 @@ class WeightedGraph(NamedTuple):
     weight: Fraction
 
 
+# Many trees share a weight (ode order 12: 4766 trees, 308 weights), and a
+# Fraction is immutable: each distinct weight is built and reduced once.
+_fraction = lru_cache(maxsize=4096)(Fraction)
+
+
 def weigh(graph: DerivativeGraph) -> WeightedGraph:
-    """Attach the regime weight and sign to a canonical graph."""
+    """Attach the regime weight and sign to a canonical graph.
+
+    Graphs of equal weight may share one ``Fraction`` object.
+    """
     tree, regime = graph.tree, graph.regime
     if regime is Regime.ODE:
-        weight = Fraction(factorial(tree.vertices - 1), tree.symmetry * tree.complexity)
+        weight = _fraction(factorial(tree.vertices - 1), tree.symmetry * tree.complexity)
         sign = 1
     else:
-        weight = Fraction(factorial(tree.entrances), tree.symmetry)
+        weight = _fraction(factorial(tree.entrances), tree.symmetry)
         sign = (-1) ** tree.internal if regime is Regime.INVERSE else 1
     return tuple.__new__(WeightedGraph, (graph, sign, weight))  # as in enumerate_graphs
 

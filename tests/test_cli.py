@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import derivgraph
 from derivgraph.cli import main
+from test_enumeration import SKELETONS
 
 
 @pytest.fixture
@@ -110,6 +112,44 @@ class TestTable:
         )
         rows = [line.split() for line in out.splitlines()[1:]]
         assert rows == [["f{x{},x{},x{}}", "6", "1", "+1", "1"]]
+
+
+# The tables whose text layout is checked: ode 1-9, inverse 2-8, each test skeleton at 1-4.
+TABLES = [
+    *(("ode", None, n) for n in range(1, 10)),
+    *(("inverse", None, n) for n in range(2, 9)),
+    *(("composite", sk, n) for sk in SKELETONS for n in range(1, 5)),
+]
+
+
+class TestTableLayout:
+    @pytest.mark.parametrize("regime,skeleton,order", TABLES)
+    def test_text_layout_matches_the_machine_rows(self, run, regime, skeleton, order):
+        argv = ["table", "--regime", regime, "--order", str(order)]
+        if skeleton:
+            argv += ["--skeleton", skeleton]
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        _, machine, _ = run(*argv, "--style", "machine")
+        rows = json.loads(machine)["rows"]
+        assert {r["sign"] for r in rows} <= {1, -1}  # printed +1 or -1
+        cells = [("tree", "S", "tau", "sign", "weight")]
+        cells += [
+            (r["tree"], str(r["S"]), str(r["tau"]), "%+d" % r["sign"], r["weight"]) for r in rows
+        ]
+        # Every column but the last is as wide as its widest cell or header,
+        # and columns are two spaces apart; the weight is not padded.
+        widths = [max(len(line[i]) for line in cells) for i in range(4)]
+        expected = [
+            "  ".join(c.ljust(w) for c, w in zip(line, widths)) + "  " + line[4]
+            for line in cells
+        ]
+        assert out == "".join(line + "\n" for line in expected)
+        assert not any(line.endswith(" ") for line in out.splitlines())
+
+    def test_a_table_with_no_graph_is_its_header(self, run):
+        argv = ("table", "--regime", "composite", "--skeleton", "F()", "--order", "2")
+        assert run(*argv) == (0, "tree  S  tau  sign  weight\n", "")
 
 
 class TestFormula:
@@ -294,6 +334,53 @@ class TestUnexpectedError:
         assert code == 1 and out == ""
         assert err == "derivgraph: error: RuntimeError: internal fault\n"
         assert "Traceback" not in err
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector and hands back the caller's setting."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def caller(self, request):
+        was = gc.isenabled()
+        gc.enable() if request.param else gc.disable()
+        yield request.param
+        gc.enable() if was else gc.disable()
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["trees", "--regime", "ode", "--order", "3"], 0),
+            (["trees", "--regime", "composite", "--order", "2"], 1),  # _CliError
+            (["verify", "--regime", "ode", "--order", "3", "--trials", "0"], 1),  # ValueError
+        ],
+        ids=["exit-0", "cli-error", "value-error"],
+    )
+    def test_restored_after_each_exit(self, run, caller, argv, code):
+        returned, _, err = run(*argv)
+        assert returned == code
+        assert err.startswith("derivgraph: error:") if code else err == ""
+        assert gc.isenabled() is caller
+
+    def test_restored_after_an_unexpected_exception(self, run, caller, monkeypatch):
+        import derivgraph.cli as cli
+
+        seen = []
+
+        def broken(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("fault")
+
+        monkeypatch.setitem(cli._COMMANDS, "trees", broken)
+        code, _, err = run("trees", "--regime", "ode", "--order", "3")
+        assert (code, err) == (1, "derivgraph: error: RuntimeError: fault\n")
+        assert seen == [False]  # paused while the command ran
+        assert gc.isenabled() is caller
+
+    def test_restored_after_an_argparse_exit(self, caller, capsys):
+        with pytest.raises(SystemExit):
+            main(["trees", "--regime", "ode", "--order", "three"])
+        assert "invalid int value" in capsys.readouterr().err
+        assert gc.isenabled() is caller
 
 
 # Skeleton text: a few well-formed skeletons, or anything over a small alphabet.

@@ -276,6 +276,13 @@ class TestInverse:
         assert_canonical_and_sorted(enumerate_inverse(7))
 
 
+@pytest.mark.parametrize("regime,n", [(Regime.ODE, 5), (Regime.INVERSE, 5)])
+def test_a_skeleton_is_dropped_outside_the_composite_regime(regime, n):
+    graphs = enumerate_graphs(regime, n, parse_skeleton("f(x)"))
+    assert graphs == enumerate_graphs(regime, n)
+    assert all(g.skeleton is None for g in graphs)
+
+
 def distinct_nodes(roots: list[Tree]) -> int:
     seen, stack = set(), list(roots)
     while stack:

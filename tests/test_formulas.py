@@ -122,6 +122,16 @@ class TestMachineRoundTrip:
                 wg = weigh(g)
                 assert parse_machine_term(render_term(wg, "machine"), skeleton) == wg
 
+    @pytest.mark.parametrize(
+        "regime,orders", [(Regime.ODE, range(1, 7)), (Regime.INVERSE, range(2, 7))]
+    )
+    def test_round_trip_drops_a_skeleton_outside_the_composite_regime(self, regime, orders):
+        for n in orders:
+            for g in enumerate_graphs(regime, n):
+                wg = weigh(g)
+                parsed = parse_machine_term(render_term(wg, "machine"), TWO_COLOUR)
+                assert parsed == wg and parsed.graph.skeleton is None
+
     def test_tampered_weight_is_rejected(self):
         wg = weigh(enumerate_graphs(Regime.ODE, 4, None)[2])
         text = render_term(wg, "machine").replace("(weight 3)", "(weight 4)")

@@ -110,6 +110,13 @@ class TestOde:
         total = sum((weigh(g).weight for g in enumerate_ode(n)), Fraction(0))
         assert total == factorial(n - 1)
 
+    def test_equal_weights_share_one_fraction(self):
+        # ode order 12 has 4766 trees but 308 distinct weights.
+        by_value = {}
+        for wg in map(weigh, enumerate_ode(8)):
+            assert by_value.setdefault(wg.weight, wg.weight) is wg.weight
+        assert len(by_value) < len(enumerate_ode(8))
+
     def test_single_vertex(self):
         (wg,) = [weigh(g) for g in enumerate_ode(1)]
         assert (wg.sign, wg.weight, wg.graph.tree.symmetry, wg.graph.tree.complexity) == (
