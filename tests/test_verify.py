@@ -390,3 +390,12 @@ class TestReport:
         report = verify_module.verify(Regime.COMPOSITE, 3, 3, 5, skeleton)
         golden = GOLDEN / "verify-composite-h_F_x_x_G_y_x-3-fail.json"
         assert json.dumps(report.to_dict(), indent=2) + "\n" == golden.read_text()
+
+    @pytest.mark.parametrize("regime", [Regime.INVERSE, Regime.ODE])
+    def test_failing_report_on_one_colour_matches_golden(self, monkeypatch, regime):
+        # Pins the ode and inverse draws and every term value of a failing
+        # report, in the file format above.
+        crooked(monkeypatch)
+        report = verify_module.verify(regime, 8, 3, 5)
+        golden = GOLDEN / f"verify-{regime.value}-8-fail.json"
+        assert json.dumps(report.to_dict(), indent=2) + "\n" == golden.read_text()
