@@ -14,12 +14,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
-from math import factorial, prod
-from operator import mul
+from math import factorial, lcm, prod
 from typing import Callable, NamedTuple
 
 from .enumeration import Regime, _Family, enumerate_graphs, family_of
-from .jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
+from .jets import _flow, _reverse, _scaled, compose, identity_jet
 from .skeletons import Skeleton
 from .trees import DEFAULT_COLOUR, Tree, fold, format_trees
 from .weights import weigh
@@ -91,9 +90,7 @@ class Report(NamedTuple):
             worst = max(m.terms, key=lambda tv: abs(tv.value), default=None)
             for tv in m.terms:
                 marker = "  <- max " if tv is worst else ""
-                lines.append(
-                    f"    {tv.sign:+d} {tv.weight} * {tv.tree} = {tv.value}{marker}"
-                )
+                lines.append(f"    {tv.sign:+d} {tv.weight} * {tv.tree} = {tv.value}{marker}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -110,12 +107,7 @@ class Report(NamedTuple):
                     "expected": str(m.expected),
                     "actual": str(m.actual),
                     "terms": [
-                        {
-                            "tree": tv.tree,
-                            "sign": tv.sign,
-                            "weight": str(tv.weight),
-                            "value": str(tv.value),
-                        }
+                        dict(tv._asdict(), weight=str(tv.weight), value=str(tv.value))
                         for tv in m.terms
                     ],
                 }
@@ -125,11 +117,7 @@ class Report(NamedTuple):
 
 
 def verify(
-    regime: Regime,
-    n: int,
-    trials: int = 20,
-    seed: int = 0,
-    skeleton: Skeleton | None = None,
+    regime: Regime, n: int, trials: int = 20, seed: int = 0, skeleton: Skeleton | None = None
 ) -> Report:
     """Run ``trials`` independent exact comparisons at order ``n``."""
     if trials < 1:
@@ -144,26 +132,28 @@ def verify(
     row_monomial, monomials, coefficients = _like_terms(rows)
 
     rng = random.Random(seed)
+    draw = partial(_draw_ode if regime is Regime.ODE else _draw_inverse, n)
     if regime is Regime.COMPOSITE:
         family = family_of(regime, skeleton)
-        sizes = {len(c) for c in family.children.values()}
-        draw = partial(_draw_composite, family, {m: _exponents(m, n) for m in sizes}, n)
-    elif regime is Regime.ODE:
-        draw = partial(_draw_ode, n)
-    else:
-        draw = partial(_draw_inverse, n)
+        arities = {len(c) for c in family.children.values()}
+        draw = partial(_draw_composite, family, {m: _exponents(m, n) for m in arities}, n)
 
+    # Monomial m is N_m / q^(v_m), v_m vertices; C_m = K_m / L: sum K_m N_m q^(V-v_m) / (L q^V).
+    sizes = [sum(c for _, c in m) for m in monomials]
+    top = max(sizes, default=0)
+    denominator, numerators = _scaled(coefficients)
     texts: list[str] | None = None  # only a failing report prints the trees
     mismatches: list[Mismatch] = []
     for trial in range(trials):
-        expected, factor = draw(rng)
+        expected, q, factor = draw(rng)
         values = [prod(factor(k) ** c for k, c in m) for m in monomials]
-        actual = sum(map(mul, coefficients, values), Fraction(0))
+        total = sum(c * v * q ** (top - s) for c, v, s in zip(numerators, values, sizes))
+        actual = Fraction(total, denominator * q**top)
         if actual != expected:
             if texts is None:
                 texts = ["(closed form)"] if closed_form else format_trees(t for t, _, _ in rows)
             terms = tuple(
-                TermValue(text, sign, weight, values[m])
+                TermValue(text, sign, weight, Fraction(values[m], q ** sizes[m]))
                 for text, (_, sign, weight), m in zip(texts, rows, row_monomial)
             )
             mismatches.append(Mismatch(trial, expected, actual, terms))
@@ -195,39 +185,34 @@ def _like_terms(rows: list[tuple[Tree, int, Fraction]]) -> tuple[list[int], list
     return row_monomial, [tuple(Counter(keys).items()) for keys in index], coefficients
 
 
-# One draw per trial and regime: random jets, in a fixed order, and the
-# expected derivative with a function from vertex key to factor.
+# One draw per trial and regime: random jets, in a fixed order, the expected
+# derivative, a base q and a function from vertex key to the vertex factor times q.
+Draw = tuple[Fraction, int, Callable[[tuple], int]]
 
 
-def _draw_ode(n: int, rng: random.Random) -> tuple[Fraction, Callable[[tuple], Fraction]]:
-    field_jet = Jet(_random_fraction(rng) for _ in range(n + 1))
-    y0 = _random_fraction(rng)
-    expected = jet_ode_flow(field_jet, y0, n)[n] * factorial(n)
-    derivatives = [field_jet.derivative_at_zero(k) for k in range(n + 1)]
-    # A vertex's key has one entry per child and its own: a vertex with k
-    # children carries the k-th derivative of the field.
-    return expected, lambda key: derivatives[len(key) - 1]
+def _draw_ode(n: int, rng: random.Random) -> Draw:
+    field = [_random_fraction(rng) for _ in range(n + 2)]  # the last is y0, which no term needs
+    # n vertices; one with k < n children (its key has k + 1 entries) is k! f_k = k! F_k / D.
+    d, f = _scaled(field[:n])
+    factor = [factorial(k) * c for k, c in enumerate(f)]
+    return Fraction(_flow(f, n)[n], d**n), d, lambda key: factor[len(key) - 1]
 
 
-def _draw_inverse(n: int, rng: random.Random) -> tuple[Fraction, Callable[[tuple], Fraction]]:
+def _draw_inverse(n: int, rng: random.Random) -> Draw:
     drawn = [_random_fraction(rng) for _ in range(n + 1)]
     # f(0) = 0 and f'(0) != 0, so f has an inverse g.  drawn[:2] are
     # replaced, not skipped, so each seed keeps its draws.
-    f = Jet([0, _random_fraction(rng, nonzero=True)] + drawn[2:])
-    expected = jet_reverse(f)[n] * factorial(n)
-    dg = 1 / f[1]
-    # One Dg per entrance plus one per internal vertex wedge.  Inner
-    # vertices have degree >= 2, so slot 0 is free for the leaf factor.
-    factor = [dg] + [f.derivative_at_zero(k) * dg for k in range(1, n + 1)]
-    return expected, lambda key: factor[len(key) - 1]
+    d, f = _scaled([0, _random_fraction(rng, nonzero=True)] + drawn[2:])
+    a = f[1]
+    expected = Fraction(_reverse(f)[n] * d**n * factorial(n), a ** (2 * n - 1))
+    # Over q = a: a leaf is Dg = D/a, an inner vertex k! f_k Dg = k! F_k / a.
+    factor = [d] + [factorial(k) * c for k, c in enumerate(f) if k]
+    return expected, a, lambda key: factor[len(key) - 1]
 
 
 def _draw_composite(
-    family: _Family,
-    exponents: dict[int, list[tuple[int, ...]]],
-    n: int,
-    rng: random.Random,
-) -> tuple[Fraction, Callable[[tuple], Fraction]]:
+    family: _Family, exponents: dict[int, list[tuple[int, ...]]], n: int, rng: random.Random
+) -> Draw:
     # F's Taylor coefficients c_alpha, 1 <= |alpha| <= n, per position, with
     # one exponent per slot colour: slots of one colour are one base
     # variable, so they always receive the same inner jet.
@@ -243,18 +228,19 @@ def _draw_composite(
         jets[ci] = compose(outer[ci], [jets[c] for c in classes[ci]], n)
     expected = jets[family.root][n] * factorial(n)
 
-    # D^k F[v_1..v_k] at a vertex is d^alpha F(0) = alpha! c_alpha, with
-    # alpha counting its children per slot colour; 0 if a child fits no slot.
-    factors: dict[tuple[int, ...], Fraction] = {}
+    # D^k F[v_1..v_k] is d^alpha F(0) = alpha! c_alpha, alpha counting the children per slot
+    # colour; 0 if a child fits no slot, 1 at a variable.  q: lcm of the drawn denominators.
+    q = lcm(*(c.denominator for cs in outer.values() for c in cs.values()))
+    factors: dict[tuple[int, ...], int] = {}
 
-    def vertex_factor(key: tuple[int, ...]) -> Fraction:
+    def vertex_factor(key: tuple[int, ...]) -> int:
         ci = key[0]
         if ci not in outer:
-            return Fraction(1)  # a variable
+            return q  # a variable
         if key not in factors:
             alpha = tuple(map(key[1:].count, classes[ci]))
-            fits = sum(alpha) == len(key) - 1
-            factors[key] = prod(map(factorial, alpha)) * outer[ci][alpha] if fits else Fraction(0)
+            c = outer[ci][alpha] if sum(alpha) == len(key) - 1 else 0
+            factors[key] = prod(map(factorial, alpha)) * c.numerator * (q // c.denominator)
         return factors[key]
 
-    return expected, vertex_factor
+    return expected, q, vertex_factor

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,8 @@ from derivgraph.jets import Jet, compose, identity_jet, jet_ode_flow, jet_revers
 rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9
 )
+# Wide rationals for the integer kernels: the scaled integers grow with D.
+wide = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 
 
 def jets(order: int, zero_constant: bool = False, nonzero_linear: bool = False):
@@ -104,6 +106,46 @@ class TestReverse:
             ident = identity_jet(order)
             assert jet_compose(f, g) == ident
             assert jet_compose(g, f) == ident
+
+
+class TestIntegerKernels:
+    """``jet_reverse`` and ``jet_ode_flow`` run on D·f in ints; checked on wide rationals."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_reverse_is_a_two_sided_inverse(self, data):
+        # Linear terms of either sign and any size, denominators to 10^6.
+        order = data.draw(st.integers(1, 12))
+        tail = data.draw(st.lists(wide, min_size=order - 1, max_size=order - 1))
+        f = Jet([0, data.draw(wide.filter(bool))] + tail)
+        g = jet_reverse(f)
+        ident = identity_jet(order)
+        assert jet_compose(f, g) == ident
+        assert jet_compose(g, f) == ident
+        # The integrality the kernel rests on: a^(2k-1) g_k / D^k is an integer.
+        d = lcm(*(c.denominator for c in f.coeffs))
+        a = f[1] * d
+        assert all((g[k] * a ** (2 * k - 1) / d**k).denominator == 1 for k in range(1, order + 1))
+
+    def test_reverse_with_negative_non_unit_linear_term(self):
+        f = Jet([0, Fraction(-999999, 1000000), Fraction(5, 999983), Fraction(-3, 7)])
+        g = jet_reverse(f)
+        assert jet_compose(f, g) == identity_jet(3)
+        f1, f2, f3 = f.coeffs[1:]
+        # g_2 = -f_2 / f_1^3, g_3 = (2 f_2^2 - f_1 f_3) / f_1^5
+        assert g == Jet([0, 1 / f1, -f2 / f1**3, (2 * f2**2 - f1 * f3) / f1**5])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda m: st.lists(wide, min_size=m + 1, max_size=m + 1)), wide)
+    def test_flow_matches_the_reference_flow(self, coeffs, y0):
+        # Field jets shorter than the flow order (f.order < order) and longer.
+        f = Jet(coeffs)
+        reference = reference_ode_flow(f, y0, 12)
+        for order in range(1, 13):
+            assert jet_ode_flow(f, y0, order) == Jet(reference.coeffs, order=order)
+        # k! D^k u_k is an integer, D the lcm of f_0 .. f_11's denominators.
+        d = lcm(*(c.denominator for c in f.coeffs[:12]))
+        assert all((reference[k] * factorial(k) * d**k).denominator == 1 for k in range(1, 13))
 
 
 class TestOdeFlow:

@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
@@ -11,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import integer_partitions
-from derivgraph.enumeration import Regime, composite_context, enumerate_graphs
-from derivgraph.jets import Jet, compose, identity_jet
+from derivgraph.enumeration import Regime, composite_context, enumerate_graphs, family_of
+from derivgraph.jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree, format_tree
 from derivgraph.verify import verify
 from derivgraph.weights import weigh
 
 verify_module = importlib.import_module("derivgraph.verify")
+jets_module = importlib.import_module("derivgraph.jets")
 
 CHAIN = parse_skeleton("f(g(x))")
 TWO_COLOUR = parse_skeleton("F(f(x),g(x))")
@@ -72,7 +74,62 @@ GROUPED_CASES = (
     + [(Regime.COMPOSITE, n, "F(f(x),g(x))") for n in range(1, 7)]
     + [(Regime.COMPOSITE, n, "F(x,x)") for n in range(1, 7)]
     + [(Regime.COMPOSITE, n, "F(x,y,z)") for n in range(1, 6)]
+    + [(Regime.COMPOSITE, n, "h(F(x,x),G(y,x))") for n in range(1, 5)]
+    + [(Regime.COMPOSITE, n, "F(f(x),f(x))") for n in range(1, 6)]
 )
+
+
+def draw_with_reference(regime: Regime, n: int, skeleton: str | None, seed: int):
+    """One trial's draw from ``verify``, and the Fraction vertex factor built from its draws.
+
+    The reference is the factor as rationals: k! f_k for ode, k! f_k Dg (Dg
+    at a leaf) for inverse, alpha! c_alpha, 0 or 1 for composite.  For ode
+    and inverse it also gives the expected value through the public jets.
+    """
+    drawn = []
+    real = verify_module._random_fraction
+
+    def record(rng, nonzero=False):
+        drawn.append(real(rng, nonzero))
+        return drawn[-1]
+
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_module, "_random_fraction", record)
+        if regime is Regime.COMPOSITE:
+            family = family_of(regime, parse_skeleton(skeleton))
+            arities = {len(c) for c in family.children.values()}
+            exponents = {m: verify_module._exponents(m, n) for m in arities}
+            expected, q, factor = verify_module._draw_composite(family, exponents, n, rng)
+        elif regime is Regime.ODE:
+            expected, q, factor = verify_module._draw_ode(n, rng)
+        else:
+            expected, q, factor = verify_module._draw_inverse(n, rng)
+
+    if regime is Regime.ODE:
+        field = Jet(drawn[: n + 1])
+        direct = jet_ode_flow(field, drawn[n + 1], n)[n] * factorial(n)
+        return expected, q, factor, direct, lambda key: field.derivative_at_zero(len(key) - 1)
+    if regime is Regime.INVERSE:
+        f = Jet([0, drawn[n + 1]] + drawn[2 : n + 1])
+        direct = jet_reverse(f)[n] * factorial(n)
+        dg = 1 / f[1]
+        return expected, q, factor, direct, lambda key: (
+            f.derivative_at_zero(len(key) - 1) * dg if len(key) > 1 else dg
+        )
+    values = iter(drawn)
+    classes = family.children
+    outer = {ci: {a: next(values) for a in exponents[len(c)] if any(a)} for ci, c in classes.items()}
+
+    def reference(key):
+        if key[0] not in outer:
+            return Fraction(1)
+        alpha = tuple(map(key[1:].count, classes[key[0]]))
+        if sum(alpha) != len(key) - 1:
+            return Fraction(0)
+        return prod(map(factorial, alpha)) * outer[key[0]][alpha]
+
+    return expected, q, factor, expected, reference
 
 
 class TestLikeTerms:
@@ -91,6 +148,17 @@ class TestLikeTerms:
         assert sum(c * v for c, v in zip(coefficients, values)) == sum(
             sign * weight * v for (_, sign, weight), v in zip(rows, reference)
         )
+
+        # verify's own draw: monomial m is N_m / q^(v_m), v_m its vertex
+        # count, and that is the product of the Fraction vertex factors.
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        expected, q, factor, direct, fraction_factor = draw_with_reference(regime, n, skeleton, seed)
+        assert expected == direct
+        for m in monomials:
+            size = sum(c for _, c in m)
+            assert Fraction(prod(factor(k) ** c for k, c in m), q**size) == prod(
+                fraction_factor(k) ** c for k, c in m
+            )
 
     def test_one_monomial_per_partition_of_n_minus_one(self):
         # Pins the grouping key: a coarser one merges monomials, a finer one splits them.
@@ -186,12 +254,12 @@ class TestSlotColours:
         original = verify_module._random_fraction
         verify_module._random_fraction = lambda rng: next(drawn)
         try:
-            expected, factor = verify_module._draw_composite(
+            expected, q, factor = verify_module._draw_composite(
                 family, {len(classes): exponents}, n, None
             )
         finally:
             verify_module._random_fraction = original
-        assert factor((0,) + children) == old
+        assert Fraction(factor((0,) + children), q) == old
         assert expected == compose(c, [identity_jet(n)] * len(slot_root), n)[n] * factorial(n)
 
     @pytest.mark.parametrize(
@@ -345,6 +413,30 @@ class TestReport:
             (Regime.COMPOSITE, 4, TWO_COLOUR),
         ]:
             assert verify_module.verify(regime, n, 5, 0, skeleton).passed
+
+    def test_trials_build_no_fraction_per_term(self, monkeypatch):
+        # Each trial builds its n + 2 drawn rationals (and a zero linear term's
+        # redraw now and then), the expected value and one quotient for the
+        # sum; the jets and monomials are ints.  Counted as the difference of
+        # a 40- and a 20-trial run, so the per-run grouping cancels.  With
+        # Fraction jets it was 41 a trial at order 8; here it is 12.05.
+        built = []
+
+        class Counting(Fraction):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                built.append(1)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "Fraction", Counting)
+        monkeypatch.setattr(jets_module, "Fraction", Counting)
+        n, counts = 8, []
+        for trials in (20, 40):
+            built.clear()
+            assert verify_module.verify(Regime.INVERSE, n, trials, 0).passed
+            counts.append(len(built))
+        assert counts[1] - counts[0] < 20 * (n + 5)
 
     def test_corrupted_weight_is_detected(self, monkeypatch):
         weigh = crooked(monkeypatch)
