@@ -13,8 +13,8 @@ from enum import Enum
 from functools import cache
 from typing import NamedTuple
 
-from .skeletons import Skeleton, base_variables, positions
-from .trees import DEFAULT_COLOUR, Colour, Tree, fold
+from .skeletons import Skeleton, positions
+from .trees import DEFAULT_COLOUR, Colour, Tree, compare_trees, fold
 
 
 class Regime(str, Enum):
@@ -54,6 +54,7 @@ class _Family(NamedTuple):
     is sized by, "vertices" or "entrances".  A leaf has a colour in
     ``leaves``; an inner vertex has at least ``min_degree`` children,
     coloured from ``children[colour]``, which lists each colour once.
+    ``nodes`` holds each colour's skeleton node (composite only, else empty).
     """
 
     palette: tuple[Colour, ...]
@@ -62,6 +63,7 @@ class _Family(NamedTuple):
     leaves: frozenset[int]
     min_degree: int
     measure: str
+    nodes: tuple[Skeleton, ...] = ()
 
     def trees(self, size: int) -> list[Tree]:
         """Every canonical tree with measure ``size``, in natural order."""
@@ -81,12 +83,15 @@ class _Family(NamedTuple):
         return out
 
     def keeps(self, t: Tree, kids: list[bool]) -> bool:
-        """A fold vertex: whether every vertex under ``t`` keeps the rules above."""
+        """A fold vertex: whether every vertex under ``t`` keeps the rules above,
+        its children sorted in natural order as ``trees`` builds them."""
         if not kids:
             return t.colour.index in self.leaves
         allowed = {self.palette[i] for i in self.children.get(t.colour.index, ())}
-        kinds = {c.colour for c in t.children}
-        return all(kids) and len(kids) >= self.min_degree and kinds <= allowed
+        cs = t.children
+        if not (all(kids) and len(cs) >= self.min_degree and {c.colour for c in cs} <= allowed):
+            return False
+        return all(compare_trees(a, b) <= 0 for a, b in zip(cs, cs[1:]))
 
     def _up_to(self, colour: int, size: int, memo: dict) -> list[Tree]:
         """Every canonical tree with root ``colour`` and measure at most ``size``.
@@ -150,50 +155,47 @@ _ODE = _Family((DEFAULT_COLOUR,), 0, {0: (0,)}, frozenset({0}), min_degree=1, me
 _INVERSE = _Family(_ODE.palette, 0, _ODE.children, _ODE.leaves, min_degree=2, measure="entrances")
 
 
-class CompositeContext:
-    """Colour palette and argument slots derived from a skeleton.
+@cache
+def _composite_family(skeleton: Skeleton) -> _Family:
+    """The family of a skeleton's graphs, from one preorder walk of its positions.
 
     Base variables get the lowest colour ranks in order of first appearance,
     followed by function positions in preorder, so a position's arguments
     have higher colours than the position itself.  A function name occurring
     at several positions is disambiguated with an ordinal suffix (f, f.2, ...).
-    ``family.children`` holds each position's slot colours once, in slot
-    order: x in F(x,x) is one kind of child, and F() has none, so no graph.
+    ``children`` holds each position's slot colours once, in slot order: x in
+    F(x,x) is one kind of child, and F() has none, so no graph.
     """
-
-    def __init__(self, skeleton: Skeleton):
-        if skeleton.is_variable:
-            raise ValueError("skeleton root must be a function")
-        self.palette: dict[str, Colour] = {}
-        for name in base_variables(skeleton):
-            self.palette[name] = Colour(len(self.palette), name)
-        leaves = frozenset(c.index for c in self.palette.values())
-
-        self.node_by_colour: dict[int, Skeleton] = {}
-        slots: dict[int, list[int]] = {}  # each position's argument colours, in slot order
-        colours: list[int] = []  # each position's colour, in preorder
-        name_count: dict[str, int] = {}
-        for parent, node in positions(skeleton):
-            if node.is_variable:
-                ci = self.palette[node.name].index
-            else:
-                count = name_count[node.name] = name_count.get(node.name, 0) + 1
-                label = node.name if count == 1 else f"{node.name}.{count}"
-                if label in self.palette:  # a variable has that name
-                    raise ValueError(f"{node.name!r} names both a function and a variable")
-                ci = len(self.palette)
-                self.palette[label] = Colour(ci, label)
-                self.node_by_colour[ci] = node
-                slots[ci] = []
-            colours.append(ci)
-            if parent >= 0:
-                slots[colours[parent]].append(ci)
-        children = {ci: tuple(dict.fromkeys(cs)) for ci, cs in slots.items()}  # the draw order
-        palette = tuple(self.palette.values())  # in index order
-        self.family = _Family(palette, colours[0], children, leaves, 1, "entrances")
-
-
-composite_context = cache(CompositeContext)
+    if skeleton.is_variable:
+        raise ValueError("skeleton root must be a function")
+    variables: dict[str, int] = {}  # each variable's rank, by first appearance
+    functions: list[Skeleton] = []  # each function position's node, in preorder
+    codes: list[int] = []  # each position's variable rank, or ~ its function's number
+    slots: list[list[int]] = []  # each function's argument codes, in slot order
+    for parent, node in positions(skeleton):
+        if node.is_variable:
+            code = variables.setdefault(node.name, len(variables))
+        else:
+            code = ~len(functions)
+            functions.append(node)
+            slots.append([])
+        if parent >= 0:
+            slots[~codes[parent]].append(code)
+        codes.append(code)
+    first = len(variables)  # the colour of the first function, the root
+    labels = list(variables)
+    count: dict[str, int] = {}
+    for node in functions:
+        if node.name in variables:
+            raise ValueError(f"{node.name!r} names both a function and a variable")
+        count[node.name] = count.get(node.name, 0) + 1
+        labels.append(node.name if count[node.name] == 1 else f"{node.name}.{count[node.name]}")
+    # Each function's distinct argument colours, in slot order: the draw order.
+    kinds = [tuple(c if c >= 0 else first + ~c for c in dict.fromkeys(cs)) for cs in slots]
+    palette = tuple(Colour(ci, label) for ci, label in enumerate(labels))
+    nodes = (*map(Skeleton, variables), *functions)  # a variable's node is interned
+    children = dict(enumerate(kinds, first))
+    return _Family(palette, first, children, frozenset(range(first)), 1, "entrances", nodes)
 
 
 def family_of(regime: Regime, skeleton: Skeleton | None) -> _Family:
@@ -201,7 +203,7 @@ def family_of(regime: Regime, skeleton: Skeleton | None) -> _Family:
     if regime is Regime.COMPOSITE:
         if skeleton is None:
             raise ValueError("composite regime requires a skeleton")
-        return composite_context(skeleton).family
+        return _composite_family(skeleton)
     return _ODE if regime is Regime.ODE else _INVERSE
 
 
@@ -213,10 +215,10 @@ def enumerate_graphs(
     ``skeleton`` is read in the composite regime only; other graphs carry none.
     """
     family = family_of(regime, skeleton)
-    if regime is Regime.INVERSE and n < 2:
-        raise ValueError("inverse regime needs order >= 2 (order 1 is the closed form)")
     if n < 1:
         raise ValueError("order must be >= 1")
+    if regime is Regime.INVERSE and n < 2:
+        raise ValueError("inverse regime needs order >= 2 (order 1 is the closed form)")
     if regime is not Regime.COMPOSITE:
         skeleton = None  # only composite graphs carry one
     # tuple.__new__ builds the record without the constructor's Python-level call.
@@ -242,7 +244,7 @@ def enumerate_composite(skeleton: Skeleton, n: int) -> list[DerivativeGraph]:
 
 
 def in_regime(graph: DerivativeGraph) -> bool:
-    """Whether ``enumerate_graphs`` lists ``graph`` up to child order; one fold, no enumeration."""
+    """Whether ``enumerate_graphs`` lists ``graph`` at its order; one fold, no enumeration."""
     family, tree = family_of(graph.regime, graph.skeleton), graph.tree
     if tree.is_leaf and family.min_degree > 1:
         return False  # the inverse order 1: the closed form, no graph

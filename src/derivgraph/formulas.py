@@ -12,16 +12,9 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .enumeration import (
-    DerivativeGraph,
-    Regime,
-    composite_context,
-    enumerate_graphs,
-    family_of,
-    in_regime,
-)
+from .enumeration import DerivativeGraph, Regime, enumerate_graphs, family_of, in_regime
 from .skeletons import Skeleton
-from .trees import Tree, canonicalize, fold, format_trees, parse_tree
+from .trees import Tree, fold, format_trees, parse_tree
 from .weights import WeightedGraph, weigh
 
 STYLES = ("text", "latex", "machine")
@@ -85,15 +78,15 @@ def _inverse_vertex(style: str):
 
 def _composite_vertex(style: str, skeleton: Skeleton):
     lbr, rbr, dot = _joiners(style)
-    ctx = composite_context(skeleton)
+    family = family_of(Regime.COMPOSITE, skeleton)
     # Each position's evaluation point: its undifferentiated arguments.
-    point = {ci: ",".join(map(str, node.children)) for ci, node in ctx.node_by_colour.items()}
+    point = [",".join(map(str, node.children)) for node in family.nodes]
 
     def body(t: Tree, args: list[str]) -> str:
         ci = t.colour.index
-        if ci in ctx.family.leaves:
+        if ci in family.leaves:
             return ""  # increments are implicit in the printed multilinear form
-        head = ctx.node_by_colour[ci].name + _prime(len(args), style) + "(" + point[ci] + ")"
+        head = family.nodes[ci].name + _prime(len(args), style) + "(" + point[ci] + ")"
         parts = [p for p in args if p]
         if not parts:
             return head
@@ -216,7 +209,7 @@ def parse_machine_term(text: str, skeleton: Skeleton | None = None) -> WeightedG
     if regime is not Regime.COMPOSITE:
         skeleton = None  # only composite graphs carry one
     graph = DerivativeGraph(parse_tree(m.group("tree"), palette), regime, skeleton)
-    if canonicalize(graph.tree) is not graph.tree or not in_regime(graph):
+    if not in_regime(graph):
         raise ValueError(f"{m.group('tree')} is not a canonical {regime.value} graph")
     wg = weigh(graph)
     if wg.sign != int(m.group("sign")) or wg.weight != Fraction(m.group("weight")):

@@ -165,6 +165,8 @@ def compose(outer: dict[tuple[int, ...], Rat], inners: list[Jet], order: int) ->
         powers.append([Jet(row) for row in power])
     result = Jet([0], order=order)
     for alpha, c in outer.items():
+        if len(alpha) != len(inners):
+            raise ValueError(f"multi-index {alpha} needs {len(inners)} exponents, one per inner")
         if sum(alpha) <= order:
             term = Jet([c], order=order)
             for row, e in zip(powers, alpha):

@@ -82,8 +82,3 @@ def positions(s: Skeleton) -> Iterator[tuple[int, Skeleton]]:
         yield parent, node
         stack.extend((number, c) for c in reversed(node.children))
         number += 1
-
-
-def base_variables(s: Skeleton) -> list[str]:
-    """Variable names in order of first appearance."""
-    return list(dict.fromkeys(node.name for _, node in positions(s) if node.is_variable))

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 from .enumeration import Regime, _Family, enumerate_graphs, family_of
 from .jets import _flow, _reverse, _scaled, compose, identity_jet
 from .skeletons import Skeleton
-from .trees import DEFAULT_COLOUR, Tree, fold, format_trees
+from .trees import DEFAULT_COLOUR, Tree, format_trees
 from .weights import weigh
 
 
@@ -174,11 +174,18 @@ def _like_terms(rows: list[tuple[Tree, int, Fraction]]) -> tuple[list[int], list
     pairs, and each monomial's coefficient: its rows' summed sign times weight.
     """
     index: dict[tuple, int] = {}  # a tree's sorted vertex keys -> its monomial
-    trees = (t for t, _, _ in rows)
-    row_monomial = [
-        index.setdefault(keys, len(index))
-        for keys in fold(trees, lambda t, kids: tuple(sorted(sum(kids, (_vertex_key(t),)))))
-    ]
+    key_of: dict[Tree, tuple[int, ...]] = {}  # each distinct node's _vertex_key
+    row_monomial = []
+    for tree, _, _ in rows:
+        keys, stack = [], [tree]  # every vertex, on an explicit stack: no depth limit
+        while stack:
+            t = stack.pop()
+            key = key_of.get(t)
+            if key is None:
+                key = key_of[t] = _vertex_key(t)
+            keys.append(key)
+            stack.extend(t.children)
+        row_monomial.append(index.setdefault(tuple(sorted(keys)), len(index)))
     coefficients = [Fraction(0)] * len(index)
     for m, (_, sign, weight) in zip(row_monomial, rows):
         coefficients[m] += sign * weight

@@ -15,15 +15,15 @@ from derivgraph.cli import main
 from derivgraph.enumeration import (
     DerivativeGraph,
     Regime,
-    composite_context,
     enumerate_composite,
     enumerate_graphs,
     enumerate_inverse,
     enumerate_ode,
+    family_of,
     in_regime,
 )
 from derivgraph.formulas import parse_machine_term, render_derivative
-from derivgraph.skeletons import parse_skeleton
+from derivgraph.skeletons import Skeleton, parse_skeleton
 from derivgraph.verify import verify
 from derivgraph.trees import (
     DEFAULT_COLOUR,
@@ -63,6 +63,11 @@ SKELETONS = [
 ]
 
 
+def names(skeleton):
+    """The composite palette of ``skeleton`` by name, as ``parse_tree`` takes it."""
+    return {c.name: c for c in family_of(Regime.COMPOSITE, skeleton).palette}
+
+
 def assert_canonical_and_sorted(graphs):
     """Strictly increasing in natural order: canonical, sorted, no duplicates."""
     assert all(canonicalize(g.tree) is g.tree for g in graphs)
@@ -77,7 +82,7 @@ class TestComposite:
 
     def test_order_three_faa_di_bruno_terms(self):
         graphs = enumerate_composite(CHAIN, 3)
-        pal = composite_context(CHAIN).palette
+        pal = names(CHAIN)
         expected = [
             parse_tree(s, pal)
             for s in ("f{g{x{},x{},x{}}}", "f{g{x{}},g{x{},x{}}}", "f{g{x{}},g{x{}},g{x{}}}")
@@ -86,7 +91,7 @@ class TestComposite:
 
     def test_binomial_graph_present_at_order_five(self):
         graphs = enumerate_composite(TWO_COLOUR, 5)
-        pal = composite_context(TWO_COLOUR).palette
+        pal = names(TWO_COLOUR)
         wanted = canonicalize(
             parse_tree("F{f{x{}},f{x{}},g{x{}},g{x{}},g{x{}}}", pal)
         )
@@ -150,24 +155,28 @@ class TestComposite:
         graphs = enumerate_composite(parse_skeleton("F(x,x)"), 2)
         assert [format_tree(g.tree) for g in graphs] == ["F{x{},x{}}"]
 
-    def test_context_of_an_equal_skeleton_finds_its_positions(self):
-        # composite_context is cached by skeleton value; a caller's own copy
-        # of the skeleton gets the same context.
-        ctx = composite_context(parse_skeleton("f(g(x))"))
-        assert composite_context(parse_skeleton("f(g(x))")) is ctx
-        f, g, x = (ctx.palette[name].index for name in ("f", "g", "x"))
-        assert ctx.family.root == f
-        assert ctx.node_by_colour == {f: parse_skeleton("f(g(x))"), g: parse_skeleton("g(x)")}
-        assert ctx.family.children == {f: (g,), g: (x,)}
+    def test_family_of_an_equal_skeleton_finds_its_positions(self):
+        # The family is cached by skeleton value; a caller's own copy of the
+        # skeleton gets the same family object.
+        family = family_of(Regime.COMPOSITE, parse_skeleton("f(g(x))"))
+        assert family_of(Regime.COMPOSITE, parse_skeleton("f(g(x))")) is family
+        x, f, g = range(3)
+        assert [c.name for c in family.palette] == ["x", "f", "g"]
+        assert family.root == f
+        assert family.nodes == (Skeleton("x"), *map(parse_skeleton, ("f(g(x))", "g(x)")))
+        assert family.children == {f: (g,), g: (x,)}
+
+    def test_ode_and_inverse_families_have_no_nodes(self):
+        assert family_of(Regime.ODE, None).nodes == family_of(Regime.INVERSE, None).nodes == ()
 
     def test_repeated_function_positions_are_named_by_path(self):
         # Positions are coloured in preorder: the first f is "f", the second "f.2".
-        ctx = composite_context(parse_skeleton("F(f(x),f(x))"))
-        assert [c.name for c in ctx.palette.values()] == ["x", "F", "f", "f.2"]
-        F, f, f2, x = (ctx.palette[name].index for name in ("F", "f", "f.2", "x"))
-        assert ctx.family.children == {F: (f, f2), f: (x,), f2: (x,)}
+        family = family_of(Regime.COMPOSITE, parse_skeleton("F(f(x),f(x))"))
+        assert [c.name for c in family.palette] == ["x", "F", "f", "f.2"]
+        x, F, f, f2 = range(4)
+        assert family.children == {F: (f, f2), f: (x,), f2: (x,)}
         # The same sub-skeleton sits at two positions.
-        at = [ci for ci, node in ctx.node_by_colour.items() if node == parse_skeleton("f(x)")]
+        at = [ci for ci, node in enumerate(family.nodes) if node == parse_skeleton("f(x)")]
         assert at == [f, f2]
 
 
@@ -272,6 +281,17 @@ class TestInverse:
         with pytest.raises(ValueError):
             enumerate_inverse(1)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_order_below_one_is_named_as_in_the_other_regimes(self, n):
+        # The closed-form message is for order 1 alone.
+        for call in [
+            enumerate_inverse,
+            lambda n: verify(Regime.INVERSE, n),
+            lambda n: render_derivative(Regime.INVERSE, n),
+        ]:
+            with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+                call(n)
+
     def test_no_duplicates(self):
         assert_canonical_and_sorted(enumerate_inverse(7))
 
@@ -352,7 +372,7 @@ def listing(regime: Regime, text: str | None) -> tuple[list[Colour], list[Tree]]
     if text is None:
         colours = [DEFAULT_COLOUR, Colour(0, "y"), Colour(1, "*")]
     else:
-        colours = [*composite_context(parse_skeleton(text)).palette.values(), Colour(0, "z")]
+        colours = [*family_of(Regime.COMPOSITE, parse_skeleton(text)).palette, Colour(0, "z")]
     skeleton = text and parse_skeleton(text)
     least = 2 if regime is Regime.INVERSE else 1
     listed = [g.tree for n in range(least, 7) for g in enumerate_graphs(regime, n, skeleton)]
@@ -390,10 +410,16 @@ class TestInRegime:
     @given(data=st.data())
     def test_in_regime_iff_enumerated(self, regime, text, data):
         colours, listed = listing(regime, text)
-        t = canonicalize(data.draw(candidate_trees(colours, listed)))
+        t = data.draw(candidate_trees(colours, listed))
         graph = DerivativeGraph(t, regime, text and parse_skeleton(text))
         assume(graph.order <= 6)
         assert in_regime(graph) == (t in set(listed))
+
+    def test_unsorted_children_are_not_in_the_regime(self):
+        # Every rule but the child order holds: enumerate_graphs lists *{*{},*{*{}}} only.
+        raw = parse_tree("*{*{*{}},*{}}")
+        assert not in_regime(DerivativeGraph(raw, Regime.ODE))
+        assert in_regime(DerivativeGraph(canonicalize(raw), Regime.ODE))
 
     def test_composite_without_a_skeleton_is_refused(self):
         term = "(term (regime composite) (sign 1) (weight 1) (tree f{g{x{}}}))"

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -143,6 +144,8 @@ class TestMachineRoundTrip:
         [
             # Not canonical: the stored S is 1, the canonical tree has S 2 and weight 6.
             ("(term (regime ode) (sign 1) (weight 12) (tree *{*{},*{*{}},*{}}))", None),
+            # Unsorted: *{*{},*{*{}}} is listed, with sign 1 and weight 3.
+            ("(term (regime ode) (sign 1) (weight 3) (tree *{*{*{}},*{}}))", None),
             # Inverse order 1 is the closed form; inner vertices have degree >= 2.
             ("(term (regime inverse) (sign 1) (weight 1) (tree *{}))", None),
             ("(term (regime inverse) (sign -1) (weight 1) (tree *{*{}}))", None),
@@ -152,7 +155,8 @@ class TestMachineRoundTrip:
         ],
     )
     def test_tree_outside_the_regime_is_rejected(self, text, skeleton):
-        with pytest.raises(ValueError, match="is not a canonical"):
+        regime = re.search(r"\(regime (\w+)\)", text).group(1)
+        with pytest.raises(ValueError, match=rf"^\S+ is not a canonical {regime} graph$"):
             parse_machine_term(text, skeleton)
 
     def test_unsupported_style_rejected(self):

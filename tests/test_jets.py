@@ -233,6 +233,12 @@ class TestMultivariate:
         with pytest.raises(ValueError):
             compose({(1,): 1}, [Jet([1, 1])], 1)
 
+    @pytest.mark.parametrize("outer,inners", [({(0, 2): 1}, [identity_jet(4)]), ({(1,): 1}, [])])
+    def test_rejects_a_multi_index_of_the_wrong_length(self, outer, inners):
+        # Zipping would drop the extra or missing exponents and return the constant 1.
+        with pytest.raises(ValueError, match="one per inner"):
+            compose(outer, inners, 4)
+
     def test_truncates_only_at_the_inners_a_term_uses(self):
         a, b = Jet([0, 1, 1, 1, 1]), Jet([0, 2, 1])
         # b is an argument, but no term raises it to a positive power.

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivgraph.cli import main
-from derivgraph.enumeration import Regime, composite_context, enumerate_composite
+from derivgraph.enumeration import Regime, enumerate_composite, family_of
 from derivgraph.formulas import parse_machine_term, render_derivative, render_term
 from derivgraph.skeletons import (
     Skeleton,
     SkeletonSyntaxError,
-    base_variables,
     parse_skeleton,
 )
 from derivgraph.trees import Colour, Tree, TreeSyntaxError, make_palette, parse_tree
@@ -19,6 +18,11 @@ from derivgraph.verify import verify
 from derivgraph.weights import weigh
 
 DEPTH = 10_000
+
+
+def palette_names(skeleton: Skeleton) -> list[str]:
+    """The composite palette's labels in colour order: variables first."""
+    return [c.name for c in family_of(Regime.COMPOSITE, skeleton).palette]
 
 
 def deep_chain() -> tuple[str, Skeleton]:
@@ -37,7 +41,7 @@ class TestParse:
         assert s.children[1].children[1].is_variable
 
     def test_base_variable_order(self):
-        assert base_variables(parse_skeleton("f(g(x),h(x,y))")) == ["x", "y"]
+        assert palette_names(parse_skeleton("f(g(x),h(x,y))")) == ["x", "y", "f", "g", "h"]
 
     def test_whitespace_tolerated(self):
         assert str(parse_skeleton(" f( g( x ) ) ")) == "f(g(x))"
@@ -58,7 +62,7 @@ class TestParse:
         s = parse_skeleton(text)
         assert s is built and str(s) == text and hash(s) == hash(built)
         assert pickle.loads(pickle.dumps(s)) is s and copy.deepcopy(s) is s
-        assert base_variables(s) == ["x"]
+        assert palette_names(s) == ["x"] + [f"f{i}" for i in range(DEPTH)]
         graphs = enumerate_composite(s, 1)
         assert len(graphs) == 1 and graphs[0].tree.vertices == DEPTH + 1
         assert verify(Regime.COMPOSITE, 1, trials=2, skeleton=s).passed
@@ -143,13 +147,10 @@ def test_cli_reports_skeleton_error_in_one_line(text, message, position, capsys)
 
 class TestContext:
     def test_variables_rank_before_functions(self):
-        ctx = composite_context(parse_skeleton("F(f(x),g(x))"))
-        names = sorted(ctx.palette, key=lambda n: ctx.palette[n].index)
-        assert names == ["x", "F", "f", "g"]
+        assert palette_names(parse_skeleton("F(f(x),g(x))")) == ["x", "F", "f", "g"]
 
     def test_repeated_function_names_disambiguated(self):
-        ctx = composite_context(parse_skeleton("F(f(x),f(x))"))
-        assert {"f", "f.2"} <= set(ctx.palette)
+        assert {"f", "f.2"} <= set(palette_names(parse_skeleton("F(f(x),f(x))")))
 
     def test_evaluation_points(self):
         # Each function is evaluated at its undifferentiated arguments.

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import integer_partitions
-from derivgraph.enumeration import Regime, composite_context, enumerate_graphs, family_of
+from derivgraph.enumeration import Regime, enumerate_graphs, family_of
 from derivgraph.jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree, format_tree
@@ -276,8 +276,8 @@ class TestSlotColours:
             verify_module, "_random_fraction", lambda *a: calls.append(1) or real(*a)
         )
         skeleton = parse_skeleton(text)
-        ctx = composite_context(skeleton)
-        per_trial = sum(comb(n + len(r), n) - 1 for r in ctx.family.children.values())
+        family = family_of(Regime.COMPOSITE, skeleton)
+        per_trial = sum(comb(n + len(r), n) - 1 for r in family.children.values())
         assert per_trial == draws
         assert verify_module.verify(Regime.COMPOSITE, n, 3, 0, skeleton).passed
         assert len(calls) == 3 * draws
