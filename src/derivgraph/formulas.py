@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .enumeration import DerivativeGraph, Regime, enumerate_graphs, family_of, in_regime
-from .skeletons import Skeleton
-from .trees import Tree, fold, format_trees, parse_tree
+from .skeletons import Skeleton, _skeleton_parts
+from .trees import Tree, format_trees, parse_tree, write_trees
 from .weights import WeightedGraph, weigh
 
 STYLES = ("text", "latex", "machine")
@@ -35,8 +36,7 @@ def _d_op(k: int, style: str) -> str:
 def _prime(k: int, style: str) -> str:
     if style == "latex":
         return "'" * k if k <= 3 else f"^{{({k})}}"
-    marks = {1: "′", 2: "″", 3: "‴"}
-    return marks[k] if k <= 3 else "⁽" + _sup(k) + "⁾"
+    return ("", "′", "″", "‴")[k] if k <= 3 else "⁽" + _sup(k) + "⁾"
 
 
 def _joiners(style: str) -> tuple[str, str, str]:
@@ -46,55 +46,60 @@ def _joiners(style: str) -> tuple[str, str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Per-regime term bodies (unsigned, weight-free), one fold vertex each: a
-# node's body from its children's bodies.
+# Per-regime term bodies (unsigned, weight-free): each vertex's text before
+# and after its arguments' texts, which are joined by commas.  In the ode and
+# inverse regimes they depend on the degree only.
 
 
-def _ode_vertex(style: str):
+def _ode_parts(style: str):
     lbr, rbr, dot = _joiners(style)
 
-    def body(t: Tree, args: list[str]) -> str:
-        k = len(args)
+    @cache
+    def parts(k: int) -> tuple[str, str]:
         if k == 0:
-            return "f(y)"
+            return "f(y)", ""
         if k == 1:
-            return args[0] + dot + "Df(y)"
-        return lbr + ",".join(args) + rbr + dot + _d_op(k, style) + "f(y)"
+            return "", dot + "Df(y)"
+        return lbr, rbr + dot + _d_op(k, style) + "f(y)"
 
-    return body
+    return lambda t: parts(len(t.children))
 
 
-def _inverse_vertex(style: str):
+def _inverse_parts(style: str):
     lbr, rbr, dot = _joiners(style)
 
-    def body(t: Tree, args: list[str]) -> str:
-        if not args:
-            return "Dg(y)"
-        wedge = _d_op(len(args), style) + "f(g(y))" + dot + "Dg(y)"
-        return lbr + ",".join(args) + rbr + dot + wedge
+    @cache
+    def parts(k: int) -> tuple[str, str]:
+        if not k:
+            return "Dg(y)", ""
+        return lbr, rbr + dot + _d_op(k, style) + "f(g(y))" + dot + "Dg(y)"
 
-    return body
+    return lambda t: parts(len(t.children))
 
 
-def _composite_vertex(style: str, skeleton: Skeleton):
+def _composite_parts(style: str, skeleton: Skeleton):
     lbr, rbr, dot = _joiners(style)
     family = family_of(Regime.COMPOSITE, skeleton)
-    # Each position's evaluation point: its undifferentiated arguments.
-    point = [",".join(map(str, node.children)) for node in family.nodes]
+    # Each position's evaluation point "(…)": its text minus its name, in one pass.
+    texts = write_trees(family.nodes, _skeleton_parts, ",")
+    point = [text[len(node.name) :] for node, text in zip(family.nodes, texts)]
 
-    def body(t: Tree, args: list[str]) -> str:
+    # Increments are implicit in the multilinear form: a variable prints nothing.
+    variables = {Tree(family.palette[i]) for i in family.leaves}
+
+    def printed(t: Tree) -> list[Tree]:
+        return [c for c in t.children if c not in variables]
+
+    def parts(t: Tree) -> tuple[str, str]:
         ci = t.colour.index
-        if ci in family.leaves:
-            return ""  # increments are implicit in the printed multilinear form
-        head = family.nodes[ci].name + _prime(len(args), style) + "(" + point[ci] + ")"
-        parts = [p for p in args if p]
-        if not parts:
-            return head
-        if len(args) == 1:
-            return head + dot + parts[0]
-        return lbr + ",".join(parts) + rbr + dot + head
+        head = family.nodes[ci].name + _prime(len(t.children), style) + point[ci]
+        if variables.issuperset(t.children):
+            return head, ""
+        if len(t.children) == 1:
+            return head + dot, ""
+        return lbr, rbr + dot + head
 
-    return body
+    return parts, printed
 
 
 def _term_texts(
@@ -104,13 +109,10 @@ def _term_texts(
     trees = [wg.graph.tree for wg in wgs]
     if style == "machine":
         return [_machine_term(wg, tree) for wg, tree in zip(wgs, format_trees(trees))]
-    if regime is Regime.ODE:
-        vertex = _ode_vertex(style)
-    elif regime is Regime.INVERSE:
-        vertex = _inverse_vertex(style)
-    else:
-        vertex = _composite_vertex(style, skeleton)
-    return fold(trees, vertex)
+    if regime is Regime.COMPOSITE:
+        parts, printed = _composite_parts(style, skeleton)
+        return write_trees(trees, parts, ",", printed)
+    return write_trees(trees, (_ode_parts if regime is Regime.ODE else _inverse_parts)(style), ",")
 
 
 def render_term(wg: WeightedGraph, style: str = "text") -> str:

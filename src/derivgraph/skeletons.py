@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .trees import Colour, Tree, scan_brackets, write_tree
+from .trees import Colour, Tree, scan_brackets, write_trees
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -35,15 +35,11 @@ class Skeleton(Tree):
     arity = Tree.degree
 
     def __str__(self) -> str:
-        return write_tree(self, _head, ",", _tail)
+        return write_trees((self,), _skeleton_parts, ",")[0]
 
 
-def _head(s: Skeleton) -> str:
-    return s.name + "(" if s.function else s.name
-
-
-def _tail(s: Skeleton) -> str:
-    return ")" if s.function else ""
+def _skeleton_parts(s: Skeleton) -> tuple[str, str]:
+    return (s.name + "(", ")") if s.function else (s.name, "")
 
 
 class SkeletonSyntaxError(ValueError):

@@ -13,10 +13,10 @@ and structural numbers once, when it is built, from its children's
 (Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).  The
 natural order is walked, not stored: :func:`compare_trees` steps down both
 trees with an explicit stack and skips every node they share.  A tree's
-canonical form, its dict form, the notation of many trees and their formula
-bodies in :mod:`derivgraph.formulas` are bottom-up :func:`fold` results,
-which visit each shared node once.  The text of one tree is written in one
-linear pass by :func:`write_tree`.
+canonical form and its dict form are bottom-up :func:`fold` results, which
+visit each shared node once.  Every text (the notation, ``repr``, a
+skeleton's ``str`` and the formula bodies in :mod:`derivgraph.formulas`) is
+written by :func:`write_trees`, in time linear in the output.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import re
 from collections import namedtuple
 from functools import cmp_to_key
 from operator import attrgetter
-from typing import Callable, Iterable, TypeVar
+from sys import intern
+from typing import Callable, Iterable, Sequence, TypeVar
 from weakref import ref
 
 
@@ -159,7 +160,7 @@ class Tree:
         return (_rebuild, (tuple(nodes),))
 
     def __repr__(self) -> str:
-        return write_tree(self, _repr_head, ", ", _repr_tail)
+        return write_trees((self,), _repr_parts, ", ")[0]
 
     @property
     def internal(self) -> int:
@@ -197,13 +198,9 @@ def _rebuild(nodes: tuple[tuple[type, Colour, tuple[int, ...]], ...]) -> Tree:
     return built[-1]
 
 
-def _repr_head(t: Tree) -> str:
-    return f"{type(t).__name__}({t.colour!r}, ("
-
-
-def _repr_tail(t: Tree) -> str:
-    # Closes the repr of the children tuple: "()", "(a,)" or "(a, b)".
-    return ",))" if len(t.children) == 1 else "))"
+def _repr_parts(t: Tree) -> tuple[str, str]:
+    # The tail closes the repr of the children tuple: "()", "(a,)" or "(a, b)".
+    return f"{type(t).__name__}({t.colour!r}, (", ",))" if len(t.children) == 1 else "))"
 
 
 def compare_trees(a: Tree, b: Tree) -> int:
@@ -247,41 +244,27 @@ def fold(
 
     Each distinct node under ``roots`` is visited once, however many roots
     share it: interned trees share their equal subtrees, so this is one step
-    per node of the shared DAG.  Explicit stacks replace recursion, so depth
-    is unbounded.  Nodes are dict keys, so they must be hashable; interned
-    trees hash and compare by identity.  A result is kept only until its
-    last use, and nothing outlives the call.
+    per node of the shared DAG.  An explicit stack replaces recursion, so
+    depth is unbounded.  Nodes are dict keys, so they must be hashable;
+    interned trees hash and compare by identity.  Only the roots' results
+    outlive the call.
     """
     roots = list(roots)
-    # First pass: each distinct node in post-order, and its uses as a child of
-    # a distinct node or of None, the virtual top node over the roots.
-    uses: dict[N, int] = {}
-    order: list[N] = []
-    stack = [(None, iter(roots))]
+    memo: dict[N, R] = {}
+    result = memo.__getitem__
+    # Frames: a node, its children and those not yet visited; None tops the roots.
+    stack = [(None, roots, iter(roots))]
     while stack:
-        node, kids = stack[-1]
-        for c in kids:
-            if c in uses:
-                uses[c] += 1
-            else:
-                uses[c] = 1
-                stack.append((c, iter(children(c))))
+        node, kids, pending = stack[-1]
+        for c in pending:
+            if c not in memo:
+                grandkids = children(c)
+                stack.append((c, grandkids, iter(grandkids)))
                 break
         else:
             stack.pop()
-            order.append(node)
-    order.pop()
-    # Second pass: a child's result is dropped after its last use, so a deep
-    # chain holds two results at a time, not every prefix of its output.
-    memo: dict[N, R] = {}
-    result = memo.__getitem__
-    for node in order:
-        kids = children(node)
-        memo[node] = vertex(node, list(map(result, kids)))
-        for c in kids:
-            uses[c] -= 1
-            if not uses[c]:
-                del memo[c], uses[c]
+            if stack:
+                memo[node] = vertex(node, list(map(result, kids)))
     return list(map(result, roots))
 
 
@@ -304,42 +287,60 @@ class TreeSyntaxError(ValueError):
         self.position = position
 
 
-def write_tree(
-    root: Tree, head: Callable[[Tree], str], sep: str, tail: Callable[[Tree], str]
-) -> str:
-    """The text of ``root``: at each node ``t``, ``head(t)``, the texts of its
-    children joined by ``sep``, then ``tail(t)``.
+def write_trees(
+    roots: Iterable[N],
+    parts: Callable[[N], tuple[str, str]],
+    sep: str,
+    children: Callable[[N], Sequence[N]] = attrgetter("children"),
+) -> list[str]:
+    """Each root's text: at each node, ``parts(node)[0]``, the texts of its
+    ``children`` joined by ``sep``, then ``parts(node)[1]``.
 
-    The pieces go to one list on an explicit stack and are joined once: the
-    time is linear in the output, and depth is unbounded.  A subtree is
-    written at each occurrence; :func:`fold` writes one shared by many trees once.
+    The pieces go to one list on an explicit stack: the time is linear in the
+    output and depth is unbounded.  A node met again is not walked again: the
+    span of its first text is joined once and reused; a root's, when it is done.
     """
+    roots = list(roots)
     out: list[str] = []
-    stack: list[Tree | str] = [root]
+    written: dict[N, slice | str] = {}  # each node written -> its span in out, or its text
+    # A frame is a node, an iterator over its children, its closing part and
+    # where its text starts in out; None is the virtual top over the roots.
+    stack = [(None, iter(roots), "", 0)]
     while stack:
-        t = stack.pop()
-        if isinstance(t, str):  # a separator or a tail
-            out.append(t)
-            continue
-        out.append(head(t))
-        stack.append(tail(t))
-        for c in reversed(t.children[1:]):
-            stack += (c, sep)
-        stack.extend(t.children[:1])
-    return "".join(out)
+        node, kids, tail, start = stack[-1]
+        for c in kids:
+            span = written.get(c)
+            if span is None:
+                head, end = parts(c)
+                grandkids = children(c)
+                if grandkids:
+                    stack.append((c, iter(grandkids), end, len(out)))
+                    out.append(head)
+                    break
+                span = written[c] = head + end
+            elif type(span) is slice:
+                span = written[c] = "".join(out[span])
+            out += (span, sep)
+        else:
+            stack.pop()
+            if stack:
+                out[-1] = tail  # in place of the sep after the last child
+                written[node] = slice(start, len(out)) if len(stack) > 1 else "".join(out[start:])
+                out.append(sep)
+    return list(map(written.__getitem__, roots))
 
 
-def _notation(t: Tree, inner: list[str]) -> str:
-    return t.colour.name + "{" + ",".join(inner) + "}"
+def _braces(t: Tree) -> tuple[str, str]:
+    return intern(t.colour.name + "{"), "}"  # one head string per colour, not per node
 
 
 def format_trees(roots: Iterable[Tree]) -> list[str]:
     """Each tree's notation; a subtree shared by several trees is printed once."""
-    return fold(roots, _notation)
+    return write_trees(roots, _braces, ",")
 
 
 def format_tree(t: Tree) -> str:
-    return write_tree(t, lambda t: t.colour.name + "{", ",", lambda t: "}")
+    return write_trees((t,), _braces, ",")[0]
 
 
 def make_palette(*names: str) -> dict[str, Colour]:

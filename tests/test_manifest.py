@@ -34,7 +34,11 @@ STYLES = {
 }
 
 SUBJECTS = [
-    *(("--regime", regime, "--order", str(n)) for regime in ("ode", "inverse") for n in range(-1, 9)),
+    *(
+        ("--regime", regime, "--order", str(n))
+        for regime in ("ode", "inverse")
+        for n in range(-1, 9)
+    ),
     *(
         ("--regime", "composite", "--skeleton", skeleton, "--order", str(n))
         for skeleton in SKELETONS

@@ -6,6 +6,7 @@ import random
 import sys
 import timeit
 import weakref
+from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import factorial
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derivgraph import trees
+from derivgraph import formulas, trees
 from brute import brute_automorphism_count, brute_rooted_trees, isomorphic
 from derivgraph.enumeration import DerivativeGraph, Regime, enumerate_ode
 from derivgraph.formulas import parse_machine_term, render_term
@@ -32,7 +33,7 @@ from derivgraph.trees import (
     tree_from_dict,
     tree_to_dict,
 )
-from derivgraph.weights import weigh
+from derivgraph.weights import WeightedGraph, weigh
 
 
 def chain(n: int) -> Tree:
@@ -482,12 +483,42 @@ class TestWriters:
             if depth in (20_000, 40_000):
                 chains[depth] = t
         assert format_tree(chains[40_000]) == "*{" * 39_999 + "*{}" + "}" * 39_999
-        for write in (repr, format_tree):
+
+        def format_one(t):
+            return format_trees([t])[0]
+
+        def ode_body(t):
+            wg = WeightedGraph(DerivativeGraph(t, Regime.ODE), 1, Fraction(1))
+            return formulas._term_texts([wg], Regime.ODE, None, "text")[0]
+
+        assert ode_body(chains[20_000]) == "f(y)" + "·Df(y)" * 19_999
+        for write in (repr, format_tree, format_one, ode_body):
             # Best of 7, the two depths taken in turn so that drift hits both.
             rounds = [[timeit.timeit(partial(write, t), number=1) for t in chains.values()]
                       for _ in range(7)]
             small, large = map(min, zip(*rounds))
             assert large <= 2.5 * small, (write, small, large)
+
+
+def reference_notation(t: Tree) -> str:
+    return t.colour.name + "{" + ",".join(map(reference_notation, t.children)) + "}"
+
+
+def subtrees(t: Tree) -> list[Tree]:
+    return [t, *(s for c in t.children for s in subtrees(c))]
+
+
+CLASHING = [Colour(0, "x"), Colour(0, "y"), Colour(1, "x")]  # shared ranks and names
+
+
+class TestManyTrees:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(raw_trees(CLASHING), min_size=1, max_size=6), st.data())
+    def test_notation_matches_a_reference(self, drawn, data):
+        # Later roots repeat earlier ones or their subtrees: nodes already written.
+        pool = [s for t in drawn for s in subtrees(t)]
+        roots = drawn + data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        assert format_trees(iter(roots)) == list(map(reference_notation, roots))
 
 
 def reference_key(t: Tree) -> tuple:
