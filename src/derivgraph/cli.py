@@ -1,9 +1,9 @@
 """Command-line front end: tree listings, weight tables, formulas, oracle runs.
 
-Data goes to stdout (or ``--output``); diagnostics go to stderr.  The
-``machine`` style emits JSON, with formula terms additionally carrying the
-stable parenthesized term grammar.  Output is byte-identical for identical
-arguments and seed.
+Data goes to stdout, or to ``--output`` in UTF-8; diagnostics go to stderr.
+The ``machine`` style emits JSON, with formula terms additionally carrying
+the stable parenthesized term grammar.  Output is byte-identical for
+identical arguments and seed.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def _load_skeleton(args: argparse.Namespace, regime: Regime) -> Skeleton | None:
     text = args.skeleton
     if text.startswith("@"):
         try:
-            text = Path(text[1:]).read_text().strip()
-        except OSError as exc:
+            text = Path(text[1:]).read_text(encoding="utf-8").strip()
+        except (OSError, UnicodeDecodeError) as exc:
             raise _CliError(f"cannot read skeleton file: {exc}") from exc
     try:
         return parse_skeleton(text)
@@ -102,7 +102,7 @@ def _check_order(args: argparse.Namespace) -> None:
 def _emit(args: argparse.Namespace, data: str) -> None:
     if args.output:
         try:
-            Path(args.output).write_text(data)
+            Path(args.output).write_text(data, encoding="utf-8")
         except OSError as exc:
             raise _CliError(f"cannot write output: {exc}") from exc
     else:

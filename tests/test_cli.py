@@ -287,6 +287,34 @@ class TestOutputFile:
         )
         assert code == 0 and out == "f′(g(x))·g′(x)\n"
 
+    def test_files_are_utf8_under_an_ascii_locale(self, run, tmp_path):
+        # The C locale without UTF-8 mode or coercion: the locale's encoding is ASCII.
+        src = str(Path(derivgraph.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONUTF8": "0"}
+        env["PYTHONCOERCECLOCALE"] = "0"
+
+        def cli(*argv: str) -> subprocess.CompletedProcess:
+            command = [sys.executable, "-X", "utf8=0", "-m", "derivgraph.cli", *argv]
+            return subprocess.run(command, env=env, capture_output=True)
+
+        target, skeleton, garbled = tmp_path / "f.txt", tmp_path / "s.txt", tmp_path / "bad.txt"
+        skeleton.write_text("f(g(x))\n", encoding="utf-8")
+        garbled.write_bytes(b"f(\xff)")
+        for argv in (
+            ("formula", "--regime", "ode", "--order", "3"),
+            ("formula", "--regime", "composite", "--order", "2", "--skeleton", f"@{skeleton}"),
+        ):
+            done = cli(*argv, "--output", str(target))
+            assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+            code, out, _ = run(*argv)
+            assert code == 0 and target.read_bytes() == out.encode("utf-8")
+            assert not out.isascii()
+        done = cli("trees", "--regime", "composite", "--order", "1", "--skeleton", f"@{garbled}")
+        assert done.returncode == 1 and done.stdout == b""
+        assert done.stderr.startswith(b"derivgraph: error: cannot read skeleton file: ")
+        assert done.stderr.count(b"\n") == 1
+
 
 class TestNesting:
     """Skeletons have no nesting limit: the 10,000-deep chain f0(f1(...f9999(x)...))."""
