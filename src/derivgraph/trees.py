@@ -238,7 +238,7 @@ R = TypeVar("R")
 def fold(
     roots: Iterable[N],
     vertex: Callable[[N, list[R]], R],
-    children: Callable[[N], Iterable[N]] = attrgetter("children"),
+    children: Callable[[N], Sequence[N]] = attrgetter("children"),
 ) -> list[R]:
     """``vertex(node, child_results)`` of every root, children before parents.
 
