@@ -106,7 +106,13 @@ def _emit(args: argparse.Namespace, data: str) -> None:
         except OSError as exc:
             raise _CliError(f"cannot write output: {exc}") from exc
     else:
-        sys.stdout.write(data)
+        # Flushed here, so that a reader that has gone away or a full device
+        # is reported like an unwritable file, not at the interpreter's exit.
+        try:
+            sys.stdout.write(data)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise _CliError(f"cannot write output: {exc}") from exc
 
 
 def _emit_json(args: argparse.Namespace, payload: dict) -> None:
@@ -247,5 +253,30 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The process entry: ``main`` on the command line, then exit with its code.
+
+    Both ``derivgraph`` and ``python -m derivgraph.cli`` start here.  Callers
+    in the same process call ``main``, which leaves the process as it was.
+    """
+    try:
+        code = main()
+    finally:
+        # The process is about to end, so nothing it leaves needs collecting,
+        # and frozen objects are outside the full collections that the
+        # interpreter's shutdown runs.
+        gc.freeze()
+    if sys.stdout is not None:  # None when the process started without one
+        try:
+            sys.stdout.flush()
+        except OSError:
+            import os
+
+            # ``_emit`` has reported it.  The bytes still buffered would fail
+            # again at the interpreter's final flush, with a second report.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

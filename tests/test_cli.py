@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -14,6 +15,23 @@ from hypothesis import strategies as st
 import derivgraph
 from derivgraph.cli import main
 from test_enumeration import SKELETONS
+
+
+SRC = str(Path(derivgraph.__file__).resolve().parents[1])
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This environment with ``SRC`` importable and stdout buffered as by default."""
+    env = {**os.environ, **extra}
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def cli_process(*argv: str, flags=(), stdout=subprocess.PIPE, **env: str):
+    """``python -m derivgraph.cli argv...`` in a fresh interpreter."""
+    command = [sys.executable, *flags, "-m", "derivgraph.cli", *argv]
+    return subprocess.run(command, env=child_env(**env), stdout=stdout, stderr=subprocess.PIPE)
 
 
 @pytest.fixture
@@ -289,14 +307,10 @@ class TestOutputFile:
 
     def test_files_are_utf8_under_an_ascii_locale(self, run, tmp_path):
         # The C locale without UTF-8 mode or coercion: the locale's encoding is ASCII.
-        src = str(Path(derivgraph.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONUTF8": "0"}
-        env["PYTHONCOERCECLOCALE"] = "0"
+        env = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 
         def cli(*argv: str) -> subprocess.CompletedProcess:
-            command = [sys.executable, "-X", "utf8=0", "-m", "derivgraph.cli", *argv]
-            return subprocess.run(command, env=env, capture_output=True)
+            return cli_process(*argv, flags=("-X", "utf8=0"), **env)
 
         target, skeleton, garbled = tmp_path / "f.txt", tmp_path / "s.txt", tmp_path / "bad.txt"
         skeleton.write_text("f(g(x))\n", encoding="utf-8")
@@ -384,10 +398,12 @@ class TestCollector:
         ids=["exit-0", "cli-error", "value-error"],
     )
     def test_restored_after_each_exit(self, run, caller, argv, code):
+        frozen = gc.get_freeze_count()
         returned, _, err = run(*argv)
         assert returned == code
         assert err.startswith("derivgraph: error:") if code else err == ""
         assert gc.isenabled() is caller
+        assert gc.get_freeze_count() == frozen  # only the process entry freezes
 
     def test_restored_after_an_unexpected_exception(self, run, caller, monkeypatch):
         import derivgraph.cli as cli
@@ -409,6 +425,101 @@ class TestCollector:
             main(["trees", "--regime", "ode", "--order", "three"])
         assert "invalid int value" in capsys.readouterr().err
         assert gc.isenabled() is caller
+
+
+class TestProcessEntry:
+    """``python -m derivgraph.cli`` starts at ``run``: what ``main`` prints and returns."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("trees", "--regime", "ode", "--order", "4", "--style", "machine"),
+            ("table", "--regime", "inverse", "--order", "5"),
+            ("formula", "--regime", "composite", "--skeleton", "F(f(x),g(x))", "--order", "3"),
+            ("verify", "--regime", "ode", "--order", "5", "--trials", "3", "--seed", "4"),
+            ("table", "--regime", "composite", "--order", "2"),
+        ],
+        ids=["trees", "table", "formula", "verify", "error"],
+    )
+    def test_prints_and_exits_as_main_returns(self, run, argv):
+        done = cli_process(*argv, PYTHONUTF8="1")
+        code, out, err = run(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+        assert code or out
+
+    def test_writes_the_output_file_of_main(self, run, tmp_path):
+        argv = ("formula", "--regime", "ode", "--order", "5", "--style", "latex", "--output")
+        done = cli_process(*argv, str(tmp_path / "process.tex"))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert run(*argv, str(tmp_path / "main.tex")) == (0, "", "")
+        assert (tmp_path / "process.tex").read_bytes() == (tmp_path / "main.tex").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["trees", "--regime", "ode", "--order", "3"], 0),
+            (["trees", "--regime", "composite", "--order", "2"], 1),
+            (["trees", "--regime", "ode", "--order", "three"], 2),  # argparse exits
+        ],
+        ids=["exit-0", "cli-error", "usage-error"],
+    )
+    def test_the_process_exits_frozen(self, argv, code):
+        # The interpreter's shutdown collections pass over frozen objects.
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+            f"sys.argv = ['derivgraph', *{argv!r}]\n"
+            "runpy.run_module('derivgraph.cli', run_name='__main__')\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True)
+        assert done.returncode == code, done.stderr
+        assert done.stdout == (b"" if code else b"*{*{*{}}}\n*{*{},*{}}\n")
+        name, count = done.stderr.splitlines()[-1].split()
+        assert name == b"frozen" and int(count) > 0
+
+
+class TestUnwritableStdout:
+    """A stdout that takes no more bytes is reported as an unwritable ``--output`` is."""
+
+    # Trees fit in the stdout buffer and fail at the flush; the table fails in the write.
+    ARGV = {
+        "small": ("trees", "--regime", "ode", "--order", "3"),
+        "large": ("table", "--regime", "ode", "--order", "10"),
+    }
+
+    @pytest.fixture(params=["closed-pipe", "full-device"])
+    def stdout(self, request):
+        """A file descriptor that refuses every write, and the errno it refuses with."""
+        if request.param == "full-device":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            with open("/dev/full", "wb") as full:
+                yield full.fileno(), errno.ENOSPC
+        else:
+            read, write = os.pipe()
+            os.close(read)  # the reader is gone before the writer starts
+            try:
+                yield write, errno.EPIPE
+            finally:
+                os.close(write)
+
+    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("size", sorted(ARGV))
+    def test_one_line_error(self, stdout, size, flags):
+        fd, number = stdout
+        done = cli_process(*self.ARGV[size], flags=flags, stdout=fd)
+        # One line, and no second report from the interpreter's final flush.
+        message = f"cannot write output: [Errno {number}] {os.strerror(number)}"
+        assert (done.returncode, done.stderr) == (1, f"derivgraph: error: {message}\n".encode())
+
+    def test_no_stdout_is_one_line(self):
+        # Started with file descriptor 1 closed, the interpreter has no sys.stdout.
+        command = [sys.executable, "-m", "derivgraph.cli", *self.ARGV["small"]]
+        done = subprocess.run(
+            command, env=child_env(), stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1)
+        )
+        assert done.returncode == 1 and done.stderr.startswith(b"derivgraph: error: ")
+        assert done.stderr.count(b"\n") == 1
 
 
 # Skeleton text: a few well-formed skeletons, or anything over a small alphabet.
@@ -458,10 +569,9 @@ def test_start_up_imports_no_dataclasses_inspect_or_json():
         "assert derivgraph.cli.main(['table', '--regime', 'ode', '--order', '3']) == 0\n"
         "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    src = str(Path(derivgraph.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("tree  ")
     added = set(done.stderr.split())
