@@ -9,7 +9,10 @@ identical arguments and seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
+import io
+import os
 import sys
 from pathlib import Path
 
@@ -21,51 +24,6 @@ from .verify import verify
 from .weights import weigh
 
 DEFAULT_MAX_ORDER = 10
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="derivgraph",
-        description="Virtual-graph calculus for higher derivatives of "
-        "composed, inverse and ODE-flow functions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--regime", required=True, choices=[r.value for r in Regime]
-        )
-        p.add_argument("--order", "-n", required=True, type=int)
-        p.add_argument(
-            "--skeleton",
-            help="composite-regime skeleton, inline like 'f(g(x))' or @file",
-        )
-        p.add_argument("--output", help="write data here instead of stdout")
-        p.add_argument(
-            "--max-order",
-            type=int,
-            default=DEFAULT_MAX_ORDER,
-            help=f"enumeration guard, default {DEFAULT_MAX_ORDER}",
-        )
-
-    p_trees = sub.add_parser("trees", help="list canonical trees in natural order")
-    common(p_trees)
-    p_trees.add_argument("--style", choices=["text", "machine"], default="text")
-
-    p_table = sub.add_parser("table", help="tree, S, tau, sign and weight columns")
-    common(p_table)
-    p_table.add_argument("--style", choices=["text", "machine"], default="text")
-
-    p_formula = sub.add_parser("formula", help="emit the symbolic derivative")
-    common(p_formula)
-    p_formula.add_argument("--style", choices=["text", "latex", "machine"], default="text")
-
-    p_verify = sub.add_parser("verify", help="compare graphs against the jet oracle")
-    common(p_verify)
-    p_verify.add_argument("--style", choices=["text", "machine"], default="text")
-    p_verify.add_argument("--trials", type=int, default=20)
-    p_verify.add_argument("--seed", type=int, default=0)
-    return parser
 
 
 class _CliError(Exception):
@@ -99,29 +57,9 @@ def _check_order(args: argparse.Namespace) -> None:
         )
 
 
-def _emit(args: argparse.Namespace, data: str) -> None:
-    if args.output:
-        try:
-            Path(args.output).write_text(data, encoding="utf-8")
-        except OSError as exc:
-            raise _CliError(f"cannot write output: {exc}") from exc
-    else:
-        # Flushed here, so that a reader that has gone away or a full device
-        # is reported like an unwritable file, not at the interpreter's exit.
-        try:
-            sys.stdout.write(data)
-            sys.stdout.flush()
-        except OSError as exc:
-            raise _CliError(f"cannot write output: {exc}") from exc
-
-
-def _emit_json(args: argparse.Namespace, payload: dict) -> None:
-    import json  # only the machine style needs it: kept off start-up
-
-    _emit(args, json.dumps(payload, indent=2) + "\n")
-
-
-def _listed_graphs(args: argparse.Namespace, regime: Regime) -> list[DerivativeGraph]:
+def _listed_graphs(
+    args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None
+) -> list[DerivativeGraph]:
     """The graphs that ``trees`` and ``table`` list.
 
     Inverse order 1 has no graph: its derivative is the closed form
@@ -132,18 +70,18 @@ def _listed_graphs(args: argparse.Namespace, regime: Regime) -> list[DerivativeG
             "inverse order 1 has no graph to list; "
             "`formula --regime inverse --order 1` prints its closed form"
         )
-    return enumerate_graphs(regime, args.order, _load_skeleton(args, regime))
+    return enumerate_graphs(regime, args.order, skeleton)
 
 
-def _cmd_trees(args: argparse.Namespace) -> int:
-    regime = Regime(args.regime)
-    lines = format_trees(g.tree for g in _listed_graphs(args, regime))
+# A command returns its exit code and its document: the text to write, or for
+# ``--style machine`` the object that ``main`` writes as JSON.
+
+
+def _cmd_trees(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
+    lines = format_trees(g.tree for g in _listed_graphs(args, regime, skeleton))
     if args.style == "machine":
-        payload = {"regime": regime.value, "order": args.order, "trees": lines}
-        _emit_json(args, payload)
-    else:
-        _emit(args, "".join(line + "\n" for line in lines))
-    return 0
+        return 0, {"regime": regime.value, "order": args.order, "trees": lines}
+    return 0, "".join(line + "\n" for line in lines)
 
 
 _COLUMNS = ("tree", "S", "tau", "sign", "weight")
@@ -158,16 +96,13 @@ def _table_rows(graphs: list[DerivativeGraph], regime: Regime) -> list[tuple]:
     ]
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    regime = Regime(args.regime)
+def _cmd_table(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
     # The graphs, and with them the interned trees, are released before the
     # layout: holding them through it raises the peak memory.
-    rows = _table_rows(_listed_graphs(args, regime), regime)
+    rows = _table_rows(_listed_graphs(args, regime, skeleton), regime)
     if args.style == "machine":
         rows = [dict(zip(_COLUMNS, row)) for row in rows]
-        payload = {"regime": regime.value, "order": args.order, "rows": rows}
-        _emit_json(args, payload)
-        return 0
+        return 0, {"regime": regime.value, "order": args.order, "rows": rows}
     # Left-aligned columns two spaces apart.  The last is not padded, so no
     # line ends in a blank, and a sign (+1 or -1) is narrower than its header.
     # S and tau are positive ints: the widest is the largest.
@@ -179,52 +114,99 @@ def _cmd_table(args: argparse.Namespace) -> int:
     )
     header = "".join(h.ljust(w) + "  " for h, w in zip(_COLUMNS, widths)) + "sign  weight\n"
     line = "%%-%ds  %%-%dd  %%-%dd  %%+-4d  %%s\n" % widths
-    _emit(args, header + "".join(map(line.__mod__, rows)))
-    return 0
+    return 0, header + "".join(map(line.__mod__, rows))
 
 
-def _cmd_formula(args: argparse.Namespace) -> int:
-    regime = Regime(args.regime)
-    skeleton = _load_skeleton(args, regime)
+def _cmd_formula(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
     formula = render_derivative(regime, args.order, args.style, skeleton)
-    if args.style == "machine":
-        trees = iter(format_trees(t.graph.graph.tree for t in formula.terms if t.graph))
-        payload = {
-            "regime": regime.value,
-            "order": args.order,
-            "terms": [
-                {
-                    "sign": term.sign,
-                    "weight": str(term.weight),
-                    "tree": next(trees) if term.graph else None,
-                    "machine": term.text,
-                }
-                for term in formula.terms
-            ],
-        }
-        _emit_json(args, payload)
-    else:
-        _emit(args, str(formula) + "\n")
-    return 0
+    if args.style != "machine":
+        return 0, str(formula) + "\n"
+    trees = iter(format_trees(t.graph.graph.tree for t in formula.terms if t.graph))
+    return 0, {
+        "regime": regime.value,
+        "order": args.order,
+        "terms": [
+            {
+                "sign": term.sign,
+                "weight": str(term.weight),
+                "tree": next(trees) if term.graph else None,
+                "machine": term.text,
+            }
+            for term in formula.terms
+        ],
+    }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    regime = Regime(args.regime)
-    skeleton = _load_skeleton(args, regime)
+def _cmd_verify(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
     report = verify(regime, args.order, args.trials, args.seed, skeleton)
-    if args.style == "machine":
-        _emit_json(args, report.to_dict())
-    else:
-        _emit(args, report.to_text() + "\n")
-    return 0 if report.passed else 1
+    document = report.to_dict() if args.style == "machine" else report.to_text() + "\n"
+    return 0 if report.passed else 1, document
 
 
+# Each subcommand: its command, its help line, its styles (the default first)
+# and its own integer options with their defaults.
 _COMMANDS = {
-    "trees": _cmd_trees,
-    "table": _cmd_table,
-    "formula": _cmd_formula,
-    "verify": _cmd_verify,
+    "trees": (_cmd_trees, "list canonical trees in natural order", ("text", "machine"), ()),
+    "table": (_cmd_table, "tree, S, tau, sign and weight columns", ("text", "machine"), ()),
+    "formula": (_cmd_formula, "emit the symbolic derivative", ("text", "latex", "machine"), ()),
+    "verify": (
+        _cmd_verify,
+        "compare graphs against the jet oracle",
+        ("text", "machine"),
+        (("--trials", 20), ("--seed", 0)),
+    ),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="derivgraph",
+        description="Virtual-graph calculus for higher derivatives of "
+        "composed, inverse and ODE-flow functions.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, styles, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--regime", required=True, choices=[r.value for r in Regime])
+        p.add_argument("--order", "-n", required=True, type=int)
+        p.add_argument(
+            "--skeleton",
+            help="composite-regime skeleton, inline like 'f(g(x))' or @file",
+        )
+        p.add_argument("--output", help="write data here instead of stdout")
+        p.add_argument(
+            "--max-order",
+            type=int,
+            default=DEFAULT_MAX_ORDER,
+            help=f"enumeration guard, default {DEFAULT_MAX_ORDER}",
+        )
+        p.add_argument("--style", choices=styles, default=styles[0])
+        for option, default in options:
+            p.add_argument(option, type=int, default=default)
+    return parser
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write data: to the file ``path`` in UTF-8, or to stdout, flushed.
+
+    The flush is here, so that a stdout whose reader has gone or whose device
+    is full is reported like an unwritable file.
+    """
+    try:
+        if path:
+            Path(path).write_text(text, encoding="utf-8")
+        elif sys.stdout is None:  # the process started without file descriptor 1
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise _CliError(f"cannot write output: {exc}") from exc
+
+
+def _fail(message: object) -> int:
+    print(f"derivgraph: error: {message}", file=sys.stderr)
+    return 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -238,43 +220,60 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         try:
             _check_order(args)
-            return _COMMANDS[args.command](args)
+            regime = Regime(args.regime)
+            command = _COMMANDS[args.command][0]
+            code, document = command(args, regime, _load_skeleton(args, regime))
+            if args.style == "machine":
+                import json  # only the machine style needs it: kept off start-up
+
+                document = json.dumps(document, indent=2) + "\n"
+            _write(args.output, document)
+            return code
         except (_CliError, ValueError) as exc:
-            print(f"derivgraph: error: {exc}", file=sys.stderr)
-            return 1
+            return _fail(exc)
         except Exception as exc:
             # Anything else is a defect, but it still ends in one line, not a
             # traceback; the type name says which defect.
             detail = " ".join(str(exc).split())
-            print(f"derivgraph: error: {type(exc).__name__}: {detail}", file=sys.stderr)
-            return 1
+            return _fail(f"{type(exc).__name__}: {detail}")
     finally:
         if enabled:
             gc.enable()
 
 
 def run() -> None:
-    """The process entry: ``main`` on the command line, then exit with its code.
+    """The process entry: ``main`` on the command line, then the one step after it.
 
     Both ``derivgraph`` and ``python -m derivgraph.cli`` start here.  Callers
     in the same process call ``main``, which leaves the process as it was.
     """
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # Under ``python -u`` the text layer writes to the raw file and drops
+        # the rest of a short write, so a reader that left mid-write would
+        # truncate the output unreported.  A buffered writer raises instead.
+        buffered = io.BufferedWriter(stdout.buffer)
+        sys.stdout = io.TextIOWrapper(buffered, stdout.encoding, stdout.errors, write_through=True)
     try:
         code = main()
+    except SystemExit as exc:  # argparse has printed help or a usage error
+        code = exc.code
     finally:
         # The process is about to end, so nothing it leaves needs collecting,
         # and frozen objects are outside the full collections that the
         # interpreter's shutdown runs.
         gc.freeze()
-    if sys.stdout is not None:  # None when the process started without one
-        try:
+    try:
+        if sys.stdout is not None:  # None when the process started without one
             sys.stdout.flush()
-        except OSError:
-            import os
-
-            # ``_emit`` has reported it.  The bytes still buffered would fail
-            # again at the interpreter's final flush, with a second report.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # ``main`` has flushed what it wrote, or reported why it could not:
+        # only argparse's help is still unreported here.
+        if code == 0:
+            code = _fail(f"cannot write output: {exc}")
+        # The bytes still buffered would fail again at the interpreter's
+        # final flush, with a second report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     raise SystemExit(code)
 
 

@@ -368,10 +368,10 @@ class TestUnexpectedError:
     def test_unexpected_exception_is_a_one_line_error(self, run, monkeypatch):
         import derivgraph.cli as cli
 
-        def broken(args):
+        def broken(args, regime, skeleton):
             raise RuntimeError("internal\nfault")
 
-        monkeypatch.setitem(cli._COMMANDS, "trees", broken)
+        monkeypatch.setitem(cli._COMMANDS, "trees", (broken, *cli._COMMANDS["trees"][1:]))
         code, out, err = run("trees", "--regime", "ode", "--order", "3")
         assert code == 1 and out == ""
         assert err == "derivgraph: error: RuntimeError: internal fault\n"
@@ -410,11 +410,11 @@ class TestCollector:
 
         seen = []
 
-        def broken(args):
+        def broken(args, regime, skeleton):
             seen.append(gc.isenabled())
             raise RuntimeError("fault")
 
-        monkeypatch.setitem(cli._COMMANDS, "trees", broken)
+        monkeypatch.setitem(cli._COMMANDS, "trees", (broken, *cli._COMMANDS["trees"][1:]))
         code, _, err = run("trees", "--regime", "ode", "--order", "3")
         assert (code, err) == (1, "derivgraph: error: RuntimeError: fault\n")
         assert seen == [False]  # paused while the command ran
@@ -441,8 +441,9 @@ class TestProcessEntry:
         ],
         ids=["trees", "table", "formula", "verify", "error"],
     )
-    def test_prints_and_exits_as_main_returns(self, run, argv):
-        done = cli_process(*argv, PYTHONUTF8="1")
+    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    def test_prints_and_exits_as_main_returns(self, run, argv, flags):
+        done = cli_process(*argv, flags=flags, PYTHONUTF8="1")
         code, out, err = run(*argv)
         assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
         assert code or out
@@ -478,13 +479,20 @@ class TestProcessEntry:
         assert name == b"frozen" and int(count) > 0
 
 
+def unwritable(number: int) -> str:
+    """The one stderr line for output refused with errno ``number``."""
+    return f"derivgraph: error: cannot write output: [Errno {number}] {os.strerror(number)}\n"
+
+
 class TestUnwritableStdout:
     """A stdout that takes no more bytes is reported as an unwritable ``--output`` is."""
 
     # Trees fit in the stdout buffer and fail at the flush; the table fails in the write.
+    # Argparse writes its help inside ``main`` and exits, so ``run`` reports it.
     ARGV = {
         "small": ("trees", "--regime", "ode", "--order", "3"),
         "large": ("table", "--regime", "ode", "--order", "10"),
+        "help": ("--help",),
     }
 
     @pytest.fixture(params=["closed-pipe", "full-device"])
@@ -509,17 +517,56 @@ class TestUnwritableStdout:
         fd, number = stdout
         done = cli_process(*self.ARGV[size], flags=flags, stdout=fd)
         # One line, and no second report from the interpreter's final flush.
-        message = f"cannot write output: [Errno {number}] {os.strerror(number)}"
-        assert (done.returncode, done.stderr) == (1, f"derivgraph: error: {message}\n".encode())
+        assert (done.returncode, done.stderr) == (1, unwritable(number).encode())
 
-    def test_no_stdout_is_one_line(self):
+    def test_main_reports_what_it_cannot_flush(self):
+        # In process too: ``main`` flushes what it writes, so ``run`` after it
+        # has only argparse's help left to report.
+        class Gone(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        err = io.StringIO()
+        with redirect_stdout(Gone()), redirect_stderr(err):
+            code = main(list(self.ARGV["small"]))
+        assert (code, err.getvalue()) == (1, unwritable(errno.EPIPE))
+
+    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    def test_a_usage_error_keeps_its_status(self, stdout, flags):
+        argv = ("trees", "--regime", "ode", "--order", "three")
+        done = cli_process(*argv, flags=flags, stdout=stdout[0])
+        assert done.returncode == 2
+        assert done.stderr.endswith(b"invalid int value: 'three'\n")
+        assert b"cannot write output" not in done.stderr
+
+    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    def test_a_reader_that_leaves_mid_write(self, flags):
+        # The ode-12 table (375,824 bytes) is larger than a pipe's buffer, so
+        # the child is still writing when its reader leaves after 100 bytes.
+        argv = ("table", "--regime", "ode", "--order", "12", "--max-order", "12")
+        command = [sys.executable, *flags, "-m", "derivgraph.cli", *argv]
+        read, write = os.pipe()
+        child = subprocess.Popen(command, env=child_env(), stdout=write, stderr=subprocess.PIPE)
+        os.close(write)
+        with open(read, "rb") as reader:
+            assert len(reader.read(100)) == 100
+        _, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (1, unwritable(errno.EPIPE).encode())
+
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "output-file"])
+    def test_no_stdout_is_one_line(self, tmp_path, output):
         # Started with file descriptor 1 closed, the interpreter has no sys.stdout.
-        command = [sys.executable, "-m", "derivgraph.cli", *self.ARGV["small"]]
+        file = tmp_path / "trees.txt"
+        argv = [*self.ARGV["small"], *(["--output", str(file)] if output else [])]
+        command = [sys.executable, "-m", "derivgraph.cli", *argv]
         done = subprocess.run(
             command, env=child_env(), stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1)
         )
-        assert done.returncode == 1 and done.stderr.startswith(b"derivgraph: error: ")
-        assert done.stderr.count(b"\n") == 1
+        if output:  # only data for stdout needs one
+            assert (done.returncode, done.stderr) == (0, b"")
+            assert file.read_text(encoding="utf-8") == "*{*{*{}}}\n*{*{},*{}}\n"
+        else:
+            assert (done.returncode, done.stderr) == (1, unwritable(errno.EBADF).encode())
 
 
 # Skeleton text: a few well-formed skeletons, or anything over a small alphabet.
