@@ -291,6 +291,22 @@ class TestOutputFile:
         assert err.startswith("derivgraph: error: cannot write output:")
         assert err.count("\n") == 1
 
+    def test_file_errors_are_the_whole_line(self, run, tmp_path):
+        missing = tmp_path / "missing"
+        skeleton, target = str(missing / "skeleton.txt"), str(missing / "trees.txt")
+        reason = "[Errno 2] No such file or directory"
+        argv = ("trees", "--order", "3", "--regime")
+        assert run(*argv, "composite", "--skeleton", f"@{skeleton}") == (
+            1,
+            "",
+            f"derivgraph: error: cannot read skeleton file: {reason}: {skeleton!r}\n",
+        )
+        assert run(*argv, "ode", "--output", target) == (
+            1,
+            "",
+            f"derivgraph: error: cannot write output: {reason}: {target!r}\n",
+        )
+
     def test_skeleton_from_file(self, run, tmp_path):
         sk = tmp_path / "skeleton.txt"
         sk.write_text("f(g(x))\n")
