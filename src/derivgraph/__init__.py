@@ -5,93 +5,59 @@ composed functions, inverse functions and ODE flows.  The package
 enumerates them, assigns exact signs and rational weights, renders the
 symbolic formulas, and cross-checks everything against truncated power
 series with exact rational coefficients.
+
+A public name imports its submodule when it is first used (PEP 562), so a
+process loads only the modules it runs.
 """
 
-from .enumeration import (
-    DerivativeGraph,
-    Regime,
-    enumerate_composite,
-    enumerate_graphs,
-    enumerate_inverse,
-    enumerate_ode,
-)
-from .formulas import (
-    Formula,
-    FormulaTerm,
-    parse_machine_term,
-    render_derivative,
-    render_term,
-)
-from .jets import (
-    Jet,
-    compose,
-    identity_jet,
-    jet_ode_flow,
-    jet_reverse,
-)
-from .skeletons import Skeleton, SkeletonSyntaxError, parse_skeleton
-from .trees import (
-    Colour,
-    DEFAULT_COLOUR,
-    LEAF,
-    Tree,
-    TreeSyntaxError,
-    canonicalize,
-    compare_trees,
-    format_tree,
-    format_trees,
-    make_palette,
-    parse_tree,
-    tree_from_dict,
-    tree_to_dict,
-)
-from .verify import Report, verify
-from .weights import (
-    WeightedGraph,
-    totally_asymmetric,
-    totally_symmetric,
-    weigh,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Colour",
-    "DEFAULT_COLOUR",
-    "DerivativeGraph",
-    "Formula",
-    "FormulaTerm",
-    "Jet",
-    "LEAF",
-    "Regime",
-    "Report",
-    "Skeleton",
-    "SkeletonSyntaxError",
-    "Tree",
-    "TreeSyntaxError",
-    "WeightedGraph",
-    "canonicalize",
-    "compare_trees",
-    "compose",
-    "enumerate_composite",
-    "enumerate_graphs",
-    "enumerate_inverse",
-    "enumerate_ode",
-    "format_tree",
-    "format_trees",
-    "identity_jet",
-    "jet_ode_flow",
-    "jet_reverse",
-    "make_palette",
-    "parse_machine_term",
-    "parse_skeleton",
-    "parse_tree",
-    "render_derivative",
-    "render_term",
-    "totally_asymmetric",
-    "totally_symmetric",
-    "tree_from_dict",
-    "tree_to_dict",
-    "verify",
-    "weigh",
-]
+# Each public name and the submodule that defines it.
+_MODULES = {
+    name: module
+    for module, names in {
+        "enumeration": "DerivativeGraph Regime enumerate_composite enumerate_graphs "
+        "enumerate_inverse enumerate_ode",
+        "formulas": "Formula FormulaTerm parse_machine_term render_derivative render_term",
+        "jets": "Jet compose identity_jet jet_ode_flow jet_reverse",
+        "skeletons": "Skeleton SkeletonSyntaxError parse_skeleton",
+        "trees": "Colour DEFAULT_COLOUR LEAF Tree TreeSyntaxError canonicalize compare_trees "
+        "format_tree format_trees make_palette parse_tree tree_from_dict tree_to_dict",
+        "verify": "Report verify",
+        "weights": "WeightedGraph totally_asymmetric totally_symmetric weigh",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_MODULES)
+
+
+def __getattr__(name: str):
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULES.keys())
+
+
+class _Package(ModuleType):
+    """The package module, whose name ``verify`` is always the function.
+
+    Importing a submodule binds it on its package under its own name, which
+    for ``derivgraph.verify`` would hide the function of that name.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name != "verify" or not isinstance(value, ModuleType):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

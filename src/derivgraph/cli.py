@@ -14,13 +14,10 @@ import gc
 import io
 import os
 import sys
-from pathlib import Path
 
 from .enumeration import DerivativeGraph, Regime, enumerate_graphs
-from .formulas import render_derivative
 from .skeletons import Skeleton, SkeletonSyntaxError, parse_skeleton
 from .trees import format_trees
-from .verify import verify
 from .weights import weigh
 
 DEFAULT_MAX_ORDER = 10
@@ -38,7 +35,8 @@ def _load_skeleton(args: argparse.Namespace, regime: Regime) -> Skeleton | None:
     text = args.skeleton
     if text.startswith("@"):
         try:
-            text = Path(text[1:]).read_text(encoding="utf-8").strip()
+            with open(text[1:], encoding="utf-8") as file:
+                text = file.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
             raise _CliError(f"cannot read skeleton file: {exc}") from exc
     try:
@@ -74,7 +72,9 @@ def _listed_graphs(
 
 
 # A command returns its exit code and its document: the text to write, or for
-# ``--style machine`` the object that ``main`` writes as JSON.
+# ``--style machine`` the object that ``main`` writes as JSON.  ``formula`` and
+# ``verify`` import their modules when they run, so the other commands start
+# without them.
 
 
 def _cmd_trees(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
@@ -118,6 +118,8 @@ def _cmd_table(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | No
 
 
 def _cmd_formula(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
+    from .formulas import render_derivative
+
     formula = render_derivative(regime, args.order, args.style, skeleton)
     if args.style != "machine":
         return 0, str(formula) + "\n"
@@ -138,6 +140,8 @@ def _cmd_formula(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | 
 
 
 def _cmd_verify(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
+    from .verify import verify
+
     report = verify(regime, args.order, args.trials, args.seed, skeleton)
     document = report.to_dict() if args.style == "machine" else report.to_text() + "\n"
     return 0 if report.passed else 1, document
@@ -194,7 +198,8 @@ def _write(path: str | None, text: str) -> None:
     """
     try:
         if path:
-            Path(path).write_text(text, encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as file:
+                file.write(text)
         elif sys.stdout is None:  # the process started without file descriptor 1
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:

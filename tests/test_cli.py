@@ -640,3 +640,63 @@ def test_start_up_imports_no_dataclasses_inspect_or_json():
     added = set(done.stderr.split())
     assert "derivgraph.cli" in added
     assert not added & {"dataclasses", "inspect", "json"}, sorted(added)
+
+
+@pytest.mark.parametrize(
+    "command, own",
+    [
+        ("trees", set()),
+        ("table", set()),
+        ("formula", {"formulas"}),
+        ("verify", {"verify", "jets"}),
+    ],
+)
+def test_each_subcommand_imports_only_its_modules(command, own):
+    # ``-X importtime`` names on stderr every module the child imports after
+    # the interpreter has started.
+    done = cli_process(command, "--regime", "ode", "--order", "3", flags=("-X", "importtime"))
+    assert done.returncode == 0 and done.stdout, done.stderr
+    lines = done.stderr.decode().splitlines()
+    added = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    shared = {"enumeration", "skeletons", "trees", "weights"}
+    assert {m for m in added if m.startswith("derivgraph")} == {
+        "derivgraph",
+        *(f"derivgraph.{m}" for m in shared | own),
+    }
+
+
+def test_package_names_resolve_on_first_use():
+    assert set(derivgraph.__all__) <= set(dir(derivgraph))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        derivgraph.no_such_name
+    assert not hasattr(derivgraph, "no_such_name")
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "",
+        "import derivgraph.verify",
+        "importlib.import_module('derivgraph.verify')",
+        "derivgraph.cli.main(['verify', '--regime', 'ode', '--order', '3'])",
+        "from derivgraph import *",
+    ],
+)
+def test_verify_is_the_function_in_every_import_order(first):
+    # The submodule ``derivgraph.verify`` shares its name with the function;
+    # importing it, before or after the name is read, must not hide the function.
+    script = (
+        "import importlib, types\n"
+        "import derivgraph, derivgraph.cli\n"
+        f"{first}\n"
+        "from derivgraph import verify\n"
+        "assert isinstance(verify, types.FunctionType), verify\n"
+        "assert verify.__module__ == 'derivgraph.verify' and derivgraph.verify is verify\n"
+        "import derivgraph.verify\n"
+        "assert derivgraph.verify is verify, derivgraph.verify\n"
+        "assert importlib.import_module('derivgraph.verify').verify is verify\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=child_env(), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
