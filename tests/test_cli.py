@@ -665,7 +665,7 @@ def test_each_subcommand_imports_only_its_modules(command, own):
     }
 
 
-def test_package_names_resolve_on_first_use():
+def test_dir_lists_the_public_names_and_unknown_names_raise():
     assert set(derivgraph.__all__) <= set(dir(derivgraph))
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         derivgraph.no_such_name
