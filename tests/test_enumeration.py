@@ -76,6 +76,14 @@ def assert_canonical_and_sorted(graphs):
 
 
 class TestComposite:
+    def test_variable_root_is_rejected_by_the_family(self):
+        # Skeleton("x") never meets the parser, whose error carries a position.
+        with pytest.raises(ValueError) as err:
+            enumerate_composite(Skeleton("x"), 1)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "skeleton root must be a function"
+        assert err.traceback[-1].name == "_composite_family"
+
     def test_first_derivative_is_the_chain_rule(self):
         graphs = enumerate_composite(CHAIN, 1)
         assert [format_tree(g.tree) for g in graphs] == ["f{g{x{}}}"]

@@ -3,13 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from derivgraph.enumeration import Regime, enumerate_graphs
+from derivgraph.enumeration import DerivativeGraph, Regime, enumerate_graphs
 from derivgraph.formulas import (
     parse_machine_term,
     render_derivative,
     render_term,
 )
 from derivgraph.skeletons import parse_skeleton
+from derivgraph.trees import LEAF, Tree
 from derivgraph.weights import weigh
 
 CHAIN = parse_skeleton("f(g(x))")
@@ -54,6 +55,17 @@ class TestInverseText:
         assert str(render_derivative(Regime.INVERSE, 3)) == (
             "3⟨Dg(y),⟨Dg(y),Dg(y)⟩·D²f(g(y))·Dg(y)⟩·D²f(g(y))·Dg(y)"
             " - ⟨Dg(y),Dg(y),Dg(y)⟩·D³f(g(y))·Dg(y)"
+        )
+
+    def test_hand_built_unary_vertex(self):
+        # Not an inverse graph (inner vertices have degree >= 2), but render_term
+        # takes it, and a degree-1 vertex prints a first derivative Df.
+        graph = DerivativeGraph(Tree(children=(Tree(children=(LEAF, LEAF)),)), Regime.INVERSE)
+        wg = weigh(graph)
+        assert render_term(wg) == "⟨⟨Dg(y),Dg(y)⟩·D²f(g(y))·Dg(y)⟩·Df(g(y))·Dg(y)"
+        assert render_term(wg, "latex") == (
+            r"\langle \langle Dg(y),Dg(y)\rangle \cdot D^{2}f(g(y))\cdot Dg(y)\rangle "
+            r"\cdot Df(g(y))\cdot Dg(y)"
         )
 
 
@@ -163,3 +175,23 @@ class TestMachineRoundTrip:
         wg = weigh(enumerate_graphs(Regime.ODE, 2, None)[0])
         with pytest.raises(ValueError):
             render_term(wg, "html")
+
+    def test_text_outside_the_grammar_is_rejected(self):
+        with pytest.raises(ValueError) as err:
+            parse_machine_term("x")
+        assert str(err.value) == "not a machine-style term: 'x'"
+
+
+class TestRenderDerivative:
+    # Inverse order 1 is the closed form: the style is checked before it.
+    @pytest.mark.parametrize("regime,n", [(Regime.ODE, 3), (Regime.INVERSE, 1)])
+    def test_unsupported_style_rejected(self, regime, n):
+        with pytest.raises(ValueError) as err:
+            render_derivative(regime, n, "bogus")
+        assert str(err.value) == "unsupported style 'bogus'"
+
+    def test_machine_formula_is_one_term_a_line(self):
+        assert str(render_derivative(Regime.ODE, 3, "machine")) == (
+            "(term (regime ode) (sign 1) (weight 1) (tree *{*{*{}}}))\n"
+            "(term (regime ode) (sign 1) (weight 1) (tree *{*{},*{}}))"
+        )

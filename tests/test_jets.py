@@ -83,6 +83,11 @@ class TestReverse:
         with pytest.raises(ValueError):
             jet_reverse(Jet([0, 0, 1]))
 
+    def test_rejects_a_nonzero_constant_term(self):
+        with pytest.raises(ValueError) as err:
+            jet_reverse(Jet([1, 1]))
+        assert str(err.value) == "series must have zero constant term"
+
     def test_catalan_numbers(self):
         # x - x^2 reverses to sum_k C_{k-1} x^k.
         g = jet_reverse(Jet([0, 1, -1], order=12))
@@ -189,6 +194,14 @@ class TestArithmetic:
     def test_derivative_at_zero(self):
         j = Jet([5, 4, 3, 2])
         assert j.derivative_at_zero(3) == 12
+
+    def test_empty_jet_is_rejected(self):
+        with pytest.raises(ValueError) as err:
+            Jet([])
+        assert str(err.value) == "a jet needs at least the constant coefficient"
+
+    def test_repr_prints_exact_coefficients(self):
+        assert repr(Jet([0, Fraction(1, 2)])) == "Jet(['0', '1/2'])"
 
 
 class TestBivariate:
