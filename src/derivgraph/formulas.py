@@ -51,28 +51,22 @@ def _joiners(style: str) -> tuple[str, str, str]:
 # inverse regimes they depend on the degree only.
 
 
-def _ode_parts(style: str):
+def _degree_parts(regime: Regime, style: str):
     lbr, rbr, dot = _joiners(style)
-
-    @cache
-    def parts(k: int) -> tuple[str, str]:
-        if k == 0:
-            return "f(y)", ""
-        if k == 1:
-            return "", dot + "Df(y)"
-        return lbr, rbr + dot + _d_op(k, style) + "f(y)"
-
-    return lambda t: parts(len(t.children))
-
-
-def _inverse_parts(style: str):
-    lbr, rbr, dot = _joiners(style)
+    # A leaf prints `leaf`; a degree-k vertex the k-th derivative of f, then `point`.
+    if regime is Regime.ODE:
+        leaf, point = "f(y)", "f(y)"
+    else:
+        leaf, point = "Dg(y)", "f(g(y))" + dot + "Dg(y)"
 
     @cache
     def parts(k: int) -> tuple[str, str]:
         if not k:
-            return "Dg(y)", ""
-        return lbr, rbr + dot + _d_op(k, style) + "f(g(y))" + dot + "Dg(y)"
+            return leaf, ""
+        tail = dot + _d_op(k, style) + point
+        if k == 1 and regime is Regime.ODE:
+            return "", tail  # an ode chain prints unbracketed: f(y)·Df(y)
+        return lbr, rbr + tail
 
     return lambda t: parts(len(t.children))
 
@@ -112,7 +106,7 @@ def _term_texts(
     if regime is Regime.COMPOSITE:
         parts, printed = _composite_parts(style, skeleton)
         return write_trees(trees, parts, ",", printed)
-    return write_trees(trees, (_ode_parts if regime is Regime.ODE else _inverse_parts)(style), ",")
+    return write_trees(trees, _degree_parts(regime, style), ",")
 
 
 def render_term(wg: WeightedGraph, style: str = "text") -> str:

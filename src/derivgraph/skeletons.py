@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .trees import Colour, Tree, scan_brackets, write_trees
+from .trees import Colour, Tree, TreeSyntaxError, scan_brackets, write_trees
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -42,10 +42,8 @@ def _skeleton_parts(s: Skeleton) -> tuple[str, str]:
     return (s.name + "(", ")") if s.function else (s.name, "")
 
 
-class SkeletonSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class SkeletonSyntaxError(TreeSyntaxError):
+    """Malformed skeleton text: a tree syntax error in the skeleton grammar."""
 
 
 def _name(token: str, pos: int) -> str:

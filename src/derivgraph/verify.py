@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 from .enumeration import Regime, _Family, enumerate_graphs, family_of
 from .jets import _flow, _reverse, _scaled, compose, identity_jet
 from .skeletons import Skeleton
-from .trees import DEFAULT_COLOUR, Tree, format_trees
+from .trees import LEAF, Tree, format_trees
 from .weights import weigh
 
 
@@ -125,7 +125,7 @@ def verify(
     closed_form = regime is Regime.INVERSE and n == 1
     if closed_form:
         # No graph: the closed form (Df)^-1 = Dg is the value of a lone leaf.
-        graphs, rows = [], [(Tree(DEFAULT_COLOUR), 1, Fraction(1))]
+        graphs, rows = [], [(LEAF, 1, Fraction(1))]
     else:
         graphs = enumerate_graphs(regime, n, skeleton)
         rows = [(wg.graph.tree, wg.sign, wg.weight) for wg in map(weigh, graphs)]

@@ -132,6 +132,7 @@ def test_parse_skeleton_error_is_pinned(text, message, position):
     with pytest.raises(SkeletonSyntaxError) as err:
         parse_skeleton(text)
     assert type(err.value) is SkeletonSyntaxError
+    assert isinstance(err.value, TreeSyntaxError)
     assert str(err.value) == f"{message} (at position {position})"
     assert err.value.position == position
 
