@@ -13,7 +13,6 @@ from math import comb
 from derivgraph import (
     Regime,
     enumerate_composite,
-    format_tree,
     parse_skeleton,
     render_derivative,
     verify,
@@ -27,7 +26,7 @@ for n in range(1, 5):
     print(f"  order {n}:")
     for graph in enumerate_composite(chain, n):
         wg = weigh(graph)
-        print(f"    weight {str(wg.weight):<3} {format_tree(graph.tree)}")
+        print(f"    weight {str(wg.weight):<3} {str(graph.tree)}")
     print(f"    D^{n} = {render_derivative(Regime.COMPOSITE, n, skeleton=chain)}")
 
 print()

@@ -10,7 +10,6 @@ from derivgraph import (
     Jet,
     Regime,
     enumerate_inverse,
-    format_tree,
     jet_reverse,
     render_derivative,
     verify,
@@ -25,7 +24,7 @@ print()
 print("== signed weights per tree ==")
 for n in range(2, 6):
     parts = [
-        f"{'+' if wg.sign > 0 else '-'}{wg.weight} * {format_tree(wg.graph.tree)}"
+        f"{'+' if wg.sign > 0 else '-'}{wg.weight} * {str(wg.graph.tree)}"
         for wg in map(weigh, enumerate_inverse(n))
     ]
     print(f"  n={n}: " + ",  ".join(parts))

@@ -10,7 +10,6 @@ from derivgraph import (
     Tree,
     canonicalize,
     enumerate_ode,
-    format_tree,
     make_palette,
     parse_tree,
     weigh,
@@ -20,7 +19,7 @@ print("== natural order of the 9 rooted trees on 5 vertices ==")
 for graph in enumerate_ode(5):
     t = graph.tree
     print(
-        f"  {format_tree(t):<20} S={t.symmetry:<3} "
+        f"  {str(t):<20} S={t.symmetry:<3} "
         f"tau={t.complexity:<3} weight={weigh(graph).weight}"
     )
 
@@ -28,8 +27,8 @@ print()
 print("== canonical form ignores how children were written ==")
 a = parse_tree("*{*{},*{*{}}}")
 b = parse_tree("*{*{*{}},*{}}")
-print(f"  {format_tree(a)} and {format_tree(b)} canonicalize to "
-      f"{format_tree(canonicalize(b))}")
+print(f"  {str(a)} and {str(b)} canonicalize to "
+      f"{str(canonicalize(b))}")
 assert canonicalize(a) == canonicalize(b)
 
 print()
@@ -38,4 +37,4 @@ pal = make_palette("b", "w", "F")
 binomial = canonicalize(
     Tree(pal["F"], (Tree(pal["b"]),) * 2 + (Tree(pal["w"]),) * 3)
 )
-print(f"  {format_tree(binomial)}: S = {binomial.symmetry} = 2! * 3!")
+print(f"  {str(binomial)}: S = {binomial.symmetry} = 2! * 3!")

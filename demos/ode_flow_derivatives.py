@@ -12,7 +12,6 @@ from derivgraph import (
     Jet,
     Regime,
     enumerate_ode,
-    format_tree,
     jet_ode_flow,
     render_derivative,
     verify,
@@ -23,7 +22,7 @@ print("== trees, structure numbers and weights for y'''' ==")
 for graph in enumerate_ode(4):
     t = graph.tree
     print(
-        f"  {format_tree(t):<16} S={t.symmetry}  "
+        f"  {str(t):<16} S={t.symmetry}  "
         f"tau={t.complexity}  weight={weigh(graph).weight}"
     )
 

@@ -22,13 +22,13 @@ _MODULES = {
     for module, names in {
         "enumeration": "DerivativeGraph Regime enumerate_composite enumerate_graphs "
         "enumerate_inverse enumerate_ode",
-        "formulas": "Formula FormulaTerm parse_machine_term render_derivative render_term",
+        "formulas": "Formula FormulaTerm parse_machine_term render_derivative",
         "jets": "Jet compose identity_jet jet_ode_flow jet_reverse",
         "skeletons": "Skeleton SkeletonSyntaxError parse_skeleton",
         "trees": "Colour DEFAULT_COLOUR LEAF Tree TreeSyntaxError canonicalize compare_trees "
-        "format_tree format_trees make_palette parse_tree tree_from_dict tree_to_dict",
+        "format_trees make_palette parse_tree",
         "verify": "Report verify",
-        "weights": "WeightedGraph totally_asymmetric totally_symmetric weigh",
+        "weights": "WeightedGraph weigh",
     }.items()
     for name in names.split()
 }

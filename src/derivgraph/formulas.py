@@ -64,7 +64,7 @@ def _degree_parts(regime: Regime, style: str):
         if not k:
             return leaf, ""
         tail = dot + _d_op(k, style) + point
-        if k == 1 and regime is Regime.ODE:
+        if k == 1:
             return "", tail  # an ode chain prints unbracketed: f(y)·Df(y)
         return lbr, rbr + tail
 
@@ -107,13 +107,6 @@ def _term_texts(
         parts, printed = _composite_parts(style, skeleton)
         return write_trees(trees, parts, ",", printed)
     return write_trees(trees, _degree_parts(regime, style), ",")
-
-
-def render_term(wg: WeightedGraph, style: str = "text") -> str:
-    """Render one weighted graph, without its sign and weight prefix."""
-    if style not in STYLES:
-        raise ValueError(f"unsupported style {style!r}")
-    return _term_texts([wg], wg.graph.regime, wg.graph.skeleton, style)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +184,7 @@ _MACHINE = re.compile(
 
 
 def parse_machine_term(text: str, skeleton: Skeleton | None = None) -> WeightedGraph:
-    """Invert :func:`render_term` for the machine style.
+    """Invert a machine-style term of :func:`render_derivative`.
 
     Composite terms need the original skeleton to resolve colour names;
     other regimes ignore it, so one skeleton serves a mix of terms.  The graph

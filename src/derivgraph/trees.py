@@ -13,10 +13,10 @@ and structural numbers once, when it is built, from its children's
 (Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).  The
 natural order is walked, not stored: :func:`compare_trees` steps down both
 trees with an explicit stack and skips every node they share.  A tree's
-canonical form and its dict form are bottom-up :func:`fold` results, which
-visit each shared node once.  Every text (the notation, ``repr``, a
-skeleton's ``str`` and the formula bodies in :mod:`derivgraph.formulas`) is
-written by :func:`write_trees`, in time linear in the output.
+canonical form is a bottom-up :func:`fold` result, which visits each shared
+node once.  Every text (the notation, ``repr``, a skeleton's ``str`` and the
+formula bodies in :mod:`derivgraph.formulas`) is written by
+:func:`write_trees`, in time linear in the output.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from sys import intern
 from typing import Callable, Iterable, Sequence, TypeVar
 from weakref import ref
 
+# A colour name as the notation writes it: "*", or an identifier that may hold
+# dots, such as the composite label "f.2".
+_NAME = re.compile(r"\*|[A-Za-z_][A-Za-z0-9_.]*")
+
 
 class Colour(namedtuple("Colour", "index name")):
     """A rank in a totally ordered palette of vertex kinds: (index, name)."""
@@ -38,6 +42,8 @@ class Colour(namedtuple("Colour", "index name")):
     def __new__(cls, index: int, name: str):
         if index < 0:
             raise ValueError("colour index must be non-negative")
+        if isinstance(name, str) and not _NAME.fullmatch(name):
+            raise ValueError(f"{name!r} is not a colour name")
         return tuple.__new__(cls, (index, name))
 
     @classmethod
@@ -175,7 +181,7 @@ class Tree:
         return not self.children
 
     def __str__(self) -> str:
-        return format_tree(self)
+        return write_trees((self,), _braces, ",")[0]
 
 
 # __setattr__ refuses every write; the slot descriptors' own setters are how
@@ -339,16 +345,11 @@ def format_trees(roots: Iterable[Tree]) -> list[str]:
     return write_trees(roots, _braces, ",")
 
 
-def format_tree(t: Tree) -> str:
-    return write_trees((t,), _braces, ",")[0]
-
-
 def make_palette(*names: str) -> dict[str, Colour]:
     """Palette with the given colour names ranked in declaration order."""
     return {name: Colour(i, name) for i, name in enumerate(names)}
 
 
-_NAME = re.compile(r"\*|[A-Za-z_][A-Za-z0-9_.]*")
 _SPACE = re.compile(r"\s*")
 
 
@@ -432,37 +433,3 @@ def parse_tree(text: str, palette: dict[str, Colour] | None = None) -> Tree:
     return scan_brackets(
         text, _NAME, "{}", TreeSyntaxError, "a colour name", "tree", colour_for, node
     )
-
-
-# ---------------------------------------------------------------------------
-# Structured (JSON-ready) serialization.
-
-
-def _to_dict(t: Tree, children: list[dict]) -> dict:
-    return {"colour": {"index": t.colour.index, "name": t.colour.name}, "children": children}
-
-
-def _from_dict(d: dict, children: list[Tree]) -> Tree:
-    return Tree(Colour(d["colour"]["index"], d["colour"]["name"]), tuple(children))
-
-
-def tree_to_dict(t: Tree) -> dict:
-    """Nested ``{"colour": {"index", "name"}, "children": [...]}`` form.
-
-    A subtree that occurs several times is one dict object, shared; treat
-    the result as read-only or copy it before changing it.
-    """
-    return fold((t,), _to_dict)[0]
-
-
-def tree_from_dict(d: dict) -> Tree:
-    # Dicts are unhashable, so the fold runs over their ids: every dict stays
-    # reachable from d for the whole call, so no id is reused.
-    dicts = {id(d): d}
-
-    def children(i: int) -> list[int]:
-        kids = dicts[i]["children"]
-        dicts.update((id(c), c) for c in kids)
-        return [id(c) for c in kids]
-
-    return fold((id(d),), lambda i, kids: _from_dict(dicts[i], kids), children)[0]

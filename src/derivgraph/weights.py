@@ -40,13 +40,3 @@ def weigh(graph: DerivativeGraph) -> WeightedGraph:
         weight = _fraction(factorial(tree.entrances), tree.symmetry)
         sign = (-1) ** tree.internal if regime is Regime.INVERSE else 1
     return tuple.__new__(WeightedGraph, (graph, sign, weight))  # as in enumerate_graphs
-
-
-def totally_symmetric(graph: DerivativeGraph) -> bool:
-    """All concrete members coincide: weight 1."""
-    return weigh(graph).weight == 1
-
-
-def totally_asymmetric(graph: DerivativeGraph) -> bool:
-    """Only the identity fixes the representing graph: weight n!."""
-    return weigh(graph).weight == factorial(graph.order)

@@ -28,7 +28,6 @@ from derivgraph.trees import (
     Tree,
     canonicalize,
     compare_trees,
-    format_tree,
     make_palette,
 )
 from derivgraph.verify import verify
@@ -117,7 +116,7 @@ def test_criterion_6_structural_property_suite():
     for a, b in product(small, repeat=2):
         ab, ba = compare_trees(a, b), compare_trees(b, a)
         assert ab in (-1, 0, 1) and ab == -ba
-        assert (ab == 0) == (format_tree(a) == format_tree(b))
+        assert (ab == 0) == (str(a) == str(b))
     for a, b, c in product(small, repeat=3):
         if compare_trees(a, b) <= 0 and compare_trees(b, c) <= 0:
             assert compare_trees(a, c) <= 0

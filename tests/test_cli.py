@@ -1,5 +1,6 @@
 import errno
 import gc
+import importlib
 import io
 import json
 import os
@@ -670,6 +671,36 @@ def test_dir_lists_the_public_names_and_unknown_names_raise():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         derivgraph.no_such_name
     assert not hasattr(derivgraph, "no_such_name")
+
+
+PUBLIC_NAMES = """
+    Colour DEFAULT_COLOUR DerivativeGraph Formula FormulaTerm Jet LEAF Regime Report
+    Skeleton SkeletonSyntaxError Tree TreeSyntaxError WeightedGraph canonicalize
+    compare_trees compose enumerate_composite enumerate_graphs enumerate_inverse
+    enumerate_ode format_trees identity_jet jet_ode_flow jet_reverse make_palette
+    parse_machine_term parse_skeleton parse_tree render_derivative verify weigh
+""".split()
+
+# Deleted names, each with the module that defined it: no lookup may find one.
+REMOVED_NAMES = [
+    ("formulas", "render_term"),
+    ("trees", "format_tree"),
+    ("trees", "tree_from_dict"),
+    ("trees", "tree_to_dict"),
+    ("weights", "totally_asymmetric"),
+    ("weights", "totally_symmetric"),
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(derivgraph.__all__) == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 32
+    for name in PUBLIC_NAMES:
+        getattr(derivgraph, name)
+    for module, name in REMOVED_NAMES:
+        with pytest.raises(AttributeError):
+            getattr(derivgraph, name)
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(f"derivgraph.{module}"), name)
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,10 @@
 import re
-from itertools import combinations
 
 import pytest
 
-from derivgraph.enumeration import DerivativeGraph, Regime, enumerate_graphs
-from derivgraph.formulas import (
-    parse_machine_term,
-    render_derivative,
-    render_term,
-)
+from derivgraph.enumeration import Regime
+from derivgraph.formulas import parse_machine_term, render_derivative
 from derivgraph.skeletons import parse_skeleton
-from derivgraph.trees import LEAF, Tree
-from derivgraph.weights import weigh
 
 CHAIN = parse_skeleton("f(g(x))")
 TWO_COLOUR = parse_skeleton("F(f(x),g(x))")
@@ -57,17 +50,6 @@ class TestInverseText:
             " - ⟨Dg(y),Dg(y),Dg(y)⟩·D³f(g(y))·Dg(y)"
         )
 
-    def test_hand_built_unary_vertex(self):
-        # Not an inverse graph (inner vertices have degree >= 2), but render_term
-        # takes it, and a degree-1 vertex prints a first derivative Df.
-        graph = DerivativeGraph(Tree(children=(Tree(children=(LEAF, LEAF)),)), Regime.INVERSE)
-        wg = weigh(graph)
-        assert render_term(wg) == "⟨⟨Dg(y),Dg(y)⟩·D²f(g(y))·Dg(y)⟩·Df(g(y))·Dg(y)"
-        assert render_term(wg, "latex") == (
-            r"\langle \langle Dg(y),Dg(y)\rangle \cdot D^{2}f(g(y))\cdot Dg(y)\rangle "
-            r"\cdot Df(g(y))\cdot Dg(y)"
-        )
-
 
 class TestCompositeText:
     def test_chain_rule(self):
@@ -85,6 +67,18 @@ class TestCompositeText:
         formula = render_derivative(Regime.COMPOSITE, 2, skeleton=TWO_COLOUR)
         text = str(formula)
         assert "f″(x)" in text and "g″(x)" in text and "F″(f(x),g(x))" in text
+
+    def test_thousand_deep_chain(self):
+        # f0′(f1(…f999(x)…))·f1′(f2(…f999(x)…))·…·f999′(x): 3.0 M characters.
+        depth = 1000
+        skeleton = parse_skeleton("".join(f"f{i}(" for i in range(depth)) + "x" + ")" * depth)
+        (term,) = render_derivative(Regime.COMPOSITE, 1, "text", skeleton).terms
+        point = ["x"]  # point[j]: the argument text of f(depth - 1 - j)
+        for i in reversed(range(1, depth)):
+            point.append(f"f{i}({point[-1]})")
+        expected = "·".join(f"f{i}′({point[depth - 1 - i]})" for i in range(depth))
+        assert (term.sign, term.weight, term.text) == (1, 1, expected)
+        assert term.text.startswith("f0′(f1(f2(") and term.text.endswith("·f998′(f999(x))·f999′(x)")
 
 
 class TestLatex:
@@ -115,8 +109,8 @@ class TestInjectivity:
         for style in ("text", "latex", "machine"):
             rendered = []
             for n in orders:
-                for g in enumerate_graphs(regime, n, skeleton):
-                    rendered.append(render_term(weigh(g), style))
+                formula = render_derivative(regime, n, style, skeleton)
+                rendered.extend(term.text for term in formula.terms)
             assert len(rendered) == len(set(rendered))
 
 
@@ -131,23 +125,21 @@ class TestMachineRoundTrip:
     )
     def test_round_trip(self, regime, skeleton, orders):
         for n in orders:
-            for g in enumerate_graphs(regime, n, skeleton):
-                wg = weigh(g)
-                assert parse_machine_term(render_term(wg, "machine"), skeleton) == wg
+            for term in render_derivative(regime, n, "machine", skeleton).terms:
+                assert parse_machine_term(term.text, skeleton) == term.graph
 
     @pytest.mark.parametrize(
         "regime,orders", [(Regime.ODE, range(1, 7)), (Regime.INVERSE, range(2, 7))]
     )
     def test_round_trip_drops_a_skeleton_outside_the_composite_regime(self, regime, orders):
         for n in orders:
-            for g in enumerate_graphs(regime, n):
-                wg = weigh(g)
-                parsed = parse_machine_term(render_term(wg, "machine"), TWO_COLOUR)
-                assert parsed == wg and parsed.graph.skeleton is None
+            for term in render_derivative(regime, n, "machine").terms:
+                parsed = parse_machine_term(term.text, TWO_COLOUR)
+                assert parsed == term.graph and parsed.graph.skeleton is None
 
     def test_tampered_weight_is_rejected(self):
-        wg = weigh(enumerate_graphs(Regime.ODE, 4, None)[2])
-        text = render_term(wg, "machine").replace("(weight 3)", "(weight 4)")
+        term = render_derivative(Regime.ODE, 4, "machine").terms[2]
+        text = term.text.replace("(weight 3)", "(weight 4)")
         with pytest.raises(ValueError):
             parse_machine_term(text)
 
@@ -170,11 +162,6 @@ class TestMachineRoundTrip:
         regime = re.search(r"\(regime (\w+)\)", text).group(1)
         with pytest.raises(ValueError, match=rf"^\S+ is not a canonical {regime} graph$"):
             parse_machine_term(text, skeleton)
-
-    def test_unsupported_style_rejected(self):
-        wg = weigh(enumerate_graphs(Regime.ODE, 2, None)[0])
-        with pytest.raises(ValueError):
-            render_term(wg, "html")
 
     def test_text_outside_the_grammar_is_rejected(self):
         with pytest.raises(ValueError) as err:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from derivgraph.cli import main
 from derivgraph.enumeration import Regime, enumerate_composite, family_of
-from derivgraph.formulas import parse_machine_term, render_derivative, render_term
+from derivgraph.formulas import parse_machine_term, render_derivative
 from derivgraph.skeletons import (
     Skeleton,
     SkeletonSyntaxError,
@@ -105,8 +105,8 @@ class TestInterning:
         # The composite graph f{x{}} of the skeleton f(x) is a tree.
         (graph,) = enumerate_composite(s, 1)
         assert type(graph.tree) is Tree and graph.tree is t
-        text = render_term(weigh(graph), "machine")
-        assert parse_machine_term(text, s) == weigh(graph)
+        (term,) = render_derivative(Regime.COMPOSITE, 1, "machine", s).terms
+        assert parse_machine_term(term.text, s) == weigh(graph)
 
 
 # Malformed skeletons: (text, message, position).

@@ -1,6 +1,5 @@
 import copy
 import gc
-import json
 import pickle
 import random
 import sys
@@ -18,21 +17,20 @@ from hypothesis import strategies as st
 
 from derivgraph import formulas, trees
 from brute import brute_automorphism_count, brute_rooted_trees, isomorphic
-from derivgraph.enumeration import DerivativeGraph, Regime, enumerate_ode
-from derivgraph.formulas import parse_machine_term, render_term
+from derivgraph.enumeration import DerivativeGraph, Regime, enumerate_ode, family_of
+from derivgraph.formulas import parse_machine_term
+from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import (
+    DEFAULT_COLOUR,
     LEAF,
     Colour,
     Tree,
     TreeSyntaxError,
     canonicalize,
     compare_trees,
-    format_tree,
     format_trees,
     make_palette,
     parse_tree,
-    tree_from_dict,
-    tree_to_dict,
 )
 from derivgraph.weights import WeightedGraph, weigh
 
@@ -89,7 +87,7 @@ class TestCompare:
         for a, b in product(trees, repeat=2):
             ab, ba = compare_trees(a, b), compare_trees(b, a)
             assert ab == -ba
-            assert (ab == 0) == (format_tree(a) == format_tree(b))
+            assert (ab == 0) == (str(a) == str(b))
         for a, b, c in product(trees, repeat=3):
             if compare_trees(a, b) <= 0 and compare_trees(b, c) <= 0:
                 assert compare_trees(a, c) <= 0
@@ -139,38 +137,22 @@ class TestSymmetry:
         assert t.symmetry == 12
 
     def test_deep_chain_built_in_code(self):
-        # S is a stored field, printing, the dict form and canonicalize are
-        # folds over an explicit stack, and the parser keeps its open
-        # brackets on one, so trees far deeper than the recursion limit need
-        # no recursion.
+        # S is a stored field, printing and canonicalize walk an explicit
+        # stack, and the parser keeps its open brackets on one, so trees far
+        # deeper than the recursion limit need no recursion.
         deep = chain(5000)
         assert deep.symmetry == 1
         notation = "*{" * 4999 + "*{}" + "}" * 4999
-        assert format_tree(deep) == notation
-        assert tree_from_dict(tree_to_dict(deep)) is deep
+        assert str(deep) == notation
         unsorted, ordered = Tree(children=(chain(2), LEAF)), Tree(children=(LEAF, chain(2)))
         for _ in range(4996):
             unsorted, ordered = Tree(children=(unsorted,)), Tree(children=(ordered,))
         assert ordered.vertices == 5000 and canonicalize(unsorted) is not unsorted
         assert canonicalize(unsorted) is ordered
         wg = weigh(DerivativeGraph(deep, Regime.ODE))
-        assert render_term(wg, "text") == "f(y)" + "·Df(y)" * 4999
-        assert render_term(wg, "latex") == "f(y)" + r"\cdot Df(y)" * 4999
-        assert render_term(wg, "machine") == (
-            f"(term (regime ode) (sign 1) (weight 1) (tree {notation}))"
-        )
         assert parse_tree(notation) is deep
-        assert parse_machine_term(render_term(wg, "machine")) == wg
-
-        # An inverse comb: each inner vertex has a leaf and the rest of the comb.
-        comb = Tree(children=(LEAF, LEAF))
-        for _ in range(4999):
-            comb = Tree(children=(LEAF, comb))
-        wg = weigh(DerivativeGraph(comb, Regime.INVERSE))
-        wedge = "⟩·D²f(g(y))·Dg(y)"
-        assert render_term(wg) == (
-            "⟨Dg(y)," * 4999 + "⟨Dg(y),Dg(y)" + wedge + wedge * 4999
-        )
+        machine = f"(term (regime ode) (sign 1) (weight 1) (tree {notation}))"
+        assert parse_machine_term(machine) == wg
 
     def test_deep_chains_compare_and_sort(self):
         # The order is walked on an explicit stack, so chains that differ
@@ -233,10 +215,10 @@ class TestCounts:
 class TestNotation:
     def test_round_trip(self):
         for t in all_trees_upto(6):
-            assert parse_tree(format_tree(t)) == t
+            assert parse_tree(str(t)) == t
 
     def test_chain_notation(self):
-        assert format_tree(chain(3)) == "*{*{*{}}}"
+        assert str(chain(3)) == "*{*{*{}}}"
         assert parse_tree("*{*{*{}}}") == chain(3)
 
     def test_bare_star_is_leaf(self):
@@ -245,7 +227,7 @@ class TestNotation:
     def test_coloured_round_trip(self):
         pal = make_palette("x", "g", "f")
         t = Tree(pal["f"], (Tree(pal["g"], (Tree(pal["x"]),)),))
-        assert parse_tree(format_tree(t), pal) == t
+        assert parse_tree(str(t), pal) == t
 
     def test_error_carries_position(self):
         with pytest.raises(TreeSyntaxError) as err:
@@ -289,14 +271,6 @@ def test_parse_tree_error_is_pinned(text, names, message, position):
     assert err.value.position == position
 
 
-class TestJson:
-    def test_round_trip(self):
-        pal = make_palette("x", "f")
-        t = Tree(pal["f"], (Tree(pal["x"]), Tree(pal["x"])))
-        blob = json.dumps(tree_to_dict(t))
-        assert tree_from_dict(json.loads(blob)) == t
-
-
 class TestInterning:
     def test_equal_structure_is_the_same_node(self):
         assert Tree(children=(LEAF, chain(2))) is Tree(children=[LEAF, chain(2)])
@@ -309,10 +283,9 @@ class TestInterning:
             assert copy.copy(t) is t
             assert copy.deepcopy(t) is t
             assert pickle.loads(pickle.dumps(t)) is t
-            assert tree_from_dict(tree_to_dict(t)) is t
         for t in all_trees_upto(5):
-            assert parse_tree(format_tree(t)) is t
-        assert parse_tree(format_tree(coloured), pal) is coloured
+            assert parse_tree(str(t)) is t
+        assert parse_tree(str(coloured), pal) is coloured
 
     def test_repr_is_the_constructor_call(self):
         def reference(t: Tree) -> str:
@@ -376,7 +349,7 @@ class TestInterning:
         before = len(trees._INTERNED)
         graphs = enumerate_ode(9)
         assert len(trees._INTERNED) > before
-        texts = [format_tree(g.tree) for g in graphs]
+        texts = [str(g.tree) for g in graphs]
         del graphs
         gc.collect()
         assert len(trees._INTERNED) == before
@@ -410,6 +383,21 @@ class TestColourIdentity:
         for make in (lambda: Colour(-1, "x"), lambda: Colour(0, "x")._replace(index=-1)):
             with pytest.raises(ValueError, match="non-negative"):
                 make()
+
+    @pytest.mark.parametrize("name", ["a,b", "", "1x", "x y", "f{}", "x*"])
+    def test_names_the_notation_cannot_read_are_rejected(self, name):
+        # Colour(0, "a,b") would print a,b{q{}}, which parse_tree cannot read back.
+        for make in (lambda: Colour(0, name), lambda: Colour(0, "x")._replace(name=name)):
+            with pytest.raises(ValueError, match="is not a colour name"):
+                make()
+
+    def test_the_package_palettes_build_and_read_back(self):
+        palette = family_of(Regime.COMPOSITE, parse_skeleton("F(f(x),f(y),g_1(x))")).palette
+        assert [c.name for c in palette] == ["x", "y", "F", "f", "f.2", "g_1"]
+        names = {c.name: c for c in (DEFAULT_COLOUR, *palette)}
+        for colour in names.values():
+            t = Tree(colour, (Tree(colour),))
+            assert parse_tree(str(t), names) is t
 
     def test_name_breaks_a_rank_tie(self):
         a, b = Tree(Colour(0, "x")), Tree(Colour(0, "y"))
@@ -445,8 +433,7 @@ class TestInterningProperties:
         assert canonicalize(c) is c
         assert canonicalize(shuffled(t, rng)) is c
         assert c.symmetry == brute_automorphism_count(t)
-        assert parse_tree(format_tree(t), PALETTE) is t
-        assert tree_from_dict(tree_to_dict(t)) is t
+        assert parse_tree(str(t), PALETTE) is t
 
     @settings(max_examples=150, deadline=None)
     @given(raw_trees([Colour(0, "x"), Colour(0, "y"), Colour(1, "x")]), st.data())
@@ -473,7 +460,7 @@ class TestWriters:
     @settings(max_examples=150, deadline=None)
     @given(raw_trees([Colour(0, "x"), Colour(0, "y"), Colour(1, "x")]))
     def test_one_tree_writes_as_the_shared_fold(self, t):
-        assert format_tree(t) == format_trees([t])[0] == str(t)
+        assert str(t) == format_trees([t])[0]
         assert eval(repr(t), {"Tree": Tree, "Colour": Colour}) is t
 
     def test_writers_take_linear_time(self):
@@ -483,7 +470,7 @@ class TestWriters:
             t = _Bare((t,))
             if depth in (20_000, 40_000):
                 chains[depth] = t
-        assert format_tree(chains[40_000]) == "*{" * 39_999 + "*{}" + "}" * 39_999
+        assert str(chains[40_000]) == "*{" * 39_999 + "*{}" + "}" * 39_999
 
         def format_one(t):
             return format_trees([t])[0]
@@ -493,7 +480,7 @@ class TestWriters:
             return formulas._term_texts([wg], Regime.ODE, None, "text")[0]
 
         assert ode_body(chains[20_000]) == "f(y)" + "·Df(y)" * 19_999
-        for write in (repr, format_tree, format_one, ode_body):
+        for write in (repr, str, format_one, ode_body):
             # Each round times the two depths in turn, so that a drift in the
             # host's speed hits both; the median round ignores the rounds that
             # noise hit on one side.  Best times, taken from different rounds,

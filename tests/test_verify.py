@@ -15,7 +15,7 @@ from brute import integer_partitions
 from derivgraph.enumeration import Regime, enumerate_graphs, family_of
 from derivgraph.jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
 from derivgraph.skeletons import parse_skeleton
-from derivgraph.trees import Tree, format_tree
+from derivgraph.trees import Tree
 from derivgraph.verify import verify
 from derivgraph.weights import weigh
 
@@ -459,7 +459,7 @@ class TestReport:
             # the weight it was checked with and its value in that trial.
             graphs = enumerate_graphs(regime, n, skeleton)
             for m in report.mismatches:
-                assert [tv.tree for tv in m.terms] == [format_tree(g.tree) for g in graphs]
+                assert [tv.tree for tv in m.terms] == [str(g.tree) for g in graphs]
                 assert [(tv.sign, tv.weight) for tv in m.terms] == [
                     (wg.sign, wg.weight) for wg in map(weigh, graphs)
                 ]

@@ -17,7 +17,7 @@ from derivgraph.formulas import render_derivative
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree, make_palette
 from derivgraph.verify import Mismatch, TermValue, verify
-from derivgraph.weights import WeightedGraph, totally_asymmetric, totally_symmetric, weigh
+from derivgraph.weights import WeightedGraph, weigh
 
 CHAIN = parse_skeleton("f(g(x))")
 
@@ -56,21 +56,23 @@ class TestComposite:
             assert wg.sign == 1
             assert wg.weight.denominator == 1 and wg.weight >= 1
 
+    # A graph is totally symmetric when all its concrete members coincide
+    # (weight 1), and totally asymmetric when only the identity fixes it (n!).
     def test_totally_symmetric_star(self):
         pal = make_palette("x", "f")
         g = DerivativeGraph(Tree(pal["f"], (Tree(pal["x"]),) * 4), Regime.COMPOSITE)
-        assert totally_symmetric(g) and not totally_asymmetric(g)
+        assert weigh(g).weight == 1 != factorial(g.order)
 
     def test_totally_asymmetric_distinct_colour_chain(self):
         pal = make_palette("x", "g", "f")
         chain = Tree(pal["f"], (Tree(pal["g"], (Tree(pal["x"]),)),))
         g = DerivativeGraph(chain, Regime.COMPOSITE)
         # n = 1: weight 1 = 1! so the chain is both extremes at once
-        assert totally_symmetric(g) and totally_asymmetric(g)
+        assert weigh(g).weight == 1 == factorial(g.order)
 
     def test_binomial_graph_is_neither_extreme(self):
         g = coloured_leaf_graph(2, 3)
-        assert not totally_symmetric(g) and not totally_asymmetric(g)
+        assert weigh(g).weight not in (1, factorial(g.order))
 
 
 class TestInverse:
