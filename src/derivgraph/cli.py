@@ -14,9 +14,9 @@ import gc
 import io
 import os
 import sys
+from operator import itemgetter
 
 from .enumeration import DerivativeGraph, Regime, enumerate_graphs
-from .skeletons import Skeleton, SkeletonSyntaxError, parse_skeleton
 from .trees import format_trees
 from .weights import weigh
 
@@ -39,6 +39,8 @@ def _load_skeleton(args: argparse.Namespace, regime: Regime) -> Skeleton | None:
                 text = file.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
             raise _CliError(f"cannot read skeleton file: {exc}") from exc
+    from .skeletons import SkeletonSyntaxError, parse_skeleton  # only composite reads one
+
     try:
         return parse_skeleton(text)
     except SkeletonSyntaxError as exc:
@@ -106,11 +108,10 @@ def _cmd_table(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | No
     # Left-aligned columns two spaces apart.  The last is not padded, so no
     # line ends in a blank, and a sign (+1 or -1) is narrower than its header.
     # S and tau are positive ints: the widest is the largest.
-    texts, symmetries, taus = list(zip(*rows))[:3] or [()] * 3
     widths = (
-        max(len("tree"), max(map(len, texts), default=0)),
-        max(len("S"), len(str(max(symmetries, default=0)))),
-        max(len("tau"), len(str(max(taus, default=0)))),
+        max(len("tree"), max(map(len, map(itemgetter(0), rows)), default=0)),
+        max(len("S"), len(str(max(map(itemgetter(1), rows), default=0)))),
+        max(len("tau"), len(str(max(map(itemgetter(2), rows), default=0)))),
     )
     header = "".join(h.ljust(w) + "  " for h, w in zip(_COLUMNS, widths)) + "sign  weight\n"
     line = "%%-%ds  %%-%dd  %%-%dd  %%+-4d  %%s\n" % widths

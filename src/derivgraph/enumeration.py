@@ -13,7 +13,6 @@ from enum import Enum
 from functools import cache
 from typing import NamedTuple
 
-from .skeletons import Skeleton, positions
 from .trees import DEFAULT_COLOUR, Colour, Tree, compare_trees, fold
 
 
@@ -124,8 +123,11 @@ class _Family(NamedTuple):
         kinds = sorted(self.children.get(colour, ())) if cap > 0 else []
         pool = [t for c in kinds for t in memo[c, cap]]
         measures = [getattr(t, self.measure) for t in pool]
-        # Ascending pool positions of the trees measuring at most r.
-        at_most = [[i for i, m in enumerate(measures) if m <= r] for r in range(budget + 1)]
+        # Ascending pool positions of the trees measuring at most r, one append each.
+        at_most = [[] for _ in range(budget + 1)]
+        for i, m in enumerate(measures):
+            for r in range(m, budget + 1):
+                at_most[r].append(i)
         # Non-decreasing runs of pool positions: one more child per pass, and
         # in natural order within a pass.
         runs = [((), 0, budget)]  # (children, least next position, measure left)
@@ -166,6 +168,8 @@ def _composite_family(skeleton: Skeleton) -> _Family:
     ``children`` holds each position's slot colours once, in slot order: x in
     F(x,x) is one kind of child, and F() has none, so no graph.
     """
+    from .skeletons import Skeleton, positions  # only the composite regime reads one
+
     if skeleton.is_variable:
         raise ValueError("skeleton root must be a function")
     variables: dict[str, int] = {}  # each variable's rank, by first appearance

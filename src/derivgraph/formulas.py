@@ -14,7 +14,6 @@ from functools import cache
 from typing import NamedTuple
 
 from .enumeration import DerivativeGraph, Regime, enumerate_graphs, family_of, in_regime
-from .skeletons import Skeleton, _skeleton_parts
 from .trees import Tree, format_trees, parse_tree, write_trees
 from .weights import WeightedGraph, weigh
 
@@ -72,6 +71,8 @@ def _degree_parts(regime: Regime, style: str):
 
 
 def _composite_parts(style: str, skeleton: Skeleton):
+    from .skeletons import _skeleton_parts  # only the composite regime reads one
+
     lbr, rbr, dot = _joiners(style)
     family = family_of(Regime.COMPOSITE, skeleton)
     # Each position's evaluation point "(…)": its text minus its name, in one pass.

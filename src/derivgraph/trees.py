@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from operator import attrgetter
-from sys import intern
 from typing import Callable, Iterable, Sequence, TypeVar
 from weakref import ref
 
@@ -60,11 +59,11 @@ class _Ref(ref):
     __slots__ = ("ident",)
 
 
-# (class, colour index, colour name, children) -> weak reference to the live
-# node.  Colour equality is exactly that index and name, and children are
-# interned, so the key hashes in C, children by identity.  The class keeps a
-# subclass's nodes, such as skeletons, apart from trees of the same colours.
-# A node leaves the table when it is collected.
+# (class, colour, children) -> weak reference to the live node.  A colour is
+# the tuple (index, name), so it hashes and compares as that pair; children
+# are interned, so the key hashes in C, children by identity.  The class
+# keeps a subclass's nodes, such as skeletons, apart from trees of the same
+# colours.  A node leaves the table when it is collected.
 _INTERNED: dict[tuple, _Ref] = {}
 
 
@@ -110,7 +109,7 @@ class Tree:
 
     def __new__(cls, colour: Colour = DEFAULT_COLOUR, children: tuple[Tree, ...] = ()):
         children = tuple(children)
-        ident = (cls, colour.index, colour.name, children)
+        ident = (cls, colour, children)
         known = _INTERNED.get(ident)
         if known is not None:
             node = known()
@@ -336,8 +335,13 @@ def write_trees(
     return list(map(written.__getitem__, roots))
 
 
+@lru_cache(maxsize=256)
+def _brace_parts(name: str) -> tuple[str, str]:
+    return name + "{", "}"
+
+
 def _braces(t: Tree) -> tuple[str, str]:
-    return intern(t.colour.name + "{"), "}"  # one head string per colour, not per node
+    return _brace_parts(t.colour.name)  # one pair per colour, not per node
 
 
 def format_trees(roots: Iterable[Tree]) -> list[str]:

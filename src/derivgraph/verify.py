@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 
 from .enumeration import Regime, _Family, enumerate_graphs, family_of
 from .jets import _flow, _reverse, _scaled, compose, identity_jet
-from .skeletons import Skeleton
 from .trees import LEAF, Tree, format_trees
 from .weights import weigh
 

@@ -653,17 +653,35 @@ def test_start_up_imports_no_dataclasses_inspect_or_json():
     ],
 )
 def test_each_subcommand_imports_only_its_modules(command, own):
+    shared = {"enumeration", "trees", "weights"}
+    assert derivgraph_imports(command, "--regime", "ode") == shared | own
+
+
+def derivgraph_imports(*argv: str) -> set[str]:
+    """The derivgraph submodules that ``argv --order 3`` imports in a fresh process."""
     # ``-X importtime`` names on stderr every module the child imports after
     # the interpreter has started.
-    done = cli_process(command, "--regime", "ode", "--order", "3", flags=("-X", "importtime"))
+    done = cli_process(*argv, "--order", "3", flags=("-X", "importtime"))
     assert done.returncode == 0 and done.stdout, done.stderr
     lines = done.stderr.decode().splitlines()
     added = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
-    shared = {"enumeration", "skeletons", "trees", "weights"}
-    assert {m for m in added if m.startswith("derivgraph")} == {
-        "derivgraph",
-        *(f"derivgraph.{m}" for m in shared | own),
-    }
+    assert "derivgraph" in added
+    return {m.removeprefix("derivgraph.") for m in added if m.startswith("derivgraph.")}
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (("trees", "--regime", "composite", "--skeleton", "f(x)"), True),
+        (("formula", "--regime", "composite", "--skeleton", "f(g(x))"), True),
+        # Another regime ignores --skeleton without parsing it.
+        (("table", "--regime", "ode", "--skeleton", "f(x)"), False),
+        (("verify", "--regime", "inverse", "--trials", "2"), False),
+        (("formula", "--regime", "inverse"), False),
+    ],
+)
+def test_only_the_composite_regime_imports_skeletons(argv, loads):
+    assert ("skeletons" in derivgraph_imports(*argv)) is loads
 
 
 def test_dir_lists_the_public_names_and_unknown_names_raise():

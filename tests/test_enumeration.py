@@ -1,3 +1,5 @@
+import operator
+from bisect import bisect_left
 from functools import cache
 
 import pytest
@@ -369,6 +371,47 @@ class TestBuiltOnce:
         monkeypatch.setattr(trees, "sort_key", unordered)
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
+
+
+class _ComprehensionFamily(enumeration._Family):
+    """A family whose ``_inner`` builds ``at_most`` as a comprehension that
+    tests every pool position against every measure left."""
+
+    __slots__ = ()
+
+    def _inner(self, colour, size, memo):
+        budget = size - 1 if self.measure == "vertices" else size
+        cap = budget - self.min_degree + 1
+        kinds = sorted(self.children.get(colour, ())) if cap > 0 else []
+        pool = [t for c in kinds for t in memo[c, cap]]
+        measures = [getattr(t, self.measure) for t in pool]
+        at_most = [[i for i, m in enumerate(measures) if m <= r] for r in range(budget + 1)]
+        runs = [((), 0, budget)]
+        degree = 0
+        while runs:
+            longer = []
+            for kids, start, left in runs:
+                positions = at_most[left]
+                for i in positions[bisect_left(positions, start) :]:
+                    longer.append((kids + (pool[i],), i, left - measures[i]))
+            runs = longer
+            degree += 1
+            if degree >= self.min_degree:
+                yield from runs
+
+
+@pytest.mark.parametrize(
+    "regime, text, sizes",
+    [(Regime.ODE, None, range(1, 13)), (Regime.INVERSE, None, range(2, 11))]
+    + [(Regime.COMPOSITE, text, range(1, 6)) for text in SKELETONS],
+)
+def test_at_most_lists_the_comprehension_positions(regime, text, sizes):
+    family = family_of(regime, text and parse_skeleton(text))
+    reference = _ComprehensionFamily(*family)
+    for n in sizes:
+        built, expected = family.trees(n), reference.trees(n)
+        assert len(built) == len(expected)
+        assert all(map(operator.is_, built, expected)), (regime, text, n)
 
 
 @cache

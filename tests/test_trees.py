@@ -276,6 +276,20 @@ class TestInterning:
         assert Tree(children=(LEAF, chain(2))) is Tree(children=[LEAF, chain(2)])
         assert Tree(Colour(0, "*")) is LEAF
 
+    def test_the_key_is_class_colour_and_children(self):
+        # A freshly built colour equal to the node's, name and all, finds the node.
+        kids = (LEAF, Tree(Colour(3, "fg"), (LEAF,)))
+        t = Tree(Colour(3, "fg"), kids)
+        fresh = Colour(3, "".join(("f", "g")))
+        assert fresh is not t.colour and fresh.name is not t.colour.name
+        assert Tree(fresh, kids) is t
+        assert Tree(Colour(2, "fg"), kids) is not t and Tree(Colour(3, "gf"), kids) is not t
+        # A tree with a skeleton's colour and its very children is another node.
+        s = parse_skeleton("f(x)")
+        twin = Tree(s.colour, s.children)
+        assert twin is not s and type(twin) is Tree and twin.children is s.children
+        assert Tree(s.colour, s.children) is twin and parse_skeleton("f(x)") is s
+
     def test_copies_and_round_trips_return_the_node(self):
         pal = make_palette("x", "f")
         coloured = Tree(pal["f"], (Tree(pal["x"]), Tree(pal["f"], (Tree(pal["x"]),))))
@@ -462,6 +476,15 @@ class TestWriters:
     def test_one_tree_writes_as_the_shared_fold(self, t):
         assert str(t) == format_trees([t])[0]
         assert eval(repr(t), {"Tree": Tree, "Colour": Colour}) is t
+
+    def test_mixed_palettes_and_more_names_than_the_head_cache(self):
+        # Clashing ranks and names, and 600 names: more than the head cache holds.
+        x, y, x1 = CLASHING
+        clash = Tree(x1, (Tree(x), Tree(y), Tree(x1, (Tree(x),))))
+        wide = Tree(x, tuple(Tree(Colour(i, f"c{i}"), (LEAF,)) for i in range(600)))
+        roots = [clash, wide, Tree(y, (wide,)), wide.children[0], clash]
+        assert format_trees(roots) == list(map(str, roots)) == list(map(reference_notation, roots))
+        assert str(clash) == "x{x{},y{},x{x{}}}"
 
     def test_writers_take_linear_time(self):
         # Doubling the depth at most doubles the time, with room for noise.
