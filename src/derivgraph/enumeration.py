@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from functools import cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .trees import DEFAULT_COLOUR, Colour, Tree, compare_trees, fold
@@ -157,7 +157,7 @@ _ODE = _Family((DEFAULT_COLOUR,), 0, {0: (0,)}, frozenset({0}), min_degree=1, me
 _INVERSE = _Family(_ODE.palette, 0, _ODE.children, _ODE.leaves, min_degree=2, measure="entrances")
 
 
-@cache
+@lru_cache(maxsize=1)  # the latest skeleton's: a dropped one is freed
 def _composite_family(skeleton: Skeleton) -> _Family:
     """The family of a skeleton's graphs, from one preorder walk of its positions.
 
@@ -208,6 +208,8 @@ def family_of(regime: Regime, skeleton: Skeleton | None) -> _Family:
         if skeleton is None:
             raise ValueError("composite regime requires a skeleton")
         return _composite_family(skeleton)
+    if regime is not Regime.ODE and regime is not Regime.INVERSE:
+        return family_of(Regime(regime), skeleton)  # a value string; any other value raises
     return _ODE if regime is Regime.ODE else _INVERSE
 
 
@@ -218,6 +220,7 @@ def enumerate_graphs(
 
     ``skeleton`` is read in the composite regime only; other graphs carry none.
     """
+    regime = Regime(regime)  # the value string works too; any other value raises
     family = family_of(regime, skeleton)
     if n < 1:
         raise ValueError("order must be >= 1")

@@ -156,6 +156,7 @@ def render_derivative(
     skeleton: Skeleton | None = None,
 ) -> Formula:
     """Enumerate, weigh and render the full order-n derivative."""
+    regime = Regime(regime)
     if style not in STYLES:
         raise ValueError(f"unsupported style {style!r}")
     if regime is Regime.INVERSE and n == 1:

@@ -129,7 +129,7 @@ def jet_reverse(f: Jet) -> Jet:
     """Compositional inverse g, f(g(x)) = x to f's order; needs c_0 = 0 and c_1 != 0."""
     if f[0] != 0:
         raise ValueError("series must have zero constant term")
-    if f[1] == 0:
+    if f.order < 1 or f[1] == 0:
         raise ValueError("series with zero linear term has no compositional inverse")
     d, scaled = _scaled(f.coeffs)
     a, g = scaled[1], _reverse(scaled)
@@ -167,6 +167,8 @@ def compose(outer: dict[tuple[int, ...], Rat], inners: list[Jet], order: int) ->
     for alpha, c in outer.items():
         if len(alpha) != len(inners):
             raise ValueError(f"multi-index {alpha} needs {len(inners)} exponents, one per inner")
+        if min(alpha, default=0) < 0:
+            raise ValueError(f"multi-index {alpha} has a negative exponent")
         if sum(alpha) <= order:
             term = Jet([c], order=order)
             for row, e in zip(powers, alpha):

@@ -8,7 +8,7 @@ entrances of a graph, the root is its outlet.
 
 Trees are hash-consed: ``Tree(colour, children)`` returns the one live node
 with that colour and those (already interned) children, so structural
-equality is identity and ``==`` is ``is``.  Each node computes its counts
+equality is identity and ``==`` is ``is``.  A tree node computes its counts
 and structural numbers once, when it is built, from its children's
 (Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).  The
 natural order is walked, not stored: :func:`compare_trees` steps down both
@@ -81,11 +81,11 @@ class Tree:
     Canonical iff every child tuple is sorted under :func:`compare_trees`,
     that is iff ``canonicalize(t) is t``.
 
-    Fields are computed once when the node is first built and never change:
+    A ``Tree`` node computes these fields once, when it is first built (a subclass's
+    node, such as a skeleton, stores only ``colour`` and ``children``):
 
     - ``vertices`` and ``entrances`` counts (``internal`` is their difference)
-    - ``symmetry``: S, the order of the colour-preserving automorphism group
-      (meaningful for canonical trees)
+    - ``symmetry``: S, the colour-preserving automorphism count of a canonical tree
     - ``complexity``: tau, the product over all vertices of the
       cardinalities of their child subtrees
     """
@@ -116,29 +116,29 @@ class Tree:
             if node is not None:
                 return node
 
-        vertices, entrances, complexity = 1, 0, 1
-        symmetry, run, prev = 1, 0, None
-        for c in children:
-            vertices += c.vertices
-            entrances += c.entrances
-            complexity *= c.vertices * c.complexity
-            symmetry *= c.symmetry
-            # Equal siblings are adjacent in a canonical child tuple; each
-            # run of k of them contributes k! automorphisms.
-            if c is prev:
-                run += 1
-                symmetry *= run
-            else:
-                run = 1
-            prev = c
-
         node = object.__new__(cls)
         _set_colour(node, colour)
         _set_children(node, children)
-        _set_vertices(node, vertices)
-        _set_entrances(node, entrances or 1)
-        _set_symmetry(node, symmetry)
-        _set_complexity(node, complexity)
+        if cls is Tree:
+            vertices, entrances, complexity = 1, 0, 1
+            symmetry, run, prev = 1, 0, None
+            for c in children:
+                vertices += c.vertices
+                entrances += c.entrances
+                complexity *= c.vertices * c.complexity
+                symmetry *= c.symmetry
+                # Equal siblings are adjacent in a canonical child tuple; each
+                # run of k of them contributes k! automorphisms.
+                if c is prev:
+                    run += 1
+                    symmetry *= run
+                else:
+                    run = 1
+                prev = c
+            _set_vertices(node, vertices)
+            _set_entrances(node, entrances or 1)
+            _set_symmetry(node, symmetry)
+            _set_complexity(node, complexity)
         entry = _Ref(node, _forget)
         entry.ident = ident
         _INTERNED[ident] = entry

@@ -119,6 +119,7 @@ def verify(
     regime: Regime, n: int, trials: int = 20, seed: int = 0, skeleton: Skeleton | None = None
 ) -> Report:
     """Run ``trials`` independent exact comparisons at order ``n``."""
+    regime = Regime(regime)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     closed_form = regime is Regime.INVERSE and n == 1

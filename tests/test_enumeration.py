@@ -310,6 +310,41 @@ def test_a_skeleton_is_dropped_outside_the_composite_regime(regime, n):
     assert all(g.skeleton is None for g in graphs)
 
 
+class TestRegimeValues:
+    """A regime may be passed as its member or its value string, never as anything else."""
+
+    @pytest.mark.parametrize("regime,n", [(Regime.ODE, 4), (Regime.INVERSE, 4), (Regime.ODE, 1)])
+    def test_the_value_string_is_the_member(self, regime, n):
+        by_value = enumerate_graphs(regime.value, n)
+        assert by_value == enumerate_graphs(regime, n)
+        assert all(g.regime is regime for g in by_value)
+        assert all(in_regime(DerivativeGraph(g.tree, regime.value)) for g in by_value)
+        machine = render_derivative(regime, n, "machine")
+        assert render_derivative(regime.value, n, "machine") == machine
+        report = verify(regime.value, n, trials=3)
+        assert report.passed and report == verify(regime, n, trials=3)
+
+    def test_the_ode_string_runs_the_ode_rules(self):
+        assert len(enumerate_graphs("ode", 4)) == A000081[3] == 4
+        assert len(enumerate_graphs("inverse", 4)) == A000669[2] == 5
+        assert render_derivative("ode", 3).terms == render_derivative(Regime.ODE, 3).terms
+
+    def test_the_composite_string_reads_the_skeleton(self):
+        assert enumerate_graphs("composite", 3, CHAIN) == enumerate_composite(CHAIN, 3)
+        assert verify("composite", 3, trials=2, skeleton=CHAIN).passed
+
+    @pytest.mark.parametrize("bad", ["ODE", "odes", "", None, 0])
+    def test_any_other_value_is_refused(self, bad):
+        for call in [
+            lambda: enumerate_graphs(bad, 3),
+            lambda: render_derivative(bad, 3),
+            lambda: verify(bad, 3),
+            lambda: in_regime(DerivativeGraph(Tree(), bad)),
+        ]:
+            with pytest.raises(ValueError, match="is not a valid Regime"):
+                call()
+
+
 def distinct_nodes(roots: list[Tree]) -> int:
     seen, stack = set(), list(roots)
     while stack:

@@ -83,6 +83,11 @@ class TestReverse:
         with pytest.raises(ValueError):
             jet_reverse(Jet([0, 0, 1]))
 
+    def test_a_constant_has_no_linear_term(self):
+        # An order-0 jet has no c_1 to read: the same refusal, not an IndexError.
+        with pytest.raises(ValueError, match="zero linear term"):
+            jet_reverse(Jet([0]))
+
     def test_rejects_a_nonzero_constant_term(self):
         with pytest.raises(ValueError) as err:
             jet_reverse(Jet([1, 1]))
@@ -251,6 +256,13 @@ class TestMultivariate:
         # Zipping would drop the extra or missing exponents and return the constant 1.
         with pytest.raises(ValueError, match="one per inner"):
             compose(outer, inners, 4)
+
+    def test_rejects_a_negative_exponent(self):
+        # Indexing the power table with -1 would read its last row: x^3 here.
+        with pytest.raises(ValueError, match="negative exponent"):
+            compose({(-1,): 1}, [identity_jet(3)], 3)
+        with pytest.raises(ValueError, match="negative exponent"):
+            compose({(2, -1): 1}, [identity_jet(3)] * 2, 3)
 
     def test_truncates_only_at_the_inners_a_term_uses(self):
         a, b = Jet([0, 1, 1, 1, 1]), Jet([0, 2, 1])

@@ -1,10 +1,16 @@
 import copy
+import gc
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derivgraph import enumeration, trees
 from derivgraph.cli import main
 from derivgraph.enumeration import Regime, enumerate_composite, family_of
 from derivgraph.formulas import parse_machine_term, render_derivative
@@ -12,6 +18,7 @@ from derivgraph.skeletons import (
     Skeleton,
     SkeletonSyntaxError,
     parse_skeleton,
+    positions,
 )
 from derivgraph.trees import Colour, Tree, TreeSyntaxError, make_palette, parse_tree
 from derivgraph.verify import verify
@@ -196,3 +203,54 @@ class TestParserProperties:
                 parse_tree(text, palette)
             except TreeSyntaxError:
                 pass
+
+
+# Parses the d-deep chain f0(f1(...f{d-1}(x)...)) and prints the peak RSS of
+# its own address space in KiB.  VmHWM, not ru_maxrss: a child started from a
+# large parent inherits the parent's peak in ru_maxrss at exec.
+_PEAK_RSS = """
+import sys
+from derivgraph.skeletons import parse_skeleton
+d = int(sys.argv[1])
+s = parse_skeleton("".join(f"f{i}(" for i in range(d)) + "x" + ")" * d)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+class TestMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_peak_rss_of_parse_skeleton_grows_linearly(self):
+        # A skeleton node keeps its colour and children, no counts, S or tau:
+        # a tau per node, k! at depth k, made this quadratic (368 MiB at 20,000).
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+
+        def peak_kib(depth: int) -> int:
+            command = [sys.executable, "-c", _PEAK_RSS, str(depth)]
+            return int(subprocess.run(command, env=env, capture_output=True, check=True).stdout)
+
+        peaks = [peak_kib(d) for d in (10_000, 20_000, 40_000)]
+        assert all(b <= 2.2 * a for a, b in zip(peaks, peaks[1:])), peaks
+        assert peaks[1] < 64 * 1024, peaks
+
+    def test_dropped_skeletons_leave_at_most_the_latest_interned(self):
+        # The composite family cache holds one skeleton, the latest: the ones
+        # before it, their families and their graphs leave the intern table.
+        enumeration._composite_family.cache_clear()
+        gc.collect()
+        baseline = set(trees._INTERNED)
+        for i in range(200):
+            s = parse_skeleton(f"F{i}(f{i}(x{i}),g(x{i},y),h{i}())")
+            graphs = enumerate_composite(s, 3)
+            assert graphs and len(trees._INTERNED) > len(baseline)
+        latest = {(type(n), str(n)) for _, n in positions(s)}
+        del s, graphs
+        gc.collect()
+        left = [ref() for ident, ref in trees._INTERNED.items() if ident not in baseline]
+        assert len(left) <= len(latest) and {(type(n), str(n)) for n in left} <= latest
+        del left  # the nodes themselves
+        enumeration._composite_family.cache_clear()
+        gc.collect()
+        assert set(trees._INTERNED) == baseline

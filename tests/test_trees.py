@@ -19,7 +19,7 @@ from derivgraph import formulas, trees
 from brute import brute_automorphism_count, brute_rooted_trees, isomorphic
 from derivgraph.enumeration import DerivativeGraph, Regime, enumerate_ode, family_of
 from derivgraph.formulas import parse_machine_term
-from derivgraph.skeletons import parse_skeleton
+from derivgraph.skeletons import Skeleton, parse_skeleton
 from derivgraph.trees import (
     DEFAULT_COLOUR,
     LEAF,
@@ -284,11 +284,11 @@ class TestInterning:
         assert fresh is not t.colour and fresh.name is not t.colour.name
         assert Tree(fresh, kids) is t
         assert Tree(Colour(2, "fg"), kids) is not t and Tree(Colour(3, "gf"), kids) is not t
-        # A tree with a skeleton's colour and its very children is another node.
-        s = parse_skeleton("f(x)")
-        twin = Tree(s.colour, s.children)
-        assert twin is not s and type(twin) is Tree and twin.children is s.children
-        assert Tree(s.colour, s.children) is twin and parse_skeleton("f(x)") is s
+        # A tree with a skeleton's colour and the same (no) children is another node.
+        s = parse_skeleton("f(x)").children[0]
+        twin = Tree(s.colour)
+        assert twin is not s and type(twin) is Tree and twin.children == s.children == ()
+        assert Tree(s.colour) is twin and Skeleton("x") is s
 
     def test_copies_and_round_trips_return_the_node(self):
         pal = make_palette("x", "f")
@@ -457,17 +457,11 @@ class TestInterningProperties:
 
 
 class _Bare(Tree):
-    """A node built without ``Tree.__new__``'s counts, for chains deeper than a
-    test can afford: a real 40,000-vertex chain stores tau = k! at depth k,
-    about 1.4 GB of integers."""
+    """A subclass, whose nodes, like a skeleton's, store no counts, S or tau:
+    for chains deeper than a test can afford as trees, since a 40,000-vertex
+    chain stores tau = k! at depth k, about 1.4 GB of integers."""
 
     __slots__ = ()
-
-    def __new__(cls, children: tuple[Tree, ...] = ()):
-        node = object.__new__(cls)
-        trees._set_colour(node, trees.DEFAULT_COLOUR)
-        trees._set_children(node, children)
-        return node
 
 
 class TestWriters:
@@ -490,7 +484,7 @@ class TestWriters:
         # Doubling the depth at most doubles the time, with room for noise.
         t, chains = _Bare(), {}
         for depth in range(2, 40_001):
-            t = _Bare((t,))
+            t = _Bare(children=(t,))
             if depth in (20_000, 40_000):
                 chains[depth] = t
         assert str(chains[40_000]) == "*{" * 39_999 + "*{}" + "}" * 39_999
