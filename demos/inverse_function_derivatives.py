@@ -22,7 +22,7 @@ for n in range(1, 5):
 
 print()
 print("== signed weights per tree ==")
-for n in range(2, 6):
+for n in range(1, 6):
     parts = [
         f"{'+' if wg.sign > 0 else '-'}{wg.weight} * {str(wg.graph.tree)}"
         for wg in map(weigh, enumerate_inverse(n))

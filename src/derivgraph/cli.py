@@ -23,54 +23,34 @@ from .weights import weigh
 DEFAULT_MAX_ORDER = 10
 
 
-class _CliError(Exception):
-    pass
-
-
 def _load_skeleton(args: argparse.Namespace, regime: Regime) -> Skeleton | None:
     if regime is not Regime.COMPOSITE:
         return None
     if not args.skeleton:
-        raise _CliError("the composite regime requires --skeleton")
+        raise ValueError("the composite regime requires --skeleton")
     text = args.skeleton
     if text.startswith("@"):
         try:
             with open(text[1:], encoding="utf-8") as file:
                 text = file.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
-            raise _CliError(f"cannot read skeleton file: {exc}") from exc
+            raise ValueError(f"cannot read skeleton file: {exc}") from exc
     from .skeletons import SkeletonSyntaxError, parse_skeleton  # only composite reads one
 
     try:
         return parse_skeleton(text)
     except SkeletonSyntaxError as exc:
-        raise _CliError(f"bad skeleton syntax: {exc}") from exc
+        raise ValueError(f"bad skeleton syntax: {exc}") from exc
 
 
 def _check_order(args: argparse.Namespace) -> None:
     if args.order < 1:
-        raise _CliError("order must be >= 1")
+        raise ValueError("order must be >= 1")
     if args.order > args.max_order:
-        raise _CliError(
+        raise ValueError(
             f"order {args.order} exceeds the supported limit {args.max_order}; "
             "raise it explicitly with --max-order"
         )
-
-
-def _listed_graphs(
-    args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None
-) -> list[DerivativeGraph]:
-    """The graphs that ``trees`` and ``table`` list.
-
-    Inverse order 1 has no graph: its derivative is the closed form
-    (Df(g(y)))⁻¹, which ``formula`` prints and ``verify`` checks.
-    """
-    if regime is Regime.INVERSE and args.order == 1:
-        raise _CliError(
-            "inverse order 1 has no graph to list; "
-            "`formula --regime inverse --order 1` prints its closed form"
-        )
-    return enumerate_graphs(regime, args.order, skeleton)
 
 
 # A command returns its exit code and its document: the text to write, or for
@@ -80,7 +60,7 @@ def _listed_graphs(
 
 
 def _cmd_trees(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
-    lines = format_trees(g.tree for g in _listed_graphs(args, regime, skeleton))
+    lines = format_trees(g.tree for g in enumerate_graphs(regime, args.order, skeleton))
     if args.style == "machine":
         return 0, {"regime": regime.value, "order": args.order, "trees": lines}
     return 0, "".join(line + "\n" for line in lines)
@@ -101,7 +81,7 @@ def _table_rows(graphs: list[DerivativeGraph], regime: Regime) -> list[tuple]:
 def _cmd_table(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
     # The graphs, and with them the interned trees, are released before the
     # layout: holding them through it raises the peak memory.
-    rows = _table_rows(_listed_graphs(args, regime, skeleton), regime)
+    rows = _table_rows(enumerate_graphs(regime, args.order, skeleton), regime)
     if args.style == "machine":
         rows = [dict(zip(_COLUMNS, row)) for row in rows]
         return 0, {"regime": regime.value, "order": args.order, "rows": rows}
@@ -124,18 +104,13 @@ def _cmd_formula(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | 
     formula = render_derivative(regime, args.order, args.style, skeleton)
     if args.style != "machine":
         return 0, str(formula) + "\n"
-    trees = iter(format_trees(t.graph.graph.tree for t in formula.terms if t.graph))
+    trees = format_trees(t.graph.graph.tree for t in formula.terms)
     return 0, {
         "regime": regime.value,
         "order": args.order,
         "terms": [
-            {
-                "sign": term.sign,
-                "weight": str(term.weight),
-                "tree": next(trees) if term.graph else None,
-                "machine": term.text,
-            }
-            for term in formula.terms
+            {"sign": term.sign, "weight": str(term.weight), "tree": tree, "machine": term.text}
+            for term, tree in zip(formula.terms, trees)
         ],
     }
 
@@ -207,7 +182,7 @@ def _write(path: str | None, text: str) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        raise _CliError(f"cannot write output: {exc}") from exc
+        raise ValueError(f"cannot write output: {exc}") from exc
 
 
 def _fail(message: object) -> int:
@@ -235,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
                 document = json.dumps(document, indent=2) + "\n"
             _write(args.output, document)
             return code
-        except (_CliError, ValueError) as exc:
+        except ValueError as exc:
             return _fail(exc)
         except Exception as exc:
             # Anything else is a defect, but it still ends in one line, not a

@@ -37,9 +37,8 @@ class DerivativeGraph(NamedTuple):
 
     @property
     def order(self) -> int:
-        if self.regime is Regime.ODE:
-            return self.tree.vertices
-        return self.tree.entrances
+        regime = Regime(self.regime)  # the value string works too; any other value raises
+        return self.tree.vertices if regime is Regime.ODE else self.tree.entrances
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,8 @@ _ODE = _Family((DEFAULT_COLOUR,), 0, {0: (0,)}, frozenset({0}), min_degree=1, me
 
 # Inverse, x = g(y) for y = f(x): order n = entrance count; internal vertices
 # have degree >= 2 (unary first-derivative wedges cancel against Dg and are
-# never drawn) and a degree-k vertex carries the k-th derivative of f.
+# never drawn) and a degree-k vertex carries the k-th derivative of f.  A
+# leaf is Dg itself, so order 1 is the lone leaf.
 _INVERSE = _Family(_ODE.palette, 0, _ODE.children, _ODE.leaves, min_degree=2, measure="entrances")
 
 
@@ -224,8 +224,6 @@ def enumerate_graphs(
     family = family_of(regime, skeleton)
     if n < 1:
         raise ValueError("order must be >= 1")
-    if regime is Regime.INVERSE and n < 2:
-        raise ValueError("inverse regime needs order >= 2 (order 1 is the closed form)")
     if regime is not Regime.COMPOSITE:
         skeleton = None  # only composite graphs carry one
     # tuple.__new__ builds the record without the constructor's Python-level call.
@@ -238,7 +236,7 @@ def enumerate_ode(n: int) -> list[DerivativeGraph]:
 
 
 def enumerate_inverse(n: int) -> list[DerivativeGraph]:
-    """All order-n inverse-regime trees; n = 1 is the closed form, rejected."""
+    """All inverse-regime trees with n entrances; n = 1 is the lone leaf, Dg."""
     return enumerate_graphs(Regime.INVERSE, n)
 
 
@@ -253,6 +251,4 @@ def enumerate_composite(skeleton: Skeleton, n: int) -> list[DerivativeGraph]:
 def in_regime(graph: DerivativeGraph) -> bool:
     """Whether ``enumerate_graphs`` lists ``graph`` at its order; one fold, no enumeration."""
     family, tree = family_of(graph.regime, graph.skeleton), graph.tree
-    if tree.is_leaf and family.min_degree > 1:
-        return False  # the inverse order 1: the closed form, no graph
     return tree.colour == family.palette[family.root] and fold((tree,), family.keeps)[0]

@@ -115,10 +115,12 @@ def _term_texts(
 
 
 class FormulaTerm(NamedTuple):
+    """One signed, weighted term: the text of its graph in the formula's style."""
+
     sign: int
     weight: Fraction
     text: str
-    graph: WeightedGraph | None = None  # None only for closed forms
+    graph: WeightedGraph
 
 
 class Formula(NamedTuple):
@@ -142,11 +144,8 @@ class Formula(NamedTuple):
         return "".join(pieces)
 
 
-_INVERSE_ORDER_1 = {
-    "text": "(Df(g(y)))⁻¹",
-    "latex": "(Df(g(y)))^{-1}",
-    "machine": "(term (regime inverse) (order 1) (closed-form))",
-}
+# The inverse order 1 is the lone leaf, Dg(y), printed as its closed form.
+_INVERSE_ORDER_1 = {"text": "(Df(g(y)))⁻¹", "latex": "(Df(g(y)))^{-1}"}
 
 
 def render_derivative(
@@ -159,11 +158,10 @@ def render_derivative(
     regime = Regime(regime)
     if style not in STYLES:
         raise ValueError(f"unsupported style {style!r}")
-    if regime is Regime.INVERSE and n == 1:
-        term = FormulaTerm(1, Fraction(1), _INVERSE_ORDER_1[style])
-        return Formula(regime, 1, style, (term,))
     wgs = [weigh(graph) for graph in enumerate_graphs(regime, n, skeleton)]
     texts = _term_texts(wgs, regime, skeleton, style)
+    if regime is Regime.INVERSE and n == 1 and style in _INVERSE_ORDER_1:
+        texts = [_INVERSE_ORDER_1[style]]
     terms = (FormulaTerm(wg.sign, wg.weight, text, wg) for wg, text in zip(wgs, texts))
     return Formula(regime, n, style, tuple(terms))
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .enumeration import Regime, _Family, enumerate_graphs, family_of
 from .jets import _flow, _reverse, _scaled, compose, identity_jet
-from .trees import LEAF, Tree, format_trees
+from .trees import Tree, format_trees
 from .weights import weigh
 
 
@@ -122,13 +122,8 @@ def verify(
     regime = Regime(regime)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    closed_form = regime is Regime.INVERSE and n == 1
-    if closed_form:
-        # No graph: the closed form (Df)^-1 = Dg is the value of a lone leaf.
-        graphs, rows = [], [(LEAF, 1, Fraction(1))]
-    else:
-        graphs = enumerate_graphs(regime, n, skeleton)
-        rows = [(wg.graph.tree, wg.sign, wg.weight) for wg in map(weigh, graphs)]
+    graphs = enumerate_graphs(regime, n, skeleton)
+    rows = [(wg.graph.tree, wg.sign, wg.weight) for wg in map(weigh, graphs)]
     row_monomial, monomials, coefficients = _like_terms(rows)
 
     rng = random.Random(seed)
@@ -151,7 +146,7 @@ def verify(
         actual = Fraction(total, denominator * q**top)
         if actual != expected:
             if texts is None:
-                texts = ["(closed form)"] if closed_form else format_trees(t for t, _, _ in rows)
+                texts = format_trees(t for t, _, _ in rows)
             terms = tuple(
                 TermValue(text, sign, weight, Fraction(values[m], q ** sizes[m]))
                 for text, (_, sign, weight), m in zip(texts, rows, row_monomial)

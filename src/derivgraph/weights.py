@@ -36,7 +36,9 @@ def weigh(graph: DerivativeGraph) -> WeightedGraph:
     if regime is Regime.ODE:
         weight = _fraction(factorial(tree.vertices - 1), tree.symmetry * tree.complexity)
         sign = 1
-    else:
+    elif regime is Regime.INVERSE or regime is Regime.COMPOSITE:
         weight = _fraction(factorial(tree.entrances), tree.symmetry)
         sign = (-1) ** tree.internal if regime is Regime.INVERSE else 1
+    else:  # a value string; any other value raises
+        return weigh(graph._replace(regime=Regime(regime)))
     return tuple.__new__(WeightedGraph, (graph, sign, weight))  # as in enumerate_graphs

@@ -253,21 +253,15 @@ class TestVerify:
 
 
 class TestInverseOrderOne:
-    # The rule: graph listings have no graph to list and point to `formula`;
-    # the closed form is a formula, so `formula` prints it and `verify`
-    # checks it.
-    NO_GRAPH = (
-        "derivgraph: error: inverse order 1 has no graph to list; "
-        "`formula --regime inverse --order 1` prints its closed form\n"
-    )
-
+    # Dg = (Df(g))^-1 is the lone leaf: `trees` and `table` list it, `verify`
+    # checks it, and `formula` prints it as its closed form.
     @pytest.mark.parametrize(
         "command, code, out, err",
         [
-            ("trees", 1, "", NO_GRAPH),
-            ("table", 1, "", NO_GRAPH),
+            ("trees", 0, "*{}\n", ""),
+            ("table", 0, "tree  S  tau  sign  weight\n*{}   1  1    +1    1\n", ""),
             ("formula", 0, "(Df(g(y)))⁻¹\n", ""),
-            ("verify", 0, "verify regime=inverse order=1 trials=20 seed=0 graphs=0: PASS\n", ""),
+            ("verify", 0, "verify regime=inverse order=1 trials=20 seed=0 graphs=1: PASS\n", ""),
         ],
     )
     def test_each_subcommand(self, run, command, code, out, err):
@@ -409,8 +403,8 @@ class TestCollector:
         "argv,code",
         [
             (["trees", "--regime", "ode", "--order", "3"], 0),
-            (["trees", "--regime", "composite", "--order", "2"], 1),  # _CliError
-            (["verify", "--regime", "ode", "--order", "3", "--trials", "0"], 1),  # ValueError
+            (["trees", "--regime", "composite", "--order", "2"], 1),  # the CLI's own check
+            (["verify", "--regime", "ode", "--order", "3", "--trials", "0"], 1),  # the library's
         ],
         ids=["exit-0", "cli-error", "value-error"],
     )

@@ -29,6 +29,7 @@ from derivgraph.skeletons import Skeleton, parse_skeleton
 from derivgraph.verify import verify
 from derivgraph.trees import (
     DEFAULT_COLOUR,
+    LEAF,
     Colour,
     Tree,
     canonicalize,
@@ -284,13 +285,14 @@ class TestInverse:
         assert len(graphs) == count
         assert_canonical_and_sorted(graphs)
 
-    def test_rejects_small_orders(self):
-        with pytest.raises(ValueError):
-            enumerate_inverse(1)
+    def test_order_one_is_the_lone_leaf(self):
+        # Dg = (Df(g))^-1: one entrance and no inner vertex.
+        assert enumerate_inverse(1) == [DerivativeGraph(LEAF, Regime.INVERSE)]
+        assert in_regime(DerivativeGraph(LEAF, Regime.INVERSE))
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_order_below_one_is_named_as_in_the_other_regimes(self, n):
-        # The closed-form message is for order 1 alone.
+        # Every regime names a non-positive order the same way.
         for call in [
             enumerate_inverse,
             lambda n: verify(Regime.INVERSE, n),
@@ -457,8 +459,7 @@ def listing(regime: Regime, text: str | None) -> tuple[list[Colour], list[Tree]]
     else:
         colours = [*family_of(Regime.COMPOSITE, parse_skeleton(text)).palette, Colour(0, "z")]
     skeleton = text and parse_skeleton(text)
-    least = 2 if regime is Regime.INVERSE else 1
-    listed = [g.tree for n in range(least, 7) for g in enumerate_graphs(regime, n, skeleton)]
+    listed = [g.tree for n in range(1, 7) for g in enumerate_graphs(regime, n, skeleton)]
     return colours, listed
 
 

@@ -119,8 +119,9 @@ class TestMachineRoundTrip:
         "regime,skeleton,orders",
         [
             (Regime.ODE, None, range(1, 7)),
-            (Regime.INVERSE, None, range(2, 7)),
+            (Regime.INVERSE, None, range(1, 7)),
             (Regime.COMPOSITE, CHAIN, range(1, 7)),
+            (Regime.COMPOSITE, parse_skeleton("f(g(h(k(x))))"), range(1, 6)),
         ],
     )
     def test_round_trip(self, regime, skeleton, orders):
@@ -129,13 +130,17 @@ class TestMachineRoundTrip:
                 assert parse_machine_term(term.text, skeleton) == term.graph
 
     @pytest.mark.parametrize(
-        "regime,orders", [(Regime.ODE, range(1, 7)), (Regime.INVERSE, range(2, 7))]
+        "regime,orders", [(Regime.ODE, range(1, 7)), (Regime.INVERSE, range(1, 7))]
     )
     def test_round_trip_drops_a_skeleton_outside_the_composite_regime(self, regime, orders):
         for n in orders:
             for term in render_derivative(regime, n, "machine").terms:
                 parsed = parse_machine_term(term.text, TWO_COLOUR)
                 assert parsed == term.graph and parsed.graph.skeleton is None
+
+    def test_inverse_order_one_is_the_leaf_term(self):
+        (term,) = render_derivative(Regime.INVERSE, 1, "machine").terms
+        assert term.text == "(term (regime inverse) (sign 1) (weight 1) (tree *{}))"
 
     def test_tampered_weight_is_rejected(self):
         term = render_derivative(Regime.ODE, 4, "machine").terms[2]
@@ -150,8 +155,7 @@ class TestMachineRoundTrip:
             ("(term (regime ode) (sign 1) (weight 12) (tree *{*{},*{*{}},*{}}))", None),
             # Unsorted: *{*{},*{*{}}} is listed, with sign 1 and weight 3.
             ("(term (regime ode) (sign 1) (weight 3) (tree *{*{*{}},*{}}))", None),
-            # Inverse order 1 is the closed form; inner vertices have degree >= 2.
-            ("(term (regime inverse) (sign 1) (weight 1) (tree *{}))", None),
+            # Inverse inner vertices have degree >= 2.
             ("(term (regime inverse) (sign -1) (weight 1) (tree *{*{}}))", None),
             # f(g(x)) has no x child under f, and its root is f.
             ("(term (regime composite) (sign 1) (weight 1) (tree f{x{}}))", CHAIN),
@@ -170,7 +174,7 @@ class TestMachineRoundTrip:
 
 
 class TestRenderDerivative:
-    # Inverse order 1 is the closed form: the style is checked before it.
+    # The style is checked before any graph is enumerated or weighed.
     @pytest.mark.parametrize("regime,n", [(Regime.ODE, 3), (Regime.INVERSE, 1)])
     def test_unsupported_style_rejected(self, regime, n):
         with pytest.raises(ValueError) as err:

@@ -368,6 +368,14 @@ class TestOde:
 
 
 class TestInverse:
+    def test_order_one_checks_the_leaf(self, monkeypatch):
+        # The lone leaf weighs 1; weighed otherwise, the oracle's Dg disagrees at once.
+        crooked(monkeypatch)
+        report = verify(Regime.INVERSE, 1, trials=3, seed=0)
+        assert report.graph_count == 1
+        assert report.mismatches and report.mismatches[0].trial == 0
+        assert [tv.tree for tv in report.mismatches[0].terms] == ["*{}"]
+
     def test_order_two_single_negative_term(self):
         report = verify(Regime.INVERSE, 2, trials=20, seed=1)
         assert report.passed

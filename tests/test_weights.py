@@ -10,6 +10,7 @@ from derivgraph.enumeration import (
     DerivativeGraph,
     Regime,
     enumerate_composite,
+    enumerate_graphs,
     enumerate_inverse,
     enumerate_ode,
 )
@@ -91,6 +92,31 @@ class TestInverse:
         for n in range(2, 8):
             for g in enumerate_inverse(n):
                 assert weigh(g).sign == (-1) ** internal(g.tree)
+
+
+class TestRegimeSpelling:
+    @pytest.mark.parametrize(
+        "regime,skeleton,orders",
+        [
+            (Regime.ODE, None, range(1, 6)),
+            (Regime.INVERSE, None, range(1, 6)),
+            (Regime.COMPOSITE, CHAIN, range(1, 4)),
+        ],
+        ids=["ode", "inverse", "composite"],
+    )
+    def test_value_string_is_its_member(self, regime, skeleton, orders):
+        # *{*{},*{*{}}} at ode 4 weighs 3, not the n!/S = 2 of its entrances.
+        for g in (g for n in orders for g in enumerate_graphs(regime, n, skeleton)):
+            spelt = g._replace(regime=g.regime.value)
+            assert weigh(spelt)[1:] == weigh(g)[1:]
+            assert spelt.order == g.order
+
+    def test_other_value_raises(self):
+        (g,) = enumerate_ode(1)
+        bogus = g._replace(regime="bogus")
+        for call in [weigh, lambda graph: graph.order]:
+            with pytest.raises(ValueError, match="'bogus' is not a valid Regime"):
+                call(bogus)
 
 
 class TestOde:
