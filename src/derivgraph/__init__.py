@@ -20,15 +20,14 @@ __version__ = "0.1.0"
 _MODULES = {
     name: module
     for module, names in {
-        "enumeration": "DerivativeGraph Regime enumerate_composite enumerate_graphs "
-        "enumerate_inverse enumerate_ode",
+        "enumeration": "DerivativeGraph Regime WeightedGraph enumerate_composite "
+        "enumerate_graphs enumerate_inverse enumerate_ode weigh",
         "formulas": "Formula FormulaTerm parse_machine_term render_derivative",
         "jets": "Jet compose identity_jet jet_ode_flow jet_reverse",
         "skeletons": "Skeleton SkeletonSyntaxError parse_skeleton",
-        "trees": "Colour DEFAULT_COLOUR LEAF Tree TreeSyntaxError canonicalize compare_trees "
+        "trees": "Colour DEFAULT_COLOUR Tree TreeSyntaxError canonicalize compare_trees "
         "format_trees make_palette parse_tree",
         "verify": "Report verify",
-        "weights": "WeightedGraph weigh",
     }.items()
     for name in names.split()
 }

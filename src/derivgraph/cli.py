@@ -16,9 +16,8 @@ import os
 import sys
 from operator import itemgetter
 
-from .enumeration import DerivativeGraph, Regime, enumerate_graphs
+from .enumeration import DerivativeGraph, Regime, enumerate_graphs, weigh
 from .trees import format_trees
-from .weights import weigh
 
 DEFAULT_MAX_ORDER = 10
 

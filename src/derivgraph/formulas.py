@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .enumeration import DerivativeGraph, Regime, enumerate_graphs, family_of, in_regime
+from .enumeration import DerivativeGraph, Regime, WeightedGraph, enumerate_graphs, family_of
+from .enumeration import in_regime, weigh
 from .trees import Tree, format_trees, parse_tree, write_trees
-from .weights import WeightedGraph, weigh
 
 STYLES = ("text", "latex", "machine")
 

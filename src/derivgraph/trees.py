@@ -39,9 +39,9 @@ class Colour(namedtuple("Colour", "index name")):
     __slots__ = ()
 
     def __new__(cls, index: int, name: str):
-        if index < 0:
-            raise ValueError("colour index must be non-negative")
-        if isinstance(name, str) and not _NAME.fullmatch(name):
+        if not isinstance(index, int) or index < 0:
+            raise ValueError(f"colour index must be a non-negative int, not {index!r}")
+        if not isinstance(name, str) or not _NAME.fullmatch(name):
             raise ValueError(f"{name!r} is not a colour name")
         return tuple.__new__(cls, (index, name))
 
@@ -192,8 +192,6 @@ _set_entrances = Tree.entrances.__set__
 _set_symmetry = Tree.symmetry.__set__
 _set_complexity = Tree.complexity.__set__
 
-LEAF = Tree()
-
 
 def _rebuild(nodes: tuple[tuple[type, Colour, tuple[int, ...]], ...]) -> Tree:
     """The last tree of ``Tree.__reduce__``'s flat list, built children first."""
@@ -240,22 +238,16 @@ N = TypeVar("N")
 R = TypeVar("R")
 
 
-def fold(
-    roots: Iterable[N],
-    vertex: Callable[[N, list[R]], R],
-    children: Callable[[N], Sequence[N]] = attrgetter("children"),
-) -> list[R]:
+def fold(roots: Iterable[Tree], vertex: Callable[[Tree, list[R]], R]) -> list[R]:
     """``vertex(node, child_results)`` of every root, children before parents.
 
     Each distinct node under ``roots`` is visited once, however many roots
     share it: interned trees share their equal subtrees, so this is one step
     per node of the shared DAG.  An explicit stack replaces recursion, so
-    depth is unbounded.  Nodes are dict keys, so they must be hashable;
-    interned trees hash and compare by identity.  Only the roots' results
-    outlive the call.
+    depth is unbounded.  Only the roots' results outlive the call.
     """
     roots = list(roots)
-    memo: dict[N, R] = {}
+    memo: dict[Tree, R] = {}
     result = memo.__getitem__
     # Frames: a node, its children and those not yet visited; None tops the roots.
     stack = [(None, roots, iter(roots))]
@@ -263,7 +255,7 @@ def fold(
         node, kids, pending = stack[-1]
         for c in pending:
             if c not in memo:
-                grandkids = children(c)
+                grandkids = c.children
                 stack.append((c, grandkids, iter(grandkids)))
                 break
         else:

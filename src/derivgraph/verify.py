@@ -17,10 +17,9 @@ from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
 from typing import Callable, NamedTuple
 
-from .enumeration import Regime, _Family, enumerate_graphs, family_of
+from .enumeration import Regime, _Family, enumerate_graphs, family_of, weigh
 from .jets import _flow, _reverse, _scaled, compose, identity_jet
 from .trees import Tree, format_trees
-from .weights import weigh
 
 
 def _random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:

@@ -22,6 +22,7 @@ from derivgraph.enumeration import (
     Regime,
     enumerate_inverse,
     enumerate_ode,
+    weigh,
 )
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import (
@@ -31,7 +32,6 @@ from derivgraph.trees import (
     make_palette,
 )
 from derivgraph.verify import verify
-from derivgraph.weights import weigh
 
 
 def _report(name: str) -> None:

@@ -29,7 +29,6 @@ from derivgraph.skeletons import Skeleton, parse_skeleton
 from derivgraph.verify import verify
 from derivgraph.trees import (
     DEFAULT_COLOUR,
-    LEAF,
     Colour,
     Tree,
     canonicalize,
@@ -287,8 +286,8 @@ class TestInverse:
 
     def test_order_one_is_the_lone_leaf(self):
         # Dg = (Df(g))^-1: one entrance and no inner vertex.
-        assert enumerate_inverse(1) == [DerivativeGraph(LEAF, Regime.INVERSE)]
-        assert in_regime(DerivativeGraph(LEAF, Regime.INVERSE))
+        assert enumerate_inverse(1) == [DerivativeGraph(Tree(), Regime.INVERSE)]
+        assert in_regime(DerivativeGraph(Tree(), Regime.INVERSE))
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_order_below_one_is_named_as_in_the_other_regimes(self, n):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from derivgraph import enumeration, trees
 from derivgraph.cli import main
-from derivgraph.enumeration import Regime, enumerate_composite, family_of
+from derivgraph.enumeration import Regime, enumerate_composite, family_of, weigh
 from derivgraph.formulas import parse_machine_term, render_derivative
 from derivgraph.skeletons import (
     Skeleton,
@@ -22,7 +22,6 @@ from derivgraph.skeletons import (
 )
 from derivgraph.trees import Colour, Tree, TreeSyntaxError, make_palette, parse_tree
 from derivgraph.verify import verify
-from derivgraph.weights import weigh
 
 DEPTH = 10_000
 

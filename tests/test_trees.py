@@ -17,12 +17,18 @@ from hypothesis import strategies as st
 
 from derivgraph import formulas, trees
 from brute import brute_automorphism_count, brute_rooted_trees, isomorphic
-from derivgraph.enumeration import DerivativeGraph, Regime, enumerate_ode, family_of
+from derivgraph.enumeration import (
+    DerivativeGraph,
+    Regime,
+    WeightedGraph,
+    enumerate_ode,
+    family_of,
+    weigh,
+)
 from derivgraph.formulas import parse_machine_term
 from derivgraph.skeletons import Skeleton, parse_skeleton
 from derivgraph.trees import (
     DEFAULT_COLOUR,
-    LEAF,
     Colour,
     Tree,
     TreeSyntaxError,
@@ -32,18 +38,17 @@ from derivgraph.trees import (
     make_palette,
     parse_tree,
 )
-from derivgraph.weights import WeightedGraph, weigh
 
 
 def chain(n: int) -> Tree:
-    t = LEAF
+    t = Tree()
     for _ in range(n - 1):
         t = Tree(children=(t,))
     return t
 
 
 def star(n: int) -> Tree:
-    return Tree(children=(LEAF,) * n)
+    return Tree(children=(Tree(),) * n)
 
 
 def all_trees_upto(max_vertices: int) -> list[Tree]:
@@ -61,7 +66,7 @@ def shuffled(t: Tree, rng: random.Random) -> Tree:
 
 class TestCompare:
     def test_leaf_precedes_chain(self):
-        assert compare_trees(LEAF, chain(2)) == -1
+        assert compare_trees(Tree(), chain(2)) == -1
 
     def test_reflexive(self):
         t = parse_tree("*{*{},*{*{}}}")
@@ -70,8 +75,8 @@ class TestCompare:
     def test_order_4_natural_order(self):
         trees = [
             chain(4),
-            Tree(children=(Tree(children=(LEAF, LEAF)),)),
-            Tree(children=(LEAF, chain(2))),
+            Tree(children=(Tree(children=(Tree(), Tree())),)),
+            Tree(children=(Tree(), chain(2))),
             star(3),
         ]
         for a, b in zip(trees, trees[1:]):
@@ -100,12 +105,12 @@ class TestCompare:
 
 class TestCanonicalize:
     def test_child_order_irrelevant(self):
-        a = Tree(children=(LEAF, chain(2)))
-        b = Tree(children=(chain(2), LEAF))
+        a = Tree(children=(Tree(), chain(2)))
+        b = Tree(children=(chain(2), Tree()))
         assert canonicalize(a) == canonicalize(b)
 
     def test_idempotent(self):
-        t = Tree(children=(chain(3), LEAF, chain(2)))
+        t = Tree(children=(chain(3), Tree(), chain(2)))
         assert canonicalize(canonicalize(t)) == canonicalize(t)
 
     def test_random_shuffles_converge(self):
@@ -123,7 +128,7 @@ class TestSymmetry:
         [
             (chain(4), 1),
             (star(3), 6),
-            (canonicalize(Tree(children=(LEAF, chain(2)))), 1),
+            (canonicalize(Tree(children=(Tree(), chain(2)))), 1),
         ],
     )
     def test_paper_values(self, tree, expected):
@@ -144,7 +149,7 @@ class TestSymmetry:
         assert deep.symmetry == 1
         notation = "*{" * 4999 + "*{}" + "}" * 4999
         assert str(deep) == notation
-        unsorted, ordered = Tree(children=(chain(2), LEAF)), Tree(children=(LEAF, chain(2)))
+        unsorted, ordered = Tree(children=(chain(2), Tree())), Tree(children=(Tree(), chain(2)))
         for _ in range(4996):
             unsorted, ordered = Tree(children=(unsorted,)), Tree(children=(ordered,))
         assert ordered.vertices == 5000 and canonicalize(unsorted) is not unsorted
@@ -157,7 +162,7 @@ class TestSymmetry:
     def test_deep_chains_compare_and_sort(self):
         # The order is walked on an explicit stack, so chains that differ
         # only at the bottom compare and sort far below the recursion limit.
-        low, high = Tree(children=(LEAF,)), Tree(children=(LEAF, LEAF))
+        low, high = Tree(children=(Tree(),)), Tree(children=(Tree(), Tree()))
         for _ in range(4998):
             low, high = Tree(children=(low,)), Tree(children=(high,))
         assert low.vertices == high.vertices - 1 == 5000
@@ -197,7 +202,7 @@ class TestComplexity:
         assert star(3).complexity == 1
 
     def test_single_vertex(self):
-        assert LEAF.complexity == 1
+        assert Tree().complexity == 1
 
     def test_chain_is_factorial(self):
         for n in range(1, 9):
@@ -206,9 +211,9 @@ class TestComplexity:
 
 class TestCounts:
     def test_cardinality_and_entrances(self):
-        assert (LEAF.vertices, LEAF.entrances) == (1, 1)
+        assert (Tree().vertices, Tree().entrances) == (1, 1)
         assert (chain(4).vertices, chain(4).entrances) == (4, 1)
-        t = canonicalize(Tree(children=(LEAF, chain(2))))
+        t = canonicalize(Tree(children=(Tree(), chain(2))))
         assert (t.vertices, t.entrances) == (4, 2)
 
 
@@ -222,7 +227,7 @@ class TestNotation:
         assert parse_tree("*{*{*{}}}") == chain(3)
 
     def test_bare_star_is_leaf(self):
-        assert parse_tree("*") == LEAF
+        assert parse_tree("*") == Tree()
 
     def test_coloured_round_trip(self):
         pal = make_palette("x", "g", "f")
@@ -273,12 +278,12 @@ def test_parse_tree_error_is_pinned(text, names, message, position):
 
 class TestInterning:
     def test_equal_structure_is_the_same_node(self):
-        assert Tree(children=(LEAF, chain(2))) is Tree(children=[LEAF, chain(2)])
-        assert Tree(Colour(0, "*")) is LEAF
+        assert Tree(children=(Tree(), chain(2))) is Tree(children=[Tree(), chain(2)])
+        assert Tree(Colour(0, "*")) is Tree()
 
     def test_the_key_is_class_colour_and_children(self):
         # A freshly built colour equal to the node's, name and all, finds the node.
-        kids = (LEAF, Tree(Colour(3, "fg"), (LEAF,)))
+        kids = (Tree(), Tree(Colour(3, "fg"), (Tree(),)))
         t = Tree(Colour(3, "fg"), kids)
         fresh = Colour(3, "".join(("f", "g")))
         assert fresh is not t.colour and fresh.name is not t.colour.name
@@ -316,8 +321,8 @@ class TestInterning:
         coloured = Tree(pal["f"], (Tree(pal["x"]), Tree(pal["f"], (Tree(pal["x"]),))))
         for t in all_trees_upto(5) + [coloured]:
             assert repr(t) == reference(t)
-        assert repr(LEAF) == "Tree(Colour(index=0, name='*'), ())"
-        assert repr(chain(2)) == f"Tree(Colour(index=0, name='*'), ({LEAF!r},))"
+        assert repr(Tree()) == "Tree(Colour(index=0, name='*'), ())"
+        assert repr(chain(2)) == f"Tree(Colour(index=0, name='*'), ({Tree()!r},))"
 
     def test_deep_chain_repr_pickle_and_copy(self):
         # repr and the flat pickle encoding are folds: no recursion, and
@@ -352,7 +357,7 @@ class TestInterning:
         assert t is chain(3) and t.children == (chain(2),)
 
     def test_canonical_flag(self):
-        raw = Tree(children=(chain(2), LEAF))
+        raw = Tree(children=(chain(2), Tree()))
         assert canonicalize(raw) is not raw
         assert canonicalize(Tree(children=(raw,))) is not Tree(children=(raw,))
         t = canonicalize(raw)
@@ -385,7 +390,7 @@ class TestInterning:
         assert len(trees._INTERNED) == before
 
     def test_unreferenced_nodes_are_released(self):
-        t = Tree(Colour(7, "transient"), (LEAF, LEAF))
+        t = Tree(Colour(7, "transient"), (Tree(), Tree()))
         ref = weakref.ref(t)
         del t
         gc.collect()
@@ -398,11 +403,18 @@ class TestColourIdentity:
             with pytest.raises(ValueError, match="non-negative"):
                 make()
 
-    @pytest.mark.parametrize("name", ["a,b", "", "1x", "x y", "f{}", "x*"])
+    @pytest.mark.parametrize("name", ["a,b", "", "1x", "x y", "f{}", "x*", 5, None, b"x"])
     def test_names_the_notation_cannot_read_are_rejected(self, name):
-        # Colour(0, "a,b") would print a,b{q{}}, which parse_tree cannot read back.
+        # Colour(0, "a,b") would print a,b{q{}}, which parse_tree cannot read back;
+        # Colour(0, 5) would print nothing: format_trees would fail inside the writer.
         for make in (lambda: Colour(0, name), lambda: Colour(0, "x")._replace(name=name)):
             with pytest.raises(ValueError, match="is not a colour name"):
+                make()
+
+    @pytest.mark.parametrize("index", [0.5, "0", None, 2.0])
+    def test_an_index_that_is_not_an_int_is_rejected(self, index):
+        for make in (lambda: Colour(index, "x"), lambda: Colour(0, "x")._replace(index=index)):
+            with pytest.raises(ValueError, match="non-negative int"):
                 make()
 
     def test_the_package_palettes_build_and_read_back(self):
@@ -452,7 +464,7 @@ class TestInterningProperties:
     @settings(max_examples=150, deadline=None)
     @given(raw_trees([Colour(0, "x"), Colour(0, "y"), Colour(1, "x")]), st.data())
     def test_compare_is_zero_iff_same_node(self, a, data):
-        b = data.draw(st.sampled_from([a, canonicalize(a), *a.children, LEAF]))
+        b = data.draw(st.sampled_from([a, canonicalize(a), *a.children, Tree()]))
         assert (compare_trees(a, b) == 0) == (a is b)
 
 
@@ -475,7 +487,7 @@ class TestWriters:
         # Clashing ranks and names, and 600 names: more than the head cache holds.
         x, y, x1 = CLASHING
         clash = Tree(x1, (Tree(x), Tree(y), Tree(x1, (Tree(x),))))
-        wide = Tree(x, tuple(Tree(Colour(i, f"c{i}"), (LEAF,)) for i in range(600)))
+        wide = Tree(x, tuple(Tree(Colour(i, f"c{i}"), (Tree(),)) for i in range(600)))
         roots = [clash, wide, Tree(y, (wide,)), wide.children[0], clash]
         assert format_trees(roots) == list(map(str, roots)) == list(map(reference_notation, roots))
         assert str(clash) == "x{x{},y{},x{x{}}}"

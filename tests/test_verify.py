@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import integer_partitions
-from derivgraph.enumeration import Regime, enumerate_graphs, family_of
+from derivgraph.enumeration import Regime, enumerate_graphs, family_of, weigh
 from derivgraph.jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree
 from derivgraph.verify import verify
-from derivgraph.weights import weigh
 
 verify_module = importlib.import_module("derivgraph.verify")
 jets_module = importlib.import_module("derivgraph.jets")
@@ -290,8 +289,7 @@ class TestComposite:
         assert report.graph_count == 5
 
     def test_partition_weights_at_order_four(self):
-        from derivgraph.enumeration import enumerate_composite
-        from derivgraph.weights import weigh
+        from derivgraph.enumeration import enumerate_composite, weigh
 
         by_partition = {}
         for g in enumerate_composite(CHAIN, 4):

@@ -9,16 +9,17 @@ from brute import brute_increasing_tree_census, isomorphic
 from derivgraph.enumeration import (
     DerivativeGraph,
     Regime,
+    WeightedGraph,
     enumerate_composite,
     enumerate_graphs,
     enumerate_inverse,
     enumerate_ode,
+    weigh,
 )
 from derivgraph.formulas import render_derivative
 from derivgraph.skeletons import parse_skeleton
-from derivgraph.trees import Tree, make_palette
+from derivgraph.trees import Colour, Tree, make_palette
 from derivgraph.verify import Mismatch, TermValue, verify
-from derivgraph.weights import WeightedGraph, weigh
 
 CHAIN = parse_skeleton("f(g(x))")
 
@@ -193,11 +194,12 @@ def test_records_keep_one_contract(name):
     assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
     fields = ", ".join(f"{f}={getattr(built, f)!r}" for f in cls._fields)
     assert repr(built) == f"{cls.__name__}({fields})"
-    changed = 2**70  # no field holds it, and it is a valid colour index
     for r in (built, made):
         assert copy.copy(r) == r and pickle.loads(pickle.dumps(r)) == r
         assert r._replace() == r
         for f in cls._fields:
+            # No field holds either value; a colour's name must be one the notation reads.
+            changed = "unheld" if (cls, f) == (Colour, "name") else 2**70
             assert getattr(r._replace(**{f: changed}), f) is changed
             assert r._replace(**{f: changed}) != r
             with pytest.raises(AttributeError):
