@@ -2,7 +2,7 @@
 
 Canonical coloured rooted trees stand for the terms of higher derivatives of
 composed functions, inverse functions and ODE flows.  The package
-enumerates them, assigns exact signs and rational weights, renders the
+enumerates them, assigns exact signs and integer weights, renders the
 symbolic formulas, and cross-checks everything against truncated power
 series with exact rational coefficients.
 
@@ -10,9 +10,7 @@ A public name imports its submodule when it is first used (PEP 562), so a
 process loads only the modules it runs.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -24,10 +22,10 @@ _MODULES = {
         "enumerate_graphs enumerate_inverse enumerate_ode weigh",
         "formulas": "Formula FormulaTerm parse_machine_term render_derivative",
         "jets": "Jet compose identity_jet jet_ode_flow jet_reverse",
+        "oracle": "Report verify",
         "skeletons": "Skeleton SkeletonSyntaxError parse_skeleton",
         "trees": "Colour DEFAULT_COLOUR Tree TreeSyntaxError canonicalize compare_trees "
         "format_trees make_palette parse_tree",
-        "verify": "Report verify",
     }.items()
     for name in names.split()
 }
@@ -45,18 +43,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(globals().keys() | _MODULES.keys())
-
-
-class _Package(ModuleType):
-    """The package module, whose name ``verify`` is always the function.
-
-    Importing a submodule binds it on its package under its own name, which
-    for ``derivgraph.verify`` would hide the function of that name.
-    """
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if name != "verify" or not isinstance(value, ModuleType):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -115,7 +115,7 @@ def _cmd_formula(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | 
 
 
 def _cmd_verify(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
-    from .verify import verify
+    from .oracle import verify
 
     report = verify(regime, args.order, args.trials, args.seed, skeleton)
     document = report.to_dict() if args.style == "machine" else report.to_text() + "\n"

@@ -9,7 +9,6 @@ canonical tree order.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
@@ -118,7 +117,7 @@ class FormulaTerm(NamedTuple):
     """One signed, weighted term: the text of its graph in the formula's style."""
 
     sign: int
-    weight: Fraction
+    weight: int
     text: str
     graph: WeightedGraph
 
@@ -179,7 +178,7 @@ def _machine_term(wg: WeightedGraph, tree: str) -> str:
 
 _MACHINE = re.compile(
     r"\(term \(regime (?P<regime>\w+)\) \(sign (?P<sign>[+-]?\d+)\) "
-    r"\(weight (?P<weight>-?\d+(?:/\d+)?)\) \(tree (?P<tree>[^)\s]+)\)\)"
+    r"\(weight (?P<weight>-?\d+(?:/0*[1-9]\d*)?)\) \(tree (?P<tree>[^)\s]+)\)\)"
 )
 
 
@@ -190,6 +189,8 @@ def parse_machine_term(text: str, skeleton: Skeleton | None = None) -> WeightedG
     other regimes ignore it, so one skeleton serves a mix of terms.  The graph
     must be one ``enumerate_graphs`` lists, with the sign and weight it has.
     """
+    from fractions import Fraction  # only the grammar's optional /d needs one
+
     m = _MACHINE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a machine-style term: {text!r}")

@@ -45,7 +45,7 @@ def _exponents(arity: int, n: int) -> list[tuple[int, ...]]:
 class TermValue(NamedTuple):
     tree: str
     sign: int
-    weight: Fraction
+    weight: int
     value: Fraction
 
 
@@ -132,17 +132,16 @@ def verify(
         arities = {len(c) for c in family.children.values()}
         draw = partial(_draw_composite, family, {m: _exponents(m, n) for m in arities}, n)
 
-    # Monomial m is N_m / q^(v_m), v_m vertices; C_m = K_m / L: sum K_m N_m q^(V-v_m) / (L q^V).
+    # Monomial m is N_m / q^(v_m), v_m vertices, with coefficient C_m: sum C_m N_m q^(V-v_m) / q^V.
     sizes = [sum(c for _, c in m) for m in monomials]
     top = max(sizes, default=0)
-    denominator, numerators = _scaled(coefficients)
     texts: list[str] | None = None  # only a failing report prints the trees
     mismatches: list[Mismatch] = []
     for trial in range(trials):
         expected, q, factor = draw(rng)
         values = [prod(factor(k) ** c for k, c in m) for m in monomials]
-        total = sum(c * v * q ** (top - s) for c, v, s in zip(numerators, values, sizes))
-        actual = Fraction(total, denominator * q**top)
+        total = sum(c * v * q ** (top - s) for c, v, s in zip(coefficients, values, sizes))
+        actual = Fraction(total, q**top)
         if actual != expected:
             if texts is None:
                 texts = format_trees(t for t, _, _ in rows)
@@ -159,7 +158,7 @@ def _vertex_key(t: Tree) -> tuple[int, ...]:
     return (t.colour.index,) + tuple(c.colour.index for c in t.children)
 
 
-def _like_terms(rows: list[tuple[Tree, int, Fraction]]) -> tuple[list[int], list, list[Fraction]]:
+def _like_terms(rows: list[tuple[Tree, int, int]]) -> tuple[list[int], list, list[int]]:
     """Group (tree, sign, weight) rows into like terms, once for all trials.
 
     A tree's value is the product of its vertex factors, each fixed by the
@@ -180,7 +179,7 @@ def _like_terms(rows: list[tuple[Tree, int, Fraction]]) -> tuple[list[int], list
             keys.append(key)
             stack.extend(t.children)
         row_monomial.append(index.setdefault(tuple(sorted(keys)), len(index)))
-    coefficients = [Fraction(0)] * len(index)
+    coefficients = [0] * len(index)
     for m, (_, sign, weight) in zip(row_monomial, rows):
         coefficients[m] += sign * weight
     return row_monomial, [tuple(Counter(keys).items()) for keys in index], coefficients

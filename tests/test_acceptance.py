@@ -24,6 +24,7 @@ from derivgraph.enumeration import (
     enumerate_ode,
     weigh,
 )
+from derivgraph.oracle import verify
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import (
     Tree,
@@ -31,7 +32,6 @@ from derivgraph.trees import (
     compare_trees,
     make_palette,
 )
-from derivgraph.verify import verify
 
 
 def _report(name: str) -> None:

@@ -25,8 +25,8 @@ from derivgraph.enumeration import (
     in_regime,
 )
 from derivgraph.formulas import parse_machine_term, render_derivative
+from derivgraph.oracle import verify
 from derivgraph.skeletons import Skeleton, parse_skeleton
-from derivgraph.verify import verify
 from derivgraph.trees import (
     DEFAULT_COLOUR,
     Colour,

@@ -142,6 +142,13 @@ class TestMachineRoundTrip:
         (term,) = render_derivative(Regime.INVERSE, 1, "machine").terms
         assert term.text == "(term (regime inverse) (sign 1) (weight 1) (tree *{}))"
 
+    def test_weight_spellings_of_one_value_parse(self):
+        # The grammar reads a weight as a rational: "6/2" and "03" are the weight 3.
+        term = render_derivative(Regime.ODE, 4, "machine").terms[2]
+        for weight in ["6/2", "03", "3/01"]:
+            text = term.text.replace("(weight 3)", f"(weight {weight})")
+            assert parse_machine_term(text) == term.graph
+
     def test_tampered_weight_is_rejected(self):
         term = render_derivative(Regime.ODE, 4, "machine").terms[2]
         text = term.text.replace("(weight 3)", "(weight 4)")
@@ -168,9 +175,14 @@ class TestMachineRoundTrip:
             parse_machine_term(text, skeleton)
 
     def test_text_outside_the_grammar_is_rejected(self):
-        with pytest.raises(ValueError) as err:
-            parse_machine_term("x")
-        assert str(err.value) == "not a machine-style term: 'x'"
+        for text in [
+            "x",
+            "(term (regime ode) (sign 1) (weight 1/0) (tree *{}))",
+            "(term (regime ode) (sign 1) (weight 0/0) (tree *{}))",
+        ]:
+            with pytest.raises(ValueError) as err:
+                parse_machine_term(text)
+            assert str(err.value) == f"not a machine-style term: {text!r}"
 
 
 class TestRenderDerivative:

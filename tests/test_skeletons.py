@@ -14,6 +14,7 @@ from derivgraph import enumeration, trees
 from derivgraph.cli import main
 from derivgraph.enumeration import Regime, enumerate_composite, family_of, weigh
 from derivgraph.formulas import parse_machine_term, render_derivative
+from derivgraph.oracle import verify
 from derivgraph.skeletons import (
     Skeleton,
     SkeletonSyntaxError,
@@ -21,7 +22,6 @@ from derivgraph.skeletons import (
     positions,
 )
 from derivgraph.trees import Colour, Tree, TreeSyntaxError, make_palette, parse_tree
-from derivgraph.verify import verify
 
 DEPTH = 10_000
 

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from brute import integer_partitions
 from derivgraph.enumeration import Regime, enumerate_graphs, family_of, weigh
 from derivgraph.jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
+from derivgraph.oracle import verify
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree
-from derivgraph.verify import verify
 
-verify_module = importlib.import_module("derivgraph.verify")
+verify_module = importlib.import_module("derivgraph.oracle")
 jets_module = importlib.import_module("derivgraph.jets")
 
 CHAIN = parse_skeleton("f(g(x))")

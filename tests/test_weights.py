@@ -6,6 +6,7 @@ from math import comb, factorial
 import pytest
 
 from brute import brute_increasing_tree_census, isomorphic
+from derivgraph import oracle
 from derivgraph.enumeration import (
     DerivativeGraph,
     Regime,
@@ -17,9 +18,9 @@ from derivgraph.enumeration import (
     weigh,
 )
 from derivgraph.formulas import render_derivative
+from derivgraph.oracle import Mismatch, TermValue, verify
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Colour, Tree, make_palette
-from derivgraph.verify import Mismatch, TermValue, verify
 
 CHAIN = parse_skeleton("f(g(x))")
 
@@ -139,13 +140,6 @@ class TestOde:
         total = sum((weigh(g).weight for g in enumerate_ode(n)), Fraction(0))
         assert total == factorial(n - 1)
 
-    def test_equal_weights_share_one_fraction(self):
-        # ode order 12 has 4766 trees but 308 distinct weights.
-        by_value = {}
-        for wg in map(weigh, enumerate_ode(8)):
-            assert by_value.setdefault(wg.weight, wg.weight) is wg.weight
-        assert len(by_value) < len(enumerate_ode(8))
-
     def test_single_vertex(self):
         (wg,) = [weigh(g) for g in enumerate_ode(1)]
         assert (wg.sign, wg.weight, wg.graph.tree.symmetry, wg.graph.tree.complexity) == (
@@ -155,6 +149,20 @@ class TestOde:
             1,
         )
 
+
+def test_weights_are_ints(monkeypatch):
+    # A weight counts labellings: an int in every regime and every record that carries it.
+    skeleton = parse_skeleton("F(f(x),g(h(x),x))")
+    for graphs in (enumerate_ode(8), enumerate_inverse(8), enumerate_composite(skeleton, 5)):
+        assert {type(weigh(g).weight) for g in graphs} == {int}
+    for regime, sk in [(Regime.ODE, None), (Regime.INVERSE, None), (Regime.COMPOSITE, skeleton)]:
+        terms = render_derivative(regime, 5, skeleton=sk).terms
+        assert {type(term.weight) for term in terms} == {int}
+    real = oracle.weigh
+    monkeypatch.setattr(oracle, "weigh", lambda g: real(g)._replace(weight=real(g).weight + 1))
+    report = verify(Regime.INVERSE, 5, trials=1)
+    assert report.mismatches
+    assert {type(tv.weight) for tv in report.mismatches[0].terms} == {int}
 
 
 def _records():
@@ -169,7 +177,7 @@ def _records():
         pairs[f"graph-{g.regime.value}"] = (g, made)
         pairs[f"weighted-{g.regime.value}"] = (wg, WeightedGraph(made, wg.sign, wg.weight))
     formula = render_derivative(Regime.INVERSE, 4)
-    term = TermValue("*{*{},*{}}", -1, Fraction(3), Fraction(-2, 3))
+    term = TermValue("*{*{},*{}}", -1, 3, Fraction(-2, 3))
     mismatch = Mismatch(2, Fraction(1), Fraction(5, 3), (term,))
     others = {
         "colour": make_palette("x", "f")["f"],
