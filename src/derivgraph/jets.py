@@ -2,15 +2,17 @@
 
 This is the brute-force side of every cross-check: composition, reversion
 and ODE flow computed directly on coefficients, with tolerance zero.
-Reversion and flow run on ints: for F = D·f, D the lcm of f's denominators,
-a^(2k-1)·g_k (a = F_1; Knuth, TAOCP 2, §4.7) and k!·D^k·u_k are integers.
+Reversion and flow scale f to ints and run ``oracle``'s integer kernels,
+which its ode and inverse trials call with no ``Jet`` and no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
-from typing import Iterable, Sequence
+from math import factorial
+from typing import Iterable
+
+from .oracle import _fill_column, _flow, _power_table, _reverse, _scaled
 
 Rat = int | Fraction
 
@@ -68,70 +70,13 @@ def identity_jet(order: int) -> Jet:
     return Jet([0, 1], order=order)
 
 
-def _power_table(u: list[Rat], rows: int) -> list[list[Rat]]:
-    """power[j][m] = [x^m] u^j for j <= rows, m < len(u), where u_0 = 0.
-
-    Row 1 *is* the list ``u``, so a caller may solve u in place, one coefficient
-    at a time; rows j >= 2 start at 0 for ``_fill_column``, int or ``Fraction``.
-    """
-    zeros = [0] * (len(u) - 1)
-    return [[1] + zeros, u] + [[0] + zeros for _ in range(2, rows + 1)]
-
-
-def _fill_column(power: list[list[Rat]], m: int, u: list[Rat] | None = None) -> None:
-    """Fill power[j][m] for 2 <= j <= m from u_1 .. u_{m-1}: row 1, or u if given."""
-    u = power[1] if u is None else u
-    for j in range(2, m + 1):
-        lower = power[j - 1]
-        # u^j = u * u^(j-1), and u^(j-1) starts at x^(j-1).
-        power[j][m] = sum(u[i] * lower[m - i] for i in range(1, m - j + 2))
-
-
-def _scaled(coeffs: Sequence[Rat]) -> tuple[int, list[int]]:
-    """D, the lcm of the denominators, and the integers D·c."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
-
-
-def _reverse(f: list[int]) -> list[int]:
-    """N with N(t) = t - sum_{j>=2} f_j a^(j-2) N(t)^j, a = f_1: O(N^3) int products.
-
-    [t^k] N^j needs only N_1 .. N_{k-1} for j >= 2, so N is solved one coefficient,
-    one power-table column at a time.  For F = D·f and g(x) = a N(D x / a^2),
-    F(g) = D x reads a^2 N + sum_{j>=2} F_j a^j N^j = a^2 t: g_k = N_k D^k / a^(2k-1).
-    """
-    a, n = f[1], len(f) - 1
-    g = [0, 1] + [0] * (n - 1)
-    lifted = [0, 0] + [f[j] * a ** (j - 2) for j in range(2, n + 1)]
-    power = _power_table(g, n)
-    for k in range(2, n + 1):
-        _fill_column(power, k)
-        g[k] = -sum(lifted[j] * power[j][k] for j in range(2, k + 1))
-    return g
-
-
-def _flow(f: list[int], order: int) -> list[int]:
-    """U with U_{k+1} = sum_j f_j E^j_k, E^j_m = sum_i C(m, i) U_i E^(j-1)_(m-i).
-
-    For F = D·f and u_k = U_k / (k! D^k), E^j_m = m! D^m [t^m] u^j is u's power
-    table, and u_{k+1} = [F(u)]_k / ((k+1) D), which needs only F_0 .. F_k, is
-    this recursion, solved one coefficient at a time in O(N^3) int products.
-    """
-    u = [0] * (order + 1)
-    power = _power_table(u, order)
-    for k in range(order):
-        _fill_column(power, k, [comb(k, i) * c for i, c in enumerate(u[:k])])
-        u[k + 1] = sum(f[j] * power[j][k] for j in range(min(k, len(f) - 1) + 1))
-    return u
-
-
 def jet_reverse(f: Jet) -> Jet:
     """Compositional inverse g, f(g(x)) = x to f's order; needs c_0 = 0 and c_1 != 0."""
     if f[0] != 0:
         raise ValueError("series must have zero constant term")
     if f.order < 1 or f[1] == 0:
         raise ValueError("series with zero linear term has no compositional inverse")
-    d, scaled = _scaled(f.coeffs)
+    d, scaled = _scaled([c.as_integer_ratio() for c in f.coeffs])
     a, g = scaled[1], _reverse(scaled)
     return Jet([0] + [Fraction(g[k] * d**k, a ** (2 * k - 1)) for k in range(1, len(g))])
 
@@ -140,7 +85,7 @@ def jet_ode_flow(f: Jet, y0: Rat, order: int) -> Jet:
     """Taylor jet in t of the solution of y' = f(y), y(0) = y0; ``f`` is a jet in y - y0."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    d, scaled = _scaled(f.coeffs[:order])
+    d, scaled = _scaled([c.as_integer_ratio() for c in f.coeffs[:order]])
     u = _flow(scaled, order)
     return Jet([y0] + [Fraction(u[k], factorial(k) * d**k) for k in range(1, order + 1)])
 

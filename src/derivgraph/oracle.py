@@ -1,32 +1,42 @@
 """Oracle drivers: emitted graphs versus direct truncated-series computation.
 
-Each trial draws small random rational jets, evaluates the weighted-graph
-expansion of the requested derivative and the same derivative computed
-directly by jet composition, reversion or ODE flow, and compares the two
-exactly.  A mismatch is reported with the per-term breakdown; nothing is
-ever compared with a tolerance.
+Each trial draws small random rationals as reduced int pairs, evaluates the
+weighted-graph expansion of the requested derivative and the same derivative
+computed directly by composition, or by the int kernels for reversion and
+flow here (for F = D·f, D the lcm of f's denominators, a^(2k-1)·g_k with
+a = F_1, Knuth, TAOCP 2, §4.7, and k!·D^k·u_k are integers), and compares
+the two exactly, in ints.  Only the composite draw and a mismatch build
+``Fraction``s; a mismatch is reported with the per-term breakdown.  Nothing
+is ever compared with a tolerance.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
-from math import factorial, lcm, prod
-from typing import Callable, NamedTuple
+from math import comb, factorial, gcd, lcm, prod
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .enumeration import Regime, _Family, enumerate_graphs, family_of, weigh
-from .jets import _flow, _reverse, _scaled, compose, identity_jet
 from .trees import Tree, format_trees
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-def _random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
+    Rat = int | Fraction
+
+Pair = tuple[int, int]  # a rational as (numerator, denominator), denominator nonzero
+
+
+def _random_rational(rng: random.Random, nonzero: bool = False) -> Pair:
+    """A reduced pair p/q, -9 <= p <= 9 and 1 <= q <= 9."""
     while True:
-        value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        if value != 0 or not nonzero:
-            return value
+        p, q = rng.randint(-9, 9), rng.randint(1, 9)
+        if p or not nonzero:
+            g = gcd(p, q)
+            return p // g, q // g
 
 
 def _exponents(arity: int, n: int) -> list[tuple[int, ...]]:
@@ -138,18 +148,19 @@ def verify(
     texts: list[str] | None = None  # only a failing report prints the trees
     mismatches: list[Mismatch] = []
     for trial in range(trials):
-        expected, q, factor = draw(rng)
+        (num, den), q, factor = draw(rng)
         values = [prod(factor(k) ** c for k, c in m) for m in monomials]
         total = sum(c * v * q ** (top - s) for c, v, s in zip(coefficients, values, sizes))
-        actual = Fraction(total, q**top)
-        if actual != expected:
+        if num * q**top != total * den:  # num/den == total/q^top, in ints
+            from fractions import Fraction  # only a failing report holds rationals
+
             if texts is None:
                 texts = format_trees(t for t, _, _ in rows)
             terms = tuple(
                 TermValue(text, sign, weight, Fraction(values[m], q ** sizes[m]))
                 for text, (_, sign, weight), m in zip(texts, rows, row_monomial)
             )
-            mismatches.append(Mismatch(trial, expected, actual, terms))
+            mismatches.append(Mismatch(trial, Fraction(num, den), Fraction(total, q**top), terms))
     return Report(regime, n, trials, seed, len(graphs), tuple(mismatches))
 
 
@@ -185,26 +196,83 @@ def _like_terms(rows: list[tuple[Tree, int, int]]) -> tuple[list[int], list, lis
     return row_monomial, [tuple(Counter(keys).items()) for keys in index], coefficients
 
 
-# One draw per trial and regime: random jets, in a fixed order, the expected
-# derivative, a base q and a function from vertex key to the vertex factor times q.
-Draw = tuple[Fraction, int, Callable[[tuple], int]]
+def _power_table(u: list[Rat], rows: int) -> list[list[Rat]]:
+    """power[j][m] = [x^m] u^j for j <= rows, m < len(u), where u_0 = 0.
+
+    Row 1 *is* the list ``u``, so a caller may solve u in place, one coefficient
+    at a time; rows j >= 2 start at 0 for ``_fill_column``, int or ``Fraction``.
+    """
+    zeros = [0] * (len(u) - 1)
+    return [[1] + zeros, u] + [[0] + zeros for _ in range(2, rows + 1)]
+
+
+def _fill_column(power: list[list[Rat]], m: int, u: list[Rat] | None = None) -> None:
+    """Fill power[j][m] for 2 <= j <= m from u_1 .. u_{m-1}: row 1, or u if given."""
+    u = power[1] if u is None else u
+    for j in range(2, m + 1):
+        lower = power[j - 1]
+        # u^j = u * u^(j-1), and u^(j-1) starts at x^(j-1).
+        power[j][m] = sum(u[i] * lower[m - i] for i in range(1, m - j + 2))
+
+
+def _scaled(pairs: Sequence[Pair]) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators, and the integers D·p/q."""
+    d = lcm(*(q for _, q in pairs))
+    return d, [p * (d // q) for p, q in pairs]
+
+
+def _reverse(f: list[int]) -> list[int]:
+    """N with N(t) = t - sum_{j>=2} f_j a^(j-2) N(t)^j, a = f_1: O(N^3) int products.
+
+    [t^k] N^j needs only N_1 .. N_{k-1} for j >= 2, so N is solved one coefficient,
+    one power-table column at a time.  For F = D·f and g(x) = a N(D x / a^2),
+    F(g) = D x reads a^2 N + sum_{j>=2} F_j a^j N^j = a^2 t: g_k = N_k D^k / a^(2k-1).
+    """
+    a, n = f[1], len(f) - 1
+    g = [0, 1] + [0] * (n - 1)
+    lifted = [0, 0] + [f[j] * a ** (j - 2) for j in range(2, n + 1)]
+    power = _power_table(g, n)
+    for k in range(2, n + 1):
+        _fill_column(power, k)
+        g[k] = -sum(lifted[j] * power[j][k] for j in range(2, k + 1))
+    return g
+
+
+def _flow(f: list[int], order: int) -> list[int]:
+    """U with U_{k+1} = sum_j f_j E^j_k, E^j_m = sum_i C(m, i) U_i E^(j-1)_(m-i).
+
+    For F = D·f and u_k = U_k / (k! D^k), E^j_m = m! D^m [t^m] u^j is u's power
+    table, and u_{k+1} = [F(u)]_k / ((k+1) D), which needs only F_0 .. F_k, is
+    this recursion, solved one coefficient at a time in O(N^3) int products.
+    """
+    u = [0] * (order + 1)
+    power = _power_table(u, order)
+    for k in range(order):
+        _fill_column(power, k, [comb(k, i) * c for i, c in enumerate(u[:k])])
+        u[k + 1] = sum(f[j] * power[j][k] for j in range(min(k, len(f) - 1) + 1))
+    return u
+
+
+# One draw per trial and regime: random rationals, in a fixed order, the expected
+# derivative as a pair, a base q and a function from vertex key to the vertex factor times q.
+Draw = tuple[Pair, int, Callable[[tuple], int]]
 
 
 def _draw_ode(n: int, rng: random.Random) -> Draw:
-    field = [_random_fraction(rng) for _ in range(n + 2)]  # the last is y0, which no term needs
+    field = [_random_rational(rng) for _ in range(n + 2)]  # the last is y0, which no term needs
     # n vertices; one with k < n children (its key has k + 1 entries) is k! f_k = k! F_k / D.
     d, f = _scaled(field[:n])
     factor = [factorial(k) * c for k, c in enumerate(f)]
-    return Fraction(_flow(f, n)[n], d**n), d, lambda key: factor[len(key) - 1]
+    return (_flow(f, n)[n], d**n), d, lambda key: factor[len(key) - 1]
 
 
 def _draw_inverse(n: int, rng: random.Random) -> Draw:
-    drawn = [_random_fraction(rng) for _ in range(n + 1)]
+    drawn = [_random_rational(rng) for _ in range(n + 1)]
     # f(0) = 0 and f'(0) != 0, so f has an inverse g.  drawn[:2] are
     # replaced, not skipped, so each seed keeps its draws.
-    d, f = _scaled([0, _random_fraction(rng, nonzero=True)] + drawn[2:])
+    d, f = _scaled([(0, 1), _random_rational(rng, nonzero=True)] + drawn[2:])
     a = f[1]
-    expected = Fraction(_reverse(f)[n] * d**n * factorial(n), a ** (2 * n - 1))
+    expected = (_reverse(f)[n] * d**n * factorial(n), a ** (2 * n - 1))
     # Over q = a: a leaf is Dg = D/a, an inner vertex k! f_k Dg = k! F_k / a.
     factor = [d] + [factorial(k) * c for k, c in enumerate(f) if k]
     return expected, a, lambda key: factor[len(key) - 1]
@@ -215,10 +283,15 @@ def _draw_composite(
 ) -> Draw:
     # F's Taylor coefficients c_alpha, 1 <= |alpha| <= n, per position, with
     # one exponent per slot colour: slots of one colour are one base
-    # variable, so they always receive the same inner jet.
+    # variable, so they always receive the same inner jet.  Only this draw
+    # composes Fraction jets, so only it imports them.
+    from fractions import Fraction
+
+    from .jets import compose, identity_jet
+
     classes = family.children
     outer = {
-        ci: {a: _random_fraction(rng) for a in exponents[len(cls)] if any(a)}
+        ci: {a: Fraction(*_random_rational(rng)) for a in exponents[len(cls)] if any(a)}
         for ci, cls in classes.items()
     }
     # Positions are coloured in preorder, so a position's arguments have
@@ -226,7 +299,7 @@ def _draw_composite(
     jets = {ci: identity_jet(n) for ci in family.leaves}
     for ci in reversed(classes):
         jets[ci] = compose(outer[ci], [jets[c] for c in classes[ci]], n)
-    expected = jets[family.root][n] * factorial(n)
+    expected = (jets[family.root][n] * factorial(n)).as_integer_ratio()
 
     # D^k F[v_1..v_k] is d^alpha F(0) = alpha! c_alpha, alpha counting the children per slot
     # colour; 0 if a child fits no slot, 1 at a variable.  q: lcm of the drawn denominators.

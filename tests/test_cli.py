@@ -643,12 +643,39 @@ def test_start_up_imports_no_dataclasses_inspect_or_json():
         ("trees", set()),
         ("table", set()),
         ("formula", {"formulas"}),
-        ("verify", {"oracle", "jets"}),
+        # The ode and inverse trials run on ints: no Fraction jets.
+        ("verify", {"oracle"}),
+        ("verify --regime inverse", {"oracle"}),
+        # The composite draw composes Fraction jets.
+        ("verify --regime composite --skeleton f(g(x))", {"oracle", "jets", "skeletons"}),
     ],
 )
 def test_each_subcommand_imports_only_its_modules(command, own):
+    # The regime is ode unless the command names another: the last --regime wins.
+    subcommand, *options = command.split()
     shared = {"enumeration", "trees"}
-    assert derivgraph_imports(command, "--regime", "ode") == shared | own
+    assert derivgraph_imports(subcommand, "--regime", "ode", *options) == shared | own
+
+
+def test_a_passing_ode_or_inverse_verify_imports_no_fractions_or_jets():
+    # A fresh interpreter: the trials compare ints, so neither fractions
+    # (nor decimal, which it imports) nor derivgraph.jets is loaded.
+    code = (
+        "import sys\n"
+        "import derivgraph.cli\n"
+        "for regime in ('inverse', 'ode'):\n"
+        "    argv = ['verify', '--regime', regime, '--order', '8', '--seed', '5']\n"
+        "    assert derivgraph.cli.main(argv) == 0, argv\n"
+        "sys.stderr.write(' '.join(sorted(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("PASS") == 2, done.stdout
+    loaded = set(done.stderr.split())
+    assert "derivgraph.oracle" in loaded
+    assert not loaded & {"fractions", "decimal", "derivgraph.jets"}, sorted(loaded)
 
 
 def derivgraph_imports(*argv: str) -> set[str]:

@@ -3,7 +3,7 @@ import json
 import random
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +19,6 @@ from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree
 
 verify_module = importlib.import_module("derivgraph.oracle")
-jets_module = importlib.import_module("derivgraph.jets")
 
 CHAIN = parse_skeleton("f(g(x))")
 TWO_COLOUR = parse_skeleton("F(f(x),g(x))")
@@ -81,20 +80,23 @@ GROUPED_CASES = (
 def draw_with_reference(regime: Regime, n: int, skeleton: str | None, seed: int):
     """One trial's draw from ``verify``, and the Fraction vertex factor built from its draws.
 
+    The draw's expected value, an int pair, is returned as a ``Fraction``.
+
     The reference is the factor as rationals: k! f_k for ode, k! f_k Dg (Dg
     at a leaf) for inverse, alpha! c_alpha, 0 or 1 for composite.  For ode
     and inverse it also gives the expected value through the public jets.
     """
     drawn = []
-    real = verify_module._random_fraction
+    real = verify_module._random_rational
 
     def record(rng, nonzero=False):
-        drawn.append(real(rng, nonzero))
-        return drawn[-1]
+        pair = real(rng, nonzero)
+        drawn.append(Fraction(*pair))
+        return pair
 
     rng = random.Random(seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify_module, "_random_fraction", record)
+        patch.setattr(verify_module, "_random_rational", record)
         if regime is Regime.COMPOSITE:
             family = family_of(regime, parse_skeleton(skeleton))
             arities = {len(c) for c in family.children.values()}
@@ -104,6 +106,7 @@ def draw_with_reference(regime: Regime, n: int, skeleton: str | None, seed: int)
             expected, q, factor = verify_module._draw_ode(n, rng)
         else:
             expected, q, factor = verify_module._draw_inverse(n, rng)
+    expected = Fraction(*expected)  # the draw's (numerator, denominator)
 
     if regime is Regime.ODE:
         field = Jet(drawn[: n + 1])
@@ -129,6 +132,17 @@ def draw_with_reference(regime: Regime, n: int, skeleton: str | None, seed: int)
         return prod(map(factorial, alpha)) * outer[key[0]][alpha]
 
     return expected, q, factor, expected, reference
+
+
+def test_a_draw_is_the_reduced_fraction_of_the_same_two_randints():
+    # Each seed keeps its draws: p/q from randint(-9, 9) and randint(1, 9),
+    # reduced as Fraction reduces it, with 0 as 0/1.
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            p, q = verify_module._random_rational(rng)
+            assert q > 0 and gcd(p, q) == 1
+            assert Fraction(p, q) == Fraction(ref.randint(-9, 9), ref.randint(1, 9))
 
 
 class TestLikeTerms:
@@ -248,18 +262,18 @@ class TestSlotColours:
 
         # verify's own draw, fed c~ in its draw order, agrees with both.
         exponents = verify_module._exponents(len(classes), n)
-        drawn = iter([c_tilde[a] for a in exponents if any(a)])
+        drawn = iter([Fraction(c_tilde[a]).as_integer_ratio() for a in exponents if any(a)])
         family = SimpleNamespace(children={0: classes}, leaves=range(1, 5), root=0)
-        original = verify_module._random_fraction
-        verify_module._random_fraction = lambda rng: next(drawn)
+        original = verify_module._random_rational
+        verify_module._random_rational = lambda rng: next(drawn)
         try:
             expected, q, factor = verify_module._draw_composite(
                 family, {len(classes): exponents}, n, None
             )
         finally:
-            verify_module._random_fraction = original
+            verify_module._random_rational = original
         assert Fraction(factor((0,) + children), q) == old
-        assert expected == compose(c, [identity_jet(n)] * len(slot_root), n)[n] * factorial(n)
+        assert Fraction(*expected) == compose(c, [identity_jet(n)] * len(slot_root), n)[n] * factorial(n)
 
     @pytest.mark.parametrize(
         "text,n,draws",
@@ -270,9 +284,9 @@ class TestSlotColours:
         # colours; where no slot colour repeats, m is the arity.  One draw
         # per slot would take C(42, 2) - 1 = 860 for 40 x at order 2.
         calls = []
-        real = verify_module._random_fraction
+        real = verify_module._random_rational
         monkeypatch.setattr(
-            verify_module, "_random_fraction", lambda *a: calls.append(1) or real(*a)
+            verify_module, "_random_rational", lambda *a: calls.append(1) or real(*a)
         )
         skeleton = parse_skeleton(text)
         family = family_of(Regime.COMPOSITE, skeleton)
@@ -421,28 +435,24 @@ class TestReport:
             assert verify_module.verify(regime, n, 5, 0, skeleton).passed
 
     def test_trials_build_no_fraction_per_term(self, monkeypatch):
-        # Each trial builds its n + 2 drawn rationals (and a zero linear term's
-        # redraw now and then), the expected value and one quotient for the
-        # sum; the jets and monomials are ints.  Counted as the difference of
-        # a 40- and a 20-trial run, so the per-run grouping cancels.  With
-        # Fraction jets it was 41 a trial at order 8; here it is 12.05.
+        # A passing ode or inverse trial draws int pairs, runs the int
+        # kernels and compares num * q^top with total * den: it builds no
+        # Fraction at all.  The count sees every Fraction built anywhere, as
+        # a composite run, whose draw composes Fraction jets, shows.
         built = []
+        real = Fraction.__new__
 
-        class Counting(Fraction):
-            __slots__ = ()
+        def counting(cls, *args, **kwargs):
+            built.append(1)
+            return real(cls, *args, **kwargs)
 
-            def __new__(cls, *args, **kwargs):
-                built.append(1)
-                return super().__new__(cls, *args, **kwargs)
-
-        monkeypatch.setattr(verify_module, "Fraction", Counting)
-        monkeypatch.setattr(jets_module, "Fraction", Counting)
-        n, counts = 8, []
-        for trials in (20, 40):
-            built.clear()
-            assert verify_module.verify(Regime.INVERSE, n, trials, 0).passed
-            counts.append(len(built))
-        assert counts[1] - counts[0] < 20 * (n + 5)
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        for regime in (Regime.ODE, Regime.INVERSE):
+            assert verify_module.verify(regime, 8, 20, 0).passed
+            assert verify_module.verify(regime, 8, 20, 5).passed
+        assert built == []
+        assert verify_module.verify(Regime.COMPOSITE, 3, 2, 0, CHAIN).passed
+        assert built
 
     def test_corrupted_weight_is_detected(self, monkeypatch):
         weigh = crooked(monkeypatch)
