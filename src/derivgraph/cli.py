@@ -15,9 +15,13 @@ import io
 import os
 import sys
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .enumeration import DerivativeGraph, Regime, enumerate_graphs, weigh
 from .trees import format_trees
+
+if TYPE_CHECKING:
+    from .skeletons import Skeleton
 
 DEFAULT_MAX_ORDER = 10
 

@@ -18,9 +18,12 @@ from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .trees import DEFAULT_COLOUR, Colour, Tree, compare_trees, fold
+
+if TYPE_CHECKING:
+    from .skeletons import Skeleton
 
 
 class Regime(str, Enum):

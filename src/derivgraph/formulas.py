@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .enumeration import DerivativeGraph, Regime, WeightedGraph, enumerate_graphs, family_of
 from .enumeration import in_regime, weigh
 from .trees import Tree, format_trees, parse_tree, write_trees
+
+if TYPE_CHECKING:
+    from .skeletons import Skeleton
 
 STYLES = ("text", "latex", "machine")
 

@@ -1,9 +1,10 @@
 """Truncated power series with exact rational coefficients.
 
-This is the brute-force side of every cross-check: composition, reversion
-and ODE flow computed directly on coefficients, with tolerance zero.
-Reversion and flow scale f to ints and run ``oracle``'s integer kernels,
-which its ode and inverse trials call with no ``Jet`` and no ``Fraction``.
+The public ``Fraction`` face of ``oracle``'s integer kernels: reversion and
+ODE flow scale f to ints, run the kernels that the oracle's trials call with
+no ``Jet`` and no ``Fraction``, and give the result back as a ``Jet``.
+Series compose by ``Jet`` products: F(u_1, ..., u_m) = sum_alpha c_alpha
+prod u_i^alpha_i, one product per unit of alpha.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from .oracle import _fill_column, _flow, _power_table, _reverse, _scaled
+from .oracle import _flow, _reverse, _scaled
 
 Rat = int | Fraction
 
@@ -66,10 +67,6 @@ class Jet:
         return self.coeffs[k] * factorial(k)
 
 
-def identity_jet(order: int) -> Jet:
-    return Jet([0, 1], order=order)
-
-
 def jet_reverse(f: Jet) -> Jet:
     """Compositional inverse g, f(g(x)) = x to f's order; needs c_0 = 0 and c_1 != 0."""
     if f[0] != 0:
@@ -88,36 +85,3 @@ def jet_ode_flow(f: Jet, y0: Rat, order: int) -> Jet:
     d, scaled = _scaled([c.as_integer_ratio() for c in f.coeffs[:order]])
     u = _flow(scaled, order)
     return Jet([y0] + [Fraction(u[k], factorial(k) * d**k) for k in range(1, order + 1)])
-
-
-def compose(outer: dict[tuple[int, ...], Rat], inners: list[Jet], order: int) -> Jet:
-    """Jet of x -> F(u_1(x), ..., u_k(x)) = sum_alpha c_alpha prod u_i^alpha_i.
-
-    ``outer`` is F's sparse Taylor series: a dict from multi-index alpha
-    (one exponent per argument) to c_alpha.  The inners must have zero
-    constant terms.  Terms with |alpha| > ``order`` are dropped; the result
-    is truncated at ``order`` and at the order of each inner that a kept
-    term raises to a positive power.  With no inners F is a constant.
-    """
-    if any(u[0] != 0 for u in inners):
-        raise ValueError("inner jets must have zero constant terms")
-    # powers[i][e] = u_i^e for e <= order, known to min(order, u_i.order).
-    powers = []
-    for u in inners:
-        power = _power_table(list(u.coeffs[: order + 1]), order)
-        for m in range(2, len(power[1])):
-            _fill_column(power, m)
-        powers.append([Jet(row) for row in power])
-    result = Jet([0], order=order)
-    for alpha, c in outer.items():
-        if len(alpha) != len(inners):
-            raise ValueError(f"multi-index {alpha} needs {len(inners)} exponents, one per inner")
-        if min(alpha, default=0) < 0:
-            raise ValueError(f"multi-index {alpha} has a negative exponent")
-        if sum(alpha) <= order:
-            term = Jet([c], order=order)
-            for row, e in zip(powers, alpha):
-                if e:  # u_i^0 = 1 is known to every order
-                    term = term * row[e]
-            result = result + term
-    return result

@@ -2,12 +2,12 @@
 
 Each trial draws small random rationals as reduced int pairs, evaluates the
 weighted-graph expansion of the requested derivative and the same derivative
-computed directly by composition, or by the int kernels for reversion and
-flow here (for F = D·f, D the lcm of f's denominators, a^(2k-1)·g_k with
-a = F_1, Knuth, TAOCP 2, §4.7, and k!·D^k·u_k are integers), and compares
-the two exactly, in ints.  Only the composite draw and a mismatch build
-``Fraction``s; a mismatch is reported with the per-term breakdown.  Nothing
-is ever compared with a tolerance.
+computed directly, by the int kernels here for composition, reversion and
+flow (for F = D·f, D the lcm of f's denominators, a^(2k-1)·g_k with a = F_1,
+Knuth, TAOCP 2, §4.7, and k!·D^k·u_k are integers; a composite jet is
+scaled by powers of q, the lcm of F's denominators), and compares the two
+exactly, in ints.  Only a mismatch builds ``Fraction``s, to report the
+per-term breakdown.  Nothing is ever compared with a tolerance.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .trees import Tree, format_trees
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    Rat = int | Fraction
+    from .skeletons import Skeleton
 
 Pair = tuple[int, int]  # a rational as (numerator, denominator), denominator nonzero
 
@@ -196,17 +196,17 @@ def _like_terms(rows: list[tuple[Tree, int, int]]) -> tuple[list[int], list, lis
     return row_monomial, [tuple(Counter(keys).items()) for keys in index], coefficients
 
 
-def _power_table(u: list[Rat], rows: int) -> list[list[Rat]]:
+def _power_table(u: list[int], rows: int) -> list[list[int]]:
     """power[j][m] = [x^m] u^j for j <= rows, m < len(u), where u_0 = 0.
 
     Row 1 *is* the list ``u``, so a caller may solve u in place, one coefficient
-    at a time; rows j >= 2 start at 0 for ``_fill_column``, int or ``Fraction``.
+    at a time; rows j >= 2 start at 0 for ``_fill_column``.
     """
     zeros = [0] * (len(u) - 1)
     return [[1] + zeros, u] + [[0] + zeros for _ in range(2, rows + 1)]
 
 
-def _fill_column(power: list[list[Rat]], m: int, u: list[Rat] | None = None) -> None:
+def _fill_column(power: list[list[int]], m: int, u: list[int] | None = None) -> None:
     """Fill power[j][m] for 2 <= j <= m from u_1 .. u_{m-1}: row 1, or u if given."""
     u = power[1] if u is None else u
     for j in range(2, m + 1):
@@ -283,27 +283,34 @@ def _draw_composite(
 ) -> Draw:
     # F's Taylor coefficients c_alpha, 1 <= |alpha| <= n, per position, with
     # one exponent per slot colour: slots of one colour are one base
-    # variable, so they always receive the same inner jet.  Only this draw
-    # composes Fraction jets, so only it imports them.
-    from fractions import Fraction
-
-    from .jets import compose, identity_jet
-
+    # variable, so they always receive the same inner jet.  outer holds the
+    # integers q c_alpha, q the lcm of the drawn denominators.
     classes = family.children
-    outer = {
-        ci: {a: Fraction(*_random_rational(rng)) for a in exponents[len(cls)] if any(a)}
-        for ci, cls in classes.items()
-    }
+    keys = {ci: [a for a in exponents[len(cls)] if any(a)] for ci, cls in classes.items()}
+    q, scaled = _scaled([_random_rational(rng) for alphas in keys.values() for _ in alphas])
+    values = iter(scaled)
+    outer = {ci: {a: next(values) for a in alphas} for ci, alphas in keys.items()}
+    # A jet (U, h) is u_k = U_k / q^(h k); a variable is (t, 0).  At a position, h is
+    # its arguments' largest height and U~_i(t) = u_i(q^h t), so u(q^h t) = P(t) / q for
+    # P = sum q c_alpha prod U~_i^alpha_i, P_0 = 0: its jet is (P_k q^(k-1), h + 1).
     # Positions are coloured in preorder, so a position's arguments have
     # higher colours: highest first, each argument's jet is ready in time.
-    jets = {ci: identity_jet(n) for ci in family.leaves}
+    jets = {ci: ([0, 1] + [0] * (n - 1), 0) for ci in family.leaves}
     for ci in reversed(classes):
-        jets[ci] = compose(outer[ci], [jets[c] for c in classes[ci]], n)
-    expected = (jets[family.root][n] * factorial(n)).as_integer_ratio()
+        args = [jets[c] for c in classes[ci]]
+        h = max((hi for _, hi in args), default=0)
+        lifted = [[u * q ** ((h - hi) * k) for k, u in enumerate(U)] for U, hi in args]
+        # Sorted, alpha follows alpha - e_j, j its first slot in use: U~_j times that.
+        monomial, p = {(0,) * len(args): [1] + [0] * n}, [0] * (n + 1)
+        for alpha, c in outer[ci].items():
+            j = next(i for i, e in enumerate(alpha) if e)
+            m, u = monomial[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]], lifted[j]
+            m = monomial[alpha] = [sum(m[i] * u[k - i] for i in range(k)) for k in range(n + 1)]
+            p = [s + c * x for s, x in zip(p, m)]
+        jets[ci] = ([0] + [p[k] * q ** (k - 1) for k in range(1, n + 1)], h + 1)
 
     # D^k F[v_1..v_k] is d^alpha F(0) = alpha! c_alpha, alpha counting the children per slot
-    # colour; 0 if a child fits no slot, 1 at a variable.  q: lcm of the drawn denominators.
-    q = lcm(*(c.denominator for cs in outer.values() for c in cs.values()))
+    # colour; 0 if a child fits no slot, 1 at a variable.
     factors: dict[tuple[int, ...], int] = {}
 
     def vertex_factor(key: tuple[int, ...]) -> int:
@@ -313,7 +320,8 @@ def _draw_composite(
         if key not in factors:
             alpha = tuple(map(key[1:].count, classes[ci]))
             c = outer[ci][alpha] if sum(alpha) == len(key) - 1 else 0
-            factors[key] = prod(map(factorial, alpha)) * c.numerator * (q // c.denominator)
+            factors[key] = prod(map(factorial, alpha)) * c
         return factors[key]
 
-    return expected, q, vertex_factor
+    u, h = jets[family.root]
+    return (factorial(n) * u[n], q ** (h * n)), q, vertex_factor

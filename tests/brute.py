@@ -3,14 +3,16 @@
 Nothing here shares an algorithm with the production paths: isomorphism is
 decided by explicit child matching (not canonical forms), rooted trees are
 generated from parent arrays, automorphisms are counted by trying every
-vertex permutation, and inverse-regime trees come from labelled set
-partitions.  Slow on purpose; used only at test scale.
+vertex permutation, inverse-regime trees come from labelled set
+partitions, and a multivariate series is composed one ``Jet`` product at a
+time.  Slow on purpose; used only at test scale.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
+from derivgraph.jets import Jet
 from derivgraph.trees import Tree
 
 
@@ -163,3 +165,28 @@ def integer_partitions(n: int) -> list[tuple[int, ...]]:
 
     rec(n, n, [])
     return out
+
+
+def compose(outer: dict[tuple[int, ...], object], inners: list[Jet], order: int) -> Jet:
+    """Jet of x -> F(u_1(x), ..., u_k(x)) = sum_alpha c_alpha prod u_i^alpha_i.
+
+    ``outer`` maps each multi-index alpha (one exponent per inner) to c_alpha.
+    Each term is c_alpha times its inners, one ``Jet`` product per unit of
+    alpha, so it is known to the order of each inner it uses; terms with
+    |alpha| > ``order`` are dropped.  The inners need zero constant terms.
+    """
+    if any(u[0] != 0 for u in inners):
+        raise ValueError("inner jets must have zero constant terms")
+    result = Jet([0], order=order)
+    for alpha, c in outer.items():
+        if len(alpha) != len(inners):
+            raise ValueError(f"multi-index {alpha} needs {len(inners)} exponents, one per inner")
+        if min(alpha, default=0) < 0:
+            raise ValueError(f"multi-index {alpha} has a negative exponent")
+        if sum(alpha) <= order:
+            term = Jet([c], order=order)
+            for u, e in zip(inners, alpha):
+                for _ in range(e):
+                    term = term * u
+            result = result + term
+    return result

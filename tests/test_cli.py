@@ -1,3 +1,5 @@
+import ast
+import builtins
 import errno
 import gc
 import importlib
@@ -643,11 +645,10 @@ def test_start_up_imports_no_dataclasses_inspect_or_json():
         ("trees", set()),
         ("table", set()),
         ("formula", {"formulas"}),
-        # The ode and inverse trials run on ints: no Fraction jets.
+        # Every regime's trials run on ints: no Fraction jets.
         ("verify", {"oracle"}),
         ("verify --regime inverse", {"oracle"}),
-        # The composite draw composes Fraction jets.
-        ("verify --regime composite --skeleton f(g(x))", {"oracle", "jets", "skeletons"}),
+        ("verify --regime composite --skeleton f(g(x))", {"oracle", "skeletons"}),
     ],
 )
 def test_each_subcommand_imports_only_its_modules(command, own):
@@ -658,21 +659,24 @@ def test_each_subcommand_imports_only_its_modules(command, own):
 
 
 def test_a_passing_ode_or_inverse_verify_imports_no_fractions_or_jets():
-    # A fresh interpreter: the trials compare ints, so neither fractions
-    # (nor decimal, which it imports) nor derivgraph.jets is loaded.
+    # A fresh interpreter: the trials of every regime compare ints, so
+    # neither fractions (nor decimal, which it imports) nor derivgraph.jets
+    # is loaded.
     code = (
         "import sys\n"
         "import derivgraph.cli\n"
         "for regime in ('inverse', 'ode'):\n"
         "    argv = ['verify', '--regime', regime, '--order', '8', '--seed', '5']\n"
         "    assert derivgraph.cli.main(argv) == 0, argv\n"
+        "argv = ['verify', '--regime', 'composite', '--skeleton', 'F(f(x),g(h(x),x))']\n"
+        "assert derivgraph.cli.main(argv + ['--order', '5']) == 0, argv\n"
         "sys.stderr.write(' '.join(sorted(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.count("PASS") == 2, done.stdout
+    assert done.stdout.count("PASS") == 3, done.stdout
     loaded = set(done.stderr.split())
     assert "derivgraph.oracle" in loaded
     assert not loaded & {"fractions", "decimal", "derivgraph.jets"}, sorted(loaded)
@@ -715,8 +719,8 @@ def test_dir_lists_the_public_names_and_unknown_names_raise():
 PUBLIC_NAMES = """
     Colour DEFAULT_COLOUR DerivativeGraph Formula FormulaTerm Jet Regime Report
     Skeleton SkeletonSyntaxError Tree TreeSyntaxError WeightedGraph canonicalize
-    compare_trees compose enumerate_composite enumerate_graphs enumerate_inverse
-    enumerate_ode format_trees identity_jet jet_ode_flow jet_reverse make_palette
+    compare_trees enumerate_composite enumerate_graphs enumerate_inverse
+    enumerate_ode format_trees jet_ode_flow jet_reverse make_palette
     parse_machine_term parse_skeleton parse_tree render_derivative verify weigh
 """.split()
 
@@ -726,6 +730,8 @@ REMOVED_NAMES = [
     ("enumeration", "totally_asymmetric"),
     ("enumeration", "totally_symmetric"),
     ("formulas", "render_term"),
+    ("jets", "compose"),
+    ("jets", "identity_jet"),
     ("trees", "LEAF"),
     ("trees", "format_tree"),
     ("trees", "tree_from_dict"),
@@ -734,7 +740,7 @@ REMOVED_NAMES = [
 
 
 def test_public_surface_is_pinned():
-    assert sorted(derivgraph.__all__) == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 31
+    assert sorted(derivgraph.__all__) == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 29
     for name in PUBLIC_NAMES:
         getattr(derivgraph, name)
     for module, name in REMOVED_NAMES:
@@ -742,6 +748,48 @@ def test_public_surface_is_pinned():
             getattr(derivgraph, name)
         with pytest.raises(AttributeError):
             getattr(importlib.import_module(f"derivgraph.{module}"), name)
+
+
+def annotation_names(node: ast.AST):
+    """Every name an annotation reads; a string annotation is parsed first."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from annotation_names(ast.parse(sub.value, mode="eval"))
+        elif isinstance(sub, ast.Name):
+            yield sub.id
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(derivgraph.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_annotated_name_is_bound_in_its_module(path):
+    # A type checker resolves each annotation in its module: every name it
+    # reads is a builtin or bound at module level, by an import, assignment
+    # or definition, directly or under ``if TYPE_CHECKING:``.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    body = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            body += node.body
+    bound = set(dir(builtins))
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.FunctionDef):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    read = {name for a in annotations if a is not None for name in annotation_names(a)}
+    assert read - bound == set()
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import integer_partitions
+from brute import compose, integer_partitions
 from derivgraph.enumeration import Regime, enumerate_graphs, family_of, weigh
-from derivgraph.jets import Jet, compose, identity_jet, jet_ode_flow, jet_reverse
+from derivgraph.jets import Jet, jet_ode_flow, jet_reverse
 from derivgraph.oracle import verify
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree
@@ -83,8 +83,9 @@ def draw_with_reference(regime: Regime, n: int, skeleton: str | None, seed: int)
     The draw's expected value, an int pair, is returned as a ``Fraction``.
 
     The reference is the factor as rationals: k! f_k for ode, k! f_k Dg (Dg
-    at a leaf) for inverse, alpha! c_alpha, 0 or 1 for composite.  For ode
-    and inverse it also gives the expected value through the public jets.
+    at a leaf) for inverse, alpha! c_alpha, 0 or 1 for composite.  It also
+    gives the expected value directly: through the public jets for ode and
+    inverse, and for composite by ``brute.compose`` over the positions.
     """
     drawn = []
     real = verify_module._random_rational
@@ -122,6 +123,11 @@ def draw_with_reference(regime: Regime, n: int, skeleton: str | None, seed: int)
     values = iter(drawn)
     classes = family.children
     outer = {ci: {a: next(values) for a in exponents[len(c)] if any(a)} for ci, c in classes.items()}
+    # Each position's jet from its arguments', highest colour first.
+    jets = {ci: Jet([0, 1], order=n) for ci in family.leaves}
+    for ci in reversed(classes):
+        jets[ci] = compose(outer[ci], [jets[c] for c in classes[ci]], n)
+    direct = jets[family.root].derivative_at_zero(n)
 
     def reference(key):
         if key[0] not in outer:
@@ -131,7 +137,7 @@ def draw_with_reference(regime: Regime, n: int, skeleton: str | None, seed: int)
             return Fraction(0)
         return prod(map(factorial, alpha)) * outer[key[0]][alpha]
 
-    return expected, q, factor, expected, reference
+    return expected, q, factor, direct, reference
 
 
 def test_a_draw_is_the_reduced_fraction_of_the_same_two_randints():
@@ -273,7 +279,7 @@ class TestSlotColours:
         finally:
             verify_module._random_rational = original
         assert Fraction(factor((0,) + children), q) == old
-        assert Fraction(*expected) == compose(c, [identity_jet(n)] * len(slot_root), n)[n] * factorial(n)
+        assert Fraction(*expected) == compose(c, [Jet([0, 1], order=n)] * len(slot_root), n)[n] * factorial(n)
 
     @pytest.mark.parametrize(
         "text,n,draws",
@@ -296,7 +302,25 @@ class TestSlotColours:
         assert len(calls) == 3 * draws
 
 
+CHAIN_40 = "".join(f"f{i}(" for i in range(40)) + "x" + ")" * 40
+
+
 class TestComposite:
+    @pytest.mark.parametrize(
+        "n,skeleton",
+        [(n, sk) for regime, n, sk in GROUPED_CASES if regime is Regime.COMPOSITE]
+        # Arguments of unequal heights: f(x)'s jet is lifted to g(h(x),x)'s.
+        + [(n, "F(f(x),g(h(x),x))") for n in range(1, 6)]
+        + [(3, "F()"), (3, CHAIN_40)],
+        ids=lambda v: v if isinstance(v, int) or len(v) < 40 else "chain40",
+    )
+    def test_draw_is_the_naive_composition_over_the_positions(self, n, skeleton):
+        # The draw's (n! U_root,n, q^(h n)) from int jets (U, h) against
+        # repeated Fraction Jet products, position by position.
+        for seed in range(10):
+            expected, _, _, direct, _ = draw_with_reference(Regime.COMPOSITE, n, skeleton, seed)
+            assert expected == direct
+
     def test_chain_order_four_passes(self):
         report = verify(Regime.COMPOSITE, 4, trials=20, seed=1, skeleton=CHAIN)
         assert report.passed
@@ -435,10 +459,10 @@ class TestReport:
             assert verify_module.verify(regime, n, 5, 0, skeleton).passed
 
     def test_trials_build_no_fraction_per_term(self, monkeypatch):
-        # A passing ode or inverse trial draws int pairs, runs the int
+        # A passing trial of any regime draws int pairs, runs the int
         # kernels and compares num * q^top with total * den: it builds no
         # Fraction at all.  The count sees every Fraction built anywhere, as
-        # a composite run, whose draw composes Fraction jets, shows.
+        # a failing run, whose report holds Fractions, shows.
         built = []
         real = Fraction.__new__
 
@@ -450,8 +474,11 @@ class TestReport:
         for regime in (Regime.ODE, Regime.INVERSE):
             assert verify_module.verify(regime, 8, 20, 0).passed
             assert verify_module.verify(regime, 8, 20, 5).passed
-        assert built == []
+        assert verify_module.verify(Regime.COMPOSITE, 5, 20, 0, parse_skeleton("F(f(x),g(h(x),x))")).passed
         assert verify_module.verify(Regime.COMPOSITE, 3, 2, 0, CHAIN).passed
+        assert built == []
+        crooked(monkeypatch)
+        assert not verify_module.verify(Regime.COMPOSITE, 3, 2, 0, CHAIN).passed
         assert built
 
     def test_corrupted_weight_is_detected(self, monkeypatch):
