@@ -17,11 +17,12 @@ import sys
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .enumeration import DerivativeGraph, Regime, enumerate_graphs, weigh
+from .enumeration import _COEFFICIENTS, Regime, family_of
 from .trees import format_trees
 
 if TYPE_CHECKING:
     from .skeletons import Skeleton
+    from .trees import Tree
 
 DEFAULT_MAX_ORDER = 10
 
@@ -59,11 +60,12 @@ def _check_order(args: argparse.Namespace) -> None:
 # A command returns its exit code and its document: the text to write, or for
 # ``--style machine`` the object that ``main`` writes as JSON.  ``formula`` and
 # ``verify`` import their modules when they run, so the other commands start
-# without them.
+# without them.  ``trees`` and ``table`` read the trees alone and build no
+# graph record: a row's S, tau, sign and weight come from its tree.
 
 
 def _cmd_trees(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
-    lines = format_trees(g.tree for g in enumerate_graphs(regime, args.order, skeleton))
+    lines = format_trees(family_of(regime, skeleton).trees(args.order))
     if args.style == "machine":
         return 0, {"regime": regime.value, "order": args.order, "trees": lines}
     return 0, "".join(line + "\n" for line in lines)
@@ -72,21 +74,18 @@ def _cmd_trees(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | No
 _COLUMNS = ("tree", "S", "tau", "sign", "weight")
 
 
-def _table_rows(graphs: list[DerivativeGraph], regime: Regime) -> list[tuple]:
-    """One (tree text, S, tau, sign, weight text) tuple per graph."""
-    ode = regime is Regime.ODE
-    return [
-        (text, g.tree.symmetry, g.tree.complexity if ode else 1, wg.sign, str(wg.weight))
-        for text, g, wg in zip(format_trees(g.tree for g in graphs), graphs, map(weigh, graphs))
-    ]
+def _table_rows(trees: list[Tree], regime: Regime) -> list[tuple]:
+    """One (tree text, S, tau, sign, weight) tuple per tree."""
+    rule = _COEFFICIENTS[regime]
+    return [(text,) + rule(t) for text, t in zip(format_trees(trees), trees)]
 
 
 def _cmd_table(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
-    # The graphs, and with them the interned trees, are released before the
-    # layout: holding them through it raises the peak memory.
-    rows = _table_rows(enumerate_graphs(regime, args.order, skeleton), regime)
+    # The interned trees are released before the layout: holding them through
+    # it raises the peak memory.
+    rows = _table_rows(family_of(regime, skeleton).trees(args.order), regime)
     if args.style == "machine":
-        rows = [dict(zip(_COLUMNS, row)) for row in rows]
+        rows = [dict(zip(_COLUMNS, row[:4]), weight=str(row[4])) for row in rows]
         return 0, {"regime": regime.value, "order": args.order, "rows": rows}
     # Left-aligned columns two spaces apart.  The last is not padded, so no
     # line ends in a blank, and a sign (+1 or -1) is narrower than its header.

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
 from math import factorial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .trees import DEFAULT_COLOUR, Colour, Tree, compare_trees, fold
 
@@ -57,17 +57,27 @@ class WeightedGraph(NamedTuple):
     weight: int
 
 
+# Each regime's coefficient rule, the one place it lives: a tree's (S, tau
+# column, sign, weight).  The tau column is tau where the weight divides by
+# it (ode) and 1 elsewhere.  A value string finds its member's rule.
+_COEFFICIENTS: dict[Regime, Callable[[Tree], tuple[int, int, int, int]]] = {
+    Regime.ODE: lambda t: (
+        t.symmetry, t.complexity, 1, factorial(t.vertices - 1) // (t.symmetry * t.complexity)
+    ),
+    Regime.INVERSE: lambda t: (
+        t.symmetry, 1, (-1) ** t.internal, factorial(t.entrances) // t.symmetry
+    ),
+    Regime.COMPOSITE: lambda t: (t.symmetry, 1, 1, factorial(t.entrances) // t.symmetry),
+}
+
+
 def weigh(graph: DerivativeGraph) -> WeightedGraph:
     """Attach the regime weight and sign to a canonical graph."""
-    tree, regime = graph.tree, graph.regime
-    if regime is Regime.ODE:
-        weight = factorial(tree.vertices - 1) // (tree.symmetry * tree.complexity)
-        sign = 1
-    elif regime is Regime.INVERSE or regime is Regime.COMPOSITE:
-        weight = factorial(tree.entrances) // tree.symmetry
-        sign = (-1) ** tree.internal if regime is Regime.INVERSE else 1
-    else:  # a value string; any other value raises
-        return weigh(graph._replace(regime=Regime(regime)))
+    try:
+        rule = _COEFFICIENTS[graph.regime]
+    except (KeyError, TypeError):  # not a regime's value: Regime raises
+        rule = _COEFFICIENTS[Regime(graph.regime)]
+    _, _, sign, weight = rule(graph.tree)
     return tuple.__new__(WeightedGraph, (graph, sign, weight))  # as in enumerate_graphs
 
 

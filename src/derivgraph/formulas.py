@@ -179,7 +179,8 @@ def _machine_term(wg: WeightedGraph, tree: str) -> str:
     )
 
 
-_MACHINE = re.compile(
+# Compiled when a term is first parsed (re caches it), not when a formula is rendered.
+_MACHINE = (
     r"\(term \(regime (?P<regime>\w+)\) \(sign (?P<sign>[+-]?\d+)\) "
     r"\(weight (?P<weight>-?\d+(?:/0*[1-9]\d*)?)\) \(tree (?P<tree>[^)\s]+)\)\)"
 )
@@ -194,7 +195,7 @@ def parse_machine_term(text: str, skeleton: Skeleton | None = None) -> WeightedG
     """
     from fractions import Fraction  # only the grammar's optional /d needs one
 
-    m = _MACHINE.fullmatch(text.strip())
+    m = re.fullmatch(_MACHINE, text.strip())
     if m is None:
         raise ValueError(f"not a machine-style term: {text!r}")
     regime = Regime(m.group("regime"))

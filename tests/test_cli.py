@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import derivgraph
+from derivgraph import enumerate_graphs, format_trees, parse_skeleton, weigh
 from derivgraph.cli import main
 from test_enumeration import SKELETONS
 
@@ -171,6 +172,71 @@ class TestTableLayout:
     def test_a_table_with_no_graph_is_its_header(self, run):
         argv = ("table", "--regime", "composite", "--skeleton", "F()", "--order", "2")
         assert run(*argv) == (0, "tree  S  tau  sign  weight\n", "")
+
+
+# The tables whose rows are checked against the library: ode 1-10, inverse
+# 1-9, each test skeleton at 1-5.
+LIBRARY_TABLES = [
+    *(("ode", None, n) for n in range(1, 11)),
+    *(("inverse", None, n) for n in range(1, 10)),
+    *(("composite", sk, n) for sk in SKELETONS for n in range(1, 6)),
+]
+
+
+class TestTableRows:
+    @pytest.mark.parametrize("regime,skeleton,order", LIBRARY_TABLES)
+    def test_rows_are_the_weighed_graphs(self, run, regime, skeleton, order):
+        graphs = enumerate_graphs(regime, order, skeleton and parse_skeleton(skeleton))
+        texts = format_trees(g.tree for g in graphs)
+        expected = [
+            (text, g.tree.symmetry, g.tree.complexity if regime == "ode" else 1, wg.sign, wg.weight)
+            for text, g, wg in zip(texts, graphs, map(weigh, graphs))
+        ]
+        argv = ["table", "--regime", regime, "--order", str(order)]
+        if skeleton:
+            argv += ["--skeleton", skeleton]
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert [line.split() for line in out.splitlines()[1:]] == [
+            [text, str(s), str(tau), "%+d" % sign, str(weight)]
+            for text, s, tau, sign, weight in expected
+        ]
+        code, out, err = run(*argv, "--style", "machine")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rows"] == [
+            {"tree": text, "S": s, "tau": tau, "sign": sign, "weight": str(weight)}
+            for text, s, tau, sign, weight in expected
+        ]
+
+
+@pytest.mark.parametrize("command", ["trees", "table"])
+def test_trees_and_table_build_no_graph_record(run, monkeypatch, command):
+    # Both read the trees alone: a row's S, tau, sign and weight come from
+    # its tree, so neither enumerates graphs, weighs one or builds a record.
+    import derivgraph.cli as cli
+    from derivgraph import enumeration
+
+    cases = [
+        [command, "--regime", regime, "--order", str(order), "--style", style, *skeleton]
+        for regime, order, skeleton in [
+            ("ode", 7, []),
+            ("inverse", 1, []),
+            ("inverse", 7, []),
+            ("composite", 4, ["--skeleton", "F(f(x),g(h(x),x))"]),
+        ]
+        for style in ("text", "machine")
+    ]
+    expected = [run(*argv) for argv in cases]
+    assert {code for code, _, _ in expected} == {0}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph record was built")
+
+    for name in ("enumerate_graphs", "weigh", "DerivativeGraph", "WeightedGraph"):
+        monkeypatch.setattr(enumeration, name, refuse)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, refuse)
+    assert [run(*argv) for argv in cases] == expected
 
 
 class TestFormula:

@@ -1,12 +1,13 @@
 import copy
 import pickle
+import re
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from brute import brute_increasing_tree_census, isomorphic
-from derivgraph import oracle
+from derivgraph import enumeration, oracle
 from derivgraph.enumeration import (
     DerivativeGraph,
     Regime,
@@ -115,10 +116,11 @@ class TestRegimeSpelling:
 
     def test_other_value_raises(self):
         (g,) = enumerate_ode(1)
-        bogus = g._replace(regime="bogus")
-        for call in [weigh, lambda graph: graph.order]:
-            with pytest.raises(ValueError, match="'bogus' is not a valid Regime"):
-                call(bogus)
+        for value in ["bogus", []]:  # an unhashable value too
+            bogus = g._replace(regime=value)
+            for call in [weigh, lambda graph: graph.order]:
+                with pytest.raises(ValueError, match=re.escape(f"{value!r} is not a valid Regime")):
+                    call(bogus)
 
 
 class TestOde:
@@ -163,6 +165,17 @@ def test_weights_are_ints(monkeypatch):
     report = verify(Regime.INVERSE, 5, trials=1)
     assert report.mismatches
     assert {type(tv.weight) for tv in report.mismatches[0].terms} == {int}
+
+
+def test_weigh_rebuilds_no_family():
+    # The composite family cache holds one skeleton's family: a weight rule
+    # that reached family_of would rebuild a family at each change of skeleton.
+    one = enumerate_composite(CHAIN, 4)
+    two = enumerate_composite(parse_skeleton("F(f(x),g(x))"), 4)
+    misses = enumeration._composite_family.cache_info().misses
+    weighed = [weigh((one, two)[i % 2][i // 2 % len(one)]) for i in range(100)]
+    assert enumeration._composite_family.cache_info().misses == misses
+    assert {wg.graph.skeleton for wg in weighed} == {CHAIN, two[0].skeleton}
 
 
 def _records():
