@@ -106,7 +106,8 @@ def _cmd_formula(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | 
     formula = render_derivative(regime, args.order, args.style, skeleton)
     if args.style != "machine":
         return 0, str(formula) + "\n"
-    trees = format_trees(t.graph.graph.tree for t in formula.terms)
+    # A machine term ends "(tree T))", and T has no space: each tree is formatted once.
+    trees = [t.text[t.text.rindex(" ") + 1 : -2] for t in formula.terms]
     return 0, {
         "regime": regime.value,
         "order": args.order,

@@ -1,8 +1,9 @@
 """Truncated power series with exact rational coefficients.
 
-The public ``Fraction`` face of ``oracle``'s integer kernels: reversion and
-ODE flow scale f to ints, run the kernels that the oracle's trials call with
-no ``Jet`` and no ``Fraction``, and give the result back as a ``Jet``.
+The public ``Fraction`` face of ``oracle``'s one integer series kernel, the
+flow its trials run with no ``Jet`` and no ``Fraction``: ODE flow and reversion
+scale f to ints, run it and give the result back as a ``Jet``.  Reversion is
+the flow of x' = 1/f'(x), in z = x/a, a = D·f_1: k!·g_k = U_k / a^(2k-1).
 Series compose by ``Jet`` products: F(u_1, ..., u_m) = sum_alpha c_alpha
 prod u_i^alpha_i, one product per unit of alpha.
 """
@@ -74,8 +75,8 @@ def jet_reverse(f: Jet) -> Jet:
     if f.order < 1 or f[1] == 0:
         raise ValueError("series with zero linear term has no compositional inverse")
     d, scaled = _scaled([c.as_integer_ratio() for c in f.coeffs])
-    a, g = scaled[1], _reverse(scaled)
-    return Jet([0] + [Fraction(g[k] * d**k, a ** (2 * k - 1)) for k in range(1, len(g))])
+    a, u = scaled[1], _reverse(scaled, d)
+    return Jet([0] + [Fraction(u[k], factorial(k) * a ** (2 * k - 1)) for k in range(1, len(u))])
 
 
 def jet_ode_flow(f: Jet, y0: Rat, order: int) -> Jet:

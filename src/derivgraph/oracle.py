@@ -2,12 +2,13 @@
 
 Each trial draws small random rationals as reduced int pairs, evaluates the
 weighted-graph expansion of the requested derivative and the same derivative
-computed directly, by the int kernels here for composition, reversion and
-flow (for F = D·f, D the lcm of f's denominators, a^(2k-1)·g_k with a = F_1,
-Knuth, TAOCP 2, §4.7, and k!·D^k·u_k are integers; a composite jet is
-scaled by powers of q, the lcm of F's denominators), and compares the two
-exactly, in ints.  Only a mismatch builds ``Fraction``s, to report the
-per-term breakdown.  Nothing is ever compared with a tolerance.
+computed directly, by int kernels, and compares the two exactly, in ints.  A
+composite jet is scaled by powers of q, the lcm of F's denominators.  Ode and
+inverse share one recursion, ``_flow``: for F = D·f, D the lcm of f's
+denominators, the flow's k!·D^k·u_k are integers, and the inverse g, the flow
+of x' = 1/f'(x), has k!·g_k = U_k / a^(2k-1), a = F_1, from the int field of
+z = x/a.  Only a mismatch builds ``Fraction``s, to report the per-term
+breakdown.  Nothing is ever compared with a tolerance.
 """
 
 from __future__ import annotations
@@ -196,46 +197,25 @@ def _like_terms(rows: list[tuple[Tree, int, int]]) -> tuple[list[int], list, lis
     return row_monomial, [tuple(Counter(keys).items()) for keys in index], coefficients
 
 
-def _power_table(u: list[int], rows: int) -> list[list[int]]:
-    """power[j][m] = [x^m] u^j for j <= rows, m < len(u), where u_0 = 0.
-
-    Row 1 *is* the list ``u``, so a caller may solve u in place, one coefficient
-    at a time; rows j >= 2 start at 0 for ``_fill_column``.
-    """
-    zeros = [0] * (len(u) - 1)
-    return [[1] + zeros, u] + [[0] + zeros for _ in range(2, rows + 1)]
-
-
-def _fill_column(power: list[list[int]], m: int, u: list[int] | None = None) -> None:
-    """Fill power[j][m] for 2 <= j <= m from u_1 .. u_{m-1}: row 1, or u if given."""
-    u = power[1] if u is None else u
-    for j in range(2, m + 1):
-        lower = power[j - 1]
-        # u^j = u * u^(j-1), and u^(j-1) starts at x^(j-1).
-        power[j][m] = sum(u[i] * lower[m - i] for i in range(1, m - j + 2))
-
-
 def _scaled(pairs: Sequence[Pair]) -> tuple[int, list[int]]:
     """D, the lcm of the denominators, and the integers D·p/q."""
     d = lcm(*(q for _, q in pairs))
     return d, [p * (d // q) for p, q in pairs]
 
 
-def _reverse(f: list[int]) -> list[int]:
-    """N with N(t) = t - sum_{j>=2} f_j a^(j-2) N(t)^j, a = f_1: O(N^3) int products.
+def _reverse(f: list[int], d: int) -> list[int]:
+    """U with k! g_k = U_k / a^(2k-1), g the inverse of the series f / d, a = f_1.
 
-    [t^k] N^j needs only N_1 .. N_{k-1} for j >= 2, so N is solved one coefficient,
-    one power-table column at a time.  For F = D·f and g(x) = a N(D x / a^2),
-    F(g) = D x reads a^2 N + sum_{j>=2} F_j a^j N^j = a^2 t: g_k = N_k D^k / a^(2k-1).
+    x = g(y) is the flow of x' = 1/f'(x); so z = x / a flows by z' = S(z) / a^2 for
+    S = d / (1 + sum_{i>=1} (i+1) f_{i+1} a^(i-1) z^i), whose coefficients are ints:
+    ``_flow`` gives k! z_k = U_k / a^(2k), and g_k = a z_k.
     """
     a, n = f[1], len(f) - 1
-    g = [0, 1] + [0] * (n - 1)
-    lifted = [0, 0] + [f[j] * a ** (j - 2) for j in range(2, n + 1)]
-    power = _power_table(g, n)
-    for k in range(2, n + 1):
-        _fill_column(power, k)
-        g[k] = -sum(lifted[j] * power[j][k] for j in range(2, k + 1))
-    return g
+    lifted = [(i + 1) * f[i + 1] * a ** (i - 1) for i in range(1, n)]
+    s = [d]
+    for k in range(1, n):
+        s.append(-sum(c * s[k - i] for i, c in enumerate(lifted[:k], 1)))
+    return _flow(s, n)
 
 
 def _flow(f: list[int], order: int) -> list[int]:
@@ -246,9 +226,14 @@ def _flow(f: list[int], order: int) -> list[int]:
     this recursion, solved one coefficient at a time in O(N^3) int products.
     """
     u = [0] * (order + 1)
-    power = _power_table(u, order)
+    # power[j] is E^j, zero below t^j: row 1 is u itself, solved in place, and
+    # row j >= 2 is u times row j - 1, filled one column k at a time.
+    power = [[1] + [0] * order, u] + [[0] * (order + 1) for _ in range(2, order)]
     for k in range(order):
-        _fill_column(power, k, [comb(k, i) * c for i, c in enumerate(u[:k])])
+        c = [comb(k, i) * x for i, x in enumerate(u[:k])]
+        for j in range(2, k + 1):
+            lower = power[j - 1]
+            power[j][k] = sum(c[i] * lower[k - i] for i in range(1, k - j + 2))
         u[k + 1] = sum(f[j] * power[j][k] for j in range(min(k, len(f) - 1) + 1))
     return u
 
@@ -271,11 +256,9 @@ def _draw_inverse(n: int, rng: random.Random) -> Draw:
     # f(0) = 0 and f'(0) != 0, so f has an inverse g.  drawn[:2] are
     # replaced, not skipped, so each seed keeps its draws.
     d, f = _scaled([(0, 1), _random_rational(rng, nonzero=True)] + drawn[2:])
-    a = f[1]
-    expected = (_reverse(f)[n] * d**n * factorial(n), a ** (2 * n - 1))
-    # Over q = a: a leaf is Dg = D/a, an inner vertex k! f_k Dg = k! F_k / a.
+    # Over q = a = F_1: a leaf is Dg = D/a, an inner vertex k! f_k Dg = k! F_k / a.
     factor = [d] + [factorial(k) * c for k, c in enumerate(f) if k]
-    return expected, a, lambda key: factor[len(key) - 1]
+    return (_reverse(f, d)[n], f[1] ** (2 * n - 1)), f[1], lambda key: factor[len(key) - 1]
 
 
 def _draw_composite(

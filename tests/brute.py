@@ -5,11 +5,13 @@ decided by explicit child matching (not canonical forms), rooted trees are
 generated from parent arrays, automorphisms are counted by trying every
 vertex permutation, inverse-regime trees come from labelled set
 partitions, and a multivariate series is composed one ``Jet`` product at a
-time.  Slow on purpose; used only at test scale.
+time, as are the ODE flow and the compositional inverse built on it.  Slow
+on purpose; used only at test scale.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
 from derivgraph.jets import Jet
@@ -190,3 +192,27 @@ def compose(outer: dict[tuple[int, ...], object], inners: list[Jet], order: int)
                     term = term * u
             result = result + term
     return result
+
+
+def reference_ode_flow(f: Jet, y0, order: int) -> Jet:
+    """The O(N^4) flow of y' = f(y - y0), y(0) = y0: a full ``compose`` for every order gained."""
+    y = [Fraction(y0)] + [Fraction(0)] * order
+    for k in range(order):
+        shifted = Jet([0] + y[1 : k + 1], order=k)
+        rate = compose({(j,): c for j, c in enumerate(f.coeffs)}, [shifted], k)
+        y[k + 1] = rate[k] / (k + 1)
+    return Jet(y)
+
+
+def reference_reverse(f: Jet) -> Jet:
+    """The compositional inverse of f, f_0 = 0 and f_1 != 0, to f's order N.
+
+    g <- (x - sum_{j>=2} f_j g^j) / f_1, N times from g = 0: each pass fixes
+    one more coefficient of f(g(x)) = x.
+    """
+    n = f.order
+    x, g = Jet([0, 1], order=n), Jet([0], order=n)
+    higher = {(j,): -f[j] for j in range(2, n + 1)}
+    for _ in range(n):
+        g = (x + compose(higher, [g], n)) * (1 / f[1])
+    return g

@@ -278,6 +278,33 @@ class TestFormula:
         weights = [parse_machine_term(t["machine"]).weight for t in payload["terms"]]
         assert weights == [1, 1, 3, 1]
 
+    def test_machine_formula_formats_each_tree_once(self, run, monkeypatch):
+        # The JSON "tree" field is the tree the machine term was built around,
+        # not a second formatting of the same trees.
+        import derivgraph.cli as cli
+        from derivgraph import formulas
+
+        formatted = []
+
+        def counting(roots):
+            roots = list(roots)
+            formatted.extend(roots)
+            return format_trees(roots)
+
+        for module in (cli, formulas):
+            monkeypatch.setattr(module, "format_trees", counting)
+        for regime, order, skeleton in [
+            ("ode", 8, []),
+            ("inverse", 6, []),
+            ("composite", 4, ["--skeleton", "F(f(x),g(x))"]),
+        ]:
+            formatted.clear()
+            argv = ["formula", "--regime", regime, "--order", str(order), *skeleton]
+            code, out, _ = run(*argv, "--style", "machine")
+            terms = json.loads(out)["terms"]
+            assert code == 0 and terms
+            assert len(formatted) == len(terms)
+
 
 class TestVerify:
     def test_pass_exit_status(self, run):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import compose
+from brute import compose, reference_ode_flow
 from derivgraph.jets import Jet, jet_ode_flow, jet_reverse
 
 rationals = st.fractions(
@@ -27,7 +27,8 @@ def jets(order: int, zero_constant: bool = False, nonzero_linear: bool = False):
 
 
 # Independent univariate references: repeated Jet products, no power table.
-# ``jet_reverse`` and ``jet_ode_flow`` are checked against them.
+# ``jet_reverse`` and ``jet_ode_flow`` are checked against them and against
+# ``brute.reference_ode_flow``, built the same way.
 
 
 def jet_compose(outer: Jet, inner: Jet) -> Jet:
@@ -41,16 +42,6 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
         power = power * inner
         result = result + power * outer[k]
     return result
-
-
-def reference_ode_flow(f: Jet, y0, order: int) -> Jet:
-    """The O(N^4) flow: a full ``jet_compose`` for every order gained."""
-    y = [Fraction(y0)] + [Fraction(0)] * order
-    for k in range(order):
-        shifted = Jet([y[0] - Fraction(y0)] + y[1 : k + 1], order=k)
-        rate = jet_compose(Jet(f.coeffs, order=k), shifted)
-        y[k + 1] = rate[k] / (k + 1)
-    return Jet(y)
 
 
 class TestCompose:

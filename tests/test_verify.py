@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import compose, integer_partitions
+from brute import compose, integer_partitions, reference_ode_flow, reference_reverse
 from derivgraph.enumeration import Regime, enumerate_graphs, family_of, weigh
-from derivgraph.jets import Jet, jet_ode_flow, jet_reverse
+from derivgraph.jets import Jet, jet_reverse
 from derivgraph.oracle import verify
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree
@@ -84,8 +84,10 @@ def draw_with_reference(regime: Regime, n: int, skeleton: str | None, seed: int)
 
     The reference is the factor as rationals: k! f_k for ode, k! f_k Dg (Dg
     at a leaf) for inverse, alpha! c_alpha, 0 or 1 for composite.  It also
-    gives the expected value directly: through the public jets for ode and
-    inverse, and for composite by ``brute.compose`` over the positions.
+    gives the expected value directly, by repeated ``Jet`` products that share
+    nothing with the oracle's kernels: ``brute.reference_ode_flow`` for ode,
+    ``brute.reference_reverse`` for inverse and ``brute.compose`` over the
+    positions for composite.
     """
     drawn = []
     real = verify_module._random_rational
@@ -111,11 +113,11 @@ def draw_with_reference(regime: Regime, n: int, skeleton: str | None, seed: int)
 
     if regime is Regime.ODE:
         field = Jet(drawn[: n + 1])
-        direct = jet_ode_flow(field, drawn[n + 1], n)[n] * factorial(n)
+        direct = reference_ode_flow(field, drawn[n + 1], n)[n] * factorial(n)
         return expected, q, factor, direct, lambda key: field.derivative_at_zero(len(key) - 1)
     if regime is Regime.INVERSE:
         f = Jet([0, drawn[n + 1]] + drawn[2 : n + 1])
-        direct = jet_reverse(f)[n] * factorial(n)
+        direct = reference_reverse(f)[n] * factorial(n)
         dg = 1 / f[1]
         return expected, q, factor, direct, lambda key: (
             f.derivative_at_zero(len(key) - 1) * dg if len(key) > 1 else dg
@@ -443,6 +445,19 @@ class TestReport:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             verify(Regime.ODE, 3, 0, 0)
+
+    def test_ode_and_inverse_share_one_kernel(self, monkeypatch):
+        # The inverse is the flow of x' = 1/f'(x): ode and inverse trials, and
+        # the public reversion, all run ``_flow``, the one series recursion.
+        def refuse(*args):
+            raise AssertionError("_flow ran")
+
+        monkeypatch.setattr(verify_module, "_flow", refuse)
+        for regime in (Regime.ODE, Regime.INVERSE):
+            with pytest.raises(AssertionError, match="_flow ran"):
+                verify_module.verify(regime, 5, 5, 0)
+        with pytest.raises(AssertionError, match="_flow ran"):
+            jet_reverse(Jet([0, 1, 1]))
 
     def test_a_passing_run_formats_no_tree(self, monkeypatch):
         # Only a failing report prints the trees.
