@@ -18,11 +18,10 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .enumeration import _COEFFICIENTS, Regime, family_of
-from .trees import format_trees
+from .trees import format_roots, numbers
 
 if TYPE_CHECKING:
     from .skeletons import Skeleton
-    from .trees import Tree
 
 DEFAULT_MAX_ORDER = 10
 
@@ -60,12 +59,19 @@ def _check_order(args: argparse.Namespace) -> None:
 # A command returns its exit code and its document: the text to write, or for
 # ``--style machine`` the object that ``main`` writes as JSON.  ``formula`` and
 # ``verify`` import their modules when they run, so the other commands start
-# without them.  ``trees`` and ``table`` read the trees alone and build no
-# graph record: a row's S, tau, sign and weight come from its tree.
+# without them.  ``trees`` and ``table`` build no graph record and no root:
+# a row, its S, tau, sign and weight too, comes from its root's children.
+
+
+def _listing(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
+    """Each order-n root's children and its text."""
+    family = family_of(regime, skeleton)
+    runs = family.roots(args.order)
+    return runs, format_roots(family.palette[family.root], runs)
 
 
 def _cmd_trees(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
-    lines = format_trees(family_of(regime, skeleton).trees(args.order))
+    lines = _listing(args, regime, skeleton)[1]
     if args.style == "machine":
         return 0, {"regime": regime.value, "order": args.order, "trees": lines}
     return 0, "".join(line + "\n" for line in lines)
@@ -74,16 +80,16 @@ def _cmd_trees(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | No
 _COLUMNS = ("tree", "S", "tau", "sign", "weight")
 
 
-def _table_rows(trees: list[Tree], regime: Regime) -> list[tuple]:
-    """One (tree text, S, tau, sign, weight) tuple per tree."""
+def _table_rows(runs: list[tuple], texts: list[str], regime: Regime) -> list[tuple]:
+    """One (tree text, S, tau, sign, weight) tuple per root."""
     rule = _COEFFICIENTS[regime]
-    return [(text,) + rule(t) for text, t in zip(format_trees(trees), trees)]
+    return [(text,) + rule(*numbers(run)) for text, run in zip(texts, runs)]
 
 
 def _cmd_table(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
-    # The interned trees are released before the layout: holding them through
-    # it raises the peak memory.
-    rows = _table_rows(family_of(regime, skeleton).trees(args.order), regime)
+    # The runs, and the interned trees they hold, are released before the
+    # layout: holding them through it raises the peak memory.
+    rows = _table_rows(*_listing(args, regime, skeleton), regime)
     if args.style == "machine":
         rows = [dict(zip(_COLUMNS, row[:4]), weight=str(row[4])) for row in rows]
         return 0, {"regime": regime.value, "order": args.order, "rows": rows}

@@ -58,16 +58,13 @@ class WeightedGraph(NamedTuple):
 
 
 # Each regime's coefficient rule, the one place it lives: a tree's (S, tau
-# column, sign, weight).  The tau column is tau where the weight divides by
-# it (ode) and 1 elsewhere.  A value string finds its member's rule.
-_COEFFICIENTS: dict[Regime, Callable[[Tree], tuple[int, int, int, int]]] = {
-    Regime.ODE: lambda t: (
-        t.symmetry, t.complexity, 1, factorial(t.vertices - 1) // (t.symmetry * t.complexity)
-    ),
-    Regime.INVERSE: lambda t: (
-        t.symmetry, 1, (-1) ** t.internal, factorial(t.entrances) // t.symmetry
-    ),
-    Regime.COMPOSITE: lambda t: (t.symmetry, 1, 1, factorial(t.entrances) // t.symmetry),
+# column, sign, weight) from its trees.numbers (vertices, entrances, S, tau).
+# The tau column is tau where the weight divides by it (ode) and 1 elsewhere.
+# A value string finds its member's rule.
+_COEFFICIENTS: dict[Regime, Callable[[int, int, int, int], tuple[int, int, int, int]]] = {
+    Regime.ODE: lambda v, e, s, tau: (s, tau, 1, factorial(v - 1) // (s * tau)),
+    Regime.INVERSE: lambda v, e, s, tau: (s, 1, (-1) ** (v - e), factorial(e) // s),
+    Regime.COMPOSITE: lambda v, e, s, tau: (s, 1, 1, factorial(e) // s),
 }
 
 
@@ -77,7 +74,8 @@ def weigh(graph: DerivativeGraph) -> WeightedGraph:
         rule = _COEFFICIENTS[graph.regime]
     except (KeyError, TypeError):  # not a regime's value: Regime raises
         rule = _COEFFICIENTS[Regime(graph.regime)]
-    _, _, sign, weight = rule(graph.tree)
+    t = graph.tree
+    _, _, sign, weight = rule(t.vertices, t.entrances, t.symmetry, t.complexity)
     return tuple.__new__(WeightedGraph, (graph, sign, weight))  # as in enumerate_graphs
 
 
@@ -105,8 +103,12 @@ class _Family(NamedTuple):
 
     def trees(self, size: int) -> list[Tree]:
         """Every canonical tree with measure ``size``, in natural order."""
+        return [Tree(self.palette[self.root], kids) for kids in self.roots(size)]
+
+    def roots(self, size: int) -> list[tuple[Tree, ...]]:
+        """The children of each tree that ``trees(size)`` lists, building no root."""
         # memo maps (colour, size) to _up_to's result for each argument colour,
-        # sizes ascending (up to size - 1 for the root, built here).  Colours
+        # sizes ascending (up to size - 1 for the root's colour).  Colours
         # with no arguments come first, then the deepest: a colour's arguments
         # rank above it (in ode and inverse, they are it).
         memo: dict[tuple[int, int], list[Tree]] = {}
@@ -114,10 +116,8 @@ class _Family(NamedTuple):
         for colour in sorted(kinds, key=lambda c: (c in self.children, -c)):
             for s in range(1, size + (colour != self.root)):
                 memo[colour, s] = self._up_to(colour, s, memo)
-        root = self.palette[self.root]
-        out = [Tree(root)] if size == 1 and self.root in self.leaves else []
-        runs = self._inner(self.root, size, memo)
-        out.extend(Tree(root, kids) for kids, _, left in runs if not left)
+        out = [()] if size == 1 and self.root in self.leaves else []
+        out.extend(kids for kids, _, left in self._inner(self.root, size, memo) if not left)
         return out
 
     def keeps(self, t: Tree, kids: list[bool]) -> bool:

@@ -9,14 +9,14 @@ entrances of a graph, the root is its outlet.
 Trees are hash-consed: ``Tree(colour, children)`` returns the one live node
 with that colour and those (already interned) children, so structural
 equality is identity and ``==`` is ``is``.  A tree node computes its counts
-and structural numbers once, when it is built, from its children's
-(Butcher's bottom-up tree functions: order, sigma = S, gamma = tau).  The
-natural order is walked, not stored: :func:`compare_trees` steps down both
-trees with an explicit stack and skips every node they share.  A tree's
-canonical form is a bottom-up :func:`fold` result, which visits each shared
-node once.  Every text (the notation, ``repr``, a skeleton's ``str`` and the
-formula bodies in :mod:`derivgraph.formulas`) is written by
-:func:`write_trees`, in time linear in the output.
+and structural numbers once, when it is built, from its children's by
+:func:`numbers` (Butcher's bottom-up tree functions: order, sigma = S,
+gamma = tau).  The natural order is walked, not stored: :func:`compare_trees`
+steps down both trees with an explicit stack and skips every node they
+share.  A tree's canonical form is a bottom-up :func:`fold` result, which
+visits each shared node once.  Every text (the notation, ``repr``, a
+skeleton's ``str`` and the formula bodies in :mod:`derivgraph.formulas`) is
+written by :func:`write_trees`, in time linear in the output.
 """
 
 from __future__ import annotations
@@ -120,23 +120,9 @@ class Tree:
         _set_colour(node, colour)
         _set_children(node, children)
         if cls is Tree:
-            vertices, entrances, complexity = 1, 0, 1
-            symmetry, run, prev = 1, 0, None
-            for c in children:
-                vertices += c.vertices
-                entrances += c.entrances
-                complexity *= c.vertices * c.complexity
-                symmetry *= c.symmetry
-                # Equal siblings are adjacent in a canonical child tuple; each
-                # run of k of them contributes k! automorphisms.
-                if c is prev:
-                    run += 1
-                    symmetry *= run
-                else:
-                    run = 1
-                prev = c
+            vertices, entrances, symmetry, complexity = numbers(children)
             _set_vertices(node, vertices)
-            _set_entrances(node, entrances or 1)
+            _set_entrances(node, entrances)
             _set_symmetry(node, symmetry)
             _set_complexity(node, complexity)
         entry = _Ref(node, _forget)
@@ -191,6 +177,22 @@ _set_vertices = Tree.vertices.__set__
 _set_entrances = Tree.entrances.__set__
 _set_symmetry = Tree.symmetry.__set__
 _set_complexity = Tree.complexity.__set__
+
+
+def numbers(children: Sequence[Tree]) -> tuple[int, int, int, int]:
+    """(vertices, entrances, S, tau) of a ``Tree`` over ``children``, built or not."""
+    vertices, entrances, complexity = 1, 0, 1
+    symmetry, run, prev = 1, 0, None
+    for c in children:
+        vertices += c.vertices
+        entrances += c.entrances
+        complexity *= c.vertices * c.complexity
+        # Equal siblings are adjacent in a canonical child tuple; each run of
+        # k of them contributes k! automorphisms, one factor per sibling.
+        run = run + 1 if c is prev else 1
+        symmetry *= c.symmetry * run
+        prev = c
+    return vertices, entrances or 1, symmetry, complexity
 
 
 def _rebuild(nodes: tuple[tuple[type, Colour, tuple[int, ...]], ...]) -> Tree:
@@ -339,6 +341,15 @@ def _braces(t: Tree) -> tuple[str, str]:
 def format_trees(roots: Iterable[Tree]) -> list[str]:
     """Each tree's notation; a subtree shared by several trees is printed once."""
     return write_trees(roots, _braces, ",")
+
+
+def format_roots(colour: Colour, runs: Iterable[tuple[Tree, ...]]) -> list[str]:
+    """``format_trees`` of ``Tree(colour, run)`` for each run, building no root."""
+    head = _brace_parts(colour.name)
+    return write_trees(
+        runs, lambda t: head if type(t) is tuple else _braces(t), ",",
+        lambda t: t if type(t) is tuple else t.children,
+    )
 
 
 def make_palette(*names: str) -> dict[str, Colour]:

@@ -209,14 +209,9 @@ class TestTableRows:
         ]
 
 
-@pytest.mark.parametrize("command", ["trees", "table"])
-def test_trees_and_table_build_no_graph_record(run, monkeypatch, command):
-    # Both read the trees alone: a row's S, tau, sign and weight come from
-    # its tree, so neither enumerates graphs, weighs one or builds a record.
-    import derivgraph.cli as cli
-    from derivgraph import enumeration
-
-    cases = [
+def listing_cases(command: str) -> list[list[str]]:
+    """``command`` in each regime case, in both styles."""
+    return [
         [command, "--regime", regime, "--order", str(order), "--style", style, *skeleton]
         for regime, order, skeleton in [
             ("ode", 7, []),
@@ -226,6 +221,16 @@ def test_trees_and_table_build_no_graph_record(run, monkeypatch, command):
         ]
         for style in ("text", "machine")
     ]
+
+
+@pytest.mark.parametrize("command", ["trees", "table"])
+def test_trees_and_table_build_no_graph_record(run, monkeypatch, command):
+    # Both read the trees alone: a row's S, tau, sign and weight come from
+    # its tree, so neither enumerates graphs, weighs one or builds a record.
+    import derivgraph.cli as cli
+    from derivgraph import enumeration
+
+    cases = listing_cases(command)
     expected = [run(*argv) for argv in cases]
     assert {code for code, _, _ in expected} == {0}
 
@@ -237,6 +242,46 @@ def test_trees_and_table_build_no_graph_record(run, monkeypatch, command):
         if hasattr(cli, name):
             monkeypatch.setattr(cli, name, refuse)
     assert [run(*argv) for argv in cases] == expected
+
+
+@pytest.mark.parametrize("command", ["trees", "table"])
+def test_trees_and_table_build_no_root(run, monkeypatch, command):
+    # A row is written from its root's children: neither listing calls
+    # _Family.trees or builds a tree of the root's colour and the order.
+    from derivgraph import enumeration
+    from derivgraph.trees import Tree
+
+    cases = listing_cases(command)
+    expected = [run(*argv) for argv in cases]
+    assert {code for code, _, _ in expected} == {0}
+    roots = []
+    for argv in cases:
+        skeleton = argv[argv.index("--skeleton") + 1] if "--skeleton" in argv else None
+        family = enumeration.family_of(argv[2], skeleton and parse_skeleton(skeleton))
+        roots.append((family.palette[family.root], family.measure, int(argv[4])))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_Family.trees was called")
+
+    built = []
+    new = Tree.__new__
+
+    def watch(cls, *args):
+        node = new(cls, *args)
+        if cls is Tree:
+            built.append(node)
+        return node
+
+    monkeypatch.setattr(Tree, "__new__", watch)
+    # The watch sees the roots that enumeration builds for the formula command.
+    assert run("formula", "--regime", "ode", "--order", "3")[0] == 0
+    assert [t for t in built if t.vertices == 3]
+    monkeypatch.setattr(enumeration._Family, "trees", refuse)
+    for argv, result, (colour, measure, order) in zip(cases, expected, roots):
+        built.clear()
+        assert run(*argv) == result
+        assert built or order == 1, argv  # the pool is built while it is watched
+        assert not [t for t in built if t.colour == colour and getattr(t, measure) == order]
 
 
 class TestFormula:
@@ -291,8 +336,12 @@ class TestFormula:
             formatted.extend(roots)
             return format_trees(roots)
 
-        for module in (cli, formulas):
-            monkeypatch.setattr(module, "format_trees", counting)
+        def refuse(*args):
+            raise AssertionError("cli formatted the terms' trees again")
+
+        monkeypatch.setattr(formulas, "format_trees", counting)
+        # cli's one writer is for listings, which formula does not run.
+        monkeypatch.setattr(cli, "format_roots", refuse)
         for regime, order, skeleton in [
             ("ode", 8, []),
             ("inverse", 6, []),

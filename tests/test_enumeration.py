@@ -450,6 +450,27 @@ def test_at_most_lists_the_comprehension_positions(regime, text, sizes):
         assert all(map(operator.is_, built, expected)), (regime, text, n)
 
 
+@pytest.mark.parametrize(
+    "regime, text, sizes",
+    [(Regime.ODE, None, range(1, 11)), (Regime.INVERSE, None, range(1, 10))]
+    + [(Regime.COMPOSITE, text, range(1, 6)) for text in SKELETONS],
+)
+def test_roots_are_the_listed_trees_children(regime, text, sizes):
+    # The listings write each row from its root's children: the run, the
+    # numbers read from it and its text are those of the root trees() builds.
+    family = family_of(regime, text and parse_skeleton(text))
+    colour = family.palette[family.root]
+    for n in sizes:
+        built = family.trees(n)
+        runs = family.roots(n)
+        assert runs == [t.children for t in built], (regime, text, n)
+        assert trees.format_roots(colour, runs) == trees.format_trees(built)
+        nodes = []  # fold visits each distinct node once
+        trees.fold(built, lambda t, kids: nodes.append(t))
+        for t in nodes:
+            assert trees.numbers(t.children) == (t.vertices, t.entrances, t.symmetry, t.complexity)
+
+
 @cache
 def listing(regime: Regime, text: str | None) -> tuple[list[Colour], list[Tree]]:
     """The regime's palette plus colours clashing with it, and its trees of order <= 6."""

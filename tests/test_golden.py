@@ -61,7 +61,8 @@ def test_formula_matches_golden(name, capsys):
 # sha256 of stdout.  The ode table and the composite formula are the
 # benchmark's full workload orders, the digests its output checks compare
 # against; the order-8 inverse and composite tables pin the text layout,
-# which the golden files above, all --style machine, do not.
+# which the golden files above, all --style machine, do not.  The ode-12
+# trees and the inverse-10 table are the deepest listings of each regime.
 DIGESTS = {
     ("table", "--regime", "ode", "--order", "12", "--max-order", "12"):
         "084adf65260cdd1fc0f55e41dd9bd7ca1cbbc6f7fd667e8da14bc73b685d6537",
@@ -71,10 +72,20 @@ DIGESTS = {
         "792732ceb466cae1c429d0d5512927ddc8d822be53e6914d5b18e2082c8ceb27",
     ("table", "--regime", "composite", "--skeleton", "F(f(x),g(x))", "--order", "8"):
         "dbff6cd409c51c85f14fea4cd095086c5fe3ef1c73226f0bc6942796c141ed95",
+    ("trees", "--regime", "ode", "--order", "12", "--max-order", "12"):
+        "7f1a77b34f1fb3244911a28f4dec11234655e2e9c66f738e951e407e4512eb99",
+    ("table", "--regime", "inverse", "--order", "10", "--max-order", "10"):
+        "db27d32df1009466d5d56ba5023bf77b88fb4deea9ad34c3fde7778b62d8fb8f",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(DIGESTS), ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def _digest_id(argv: tuple[str, ...]) -> str:
+    """Command and regime; a later case of the same pair adds its order."""
+    first = next(a for a in DIGESTS if (a[0], a[2]) == (argv[0], argv[2]))
+    return f"{argv[0]}-{argv[2]}" + ("" if first == argv else f"-{argv[4]}")
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS), ids=_digest_id)
 def test_stdout_digest(argv, capsys):
     assert main(list(argv)) == 0
     captured = capsys.readouterr()
