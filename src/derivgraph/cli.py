@@ -59,8 +59,9 @@ def _check_order(args: argparse.Namespace) -> None:
 # A command returns its exit code and its document: the text to write, or for
 # ``--style machine`` the object that ``main`` writes as JSON.  ``formula`` and
 # ``verify`` import their modules when they run, so the other commands start
-# without them.  ``trees`` and ``table`` build no graph record and no root:
-# a row, its S, tau, sign and weight too, comes from its root's children.
+# without them.  ``trees``, ``table`` and ``formula`` build no graph record
+# and no root: a row or a term, its S, tau, sign and weight too, comes from
+# its root's children.
 
 
 def _listing(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
@@ -107,21 +108,18 @@ def _cmd_table(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | No
 
 
 def _cmd_formula(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
-    from .formulas import render_derivative
+    from .formulas import _join, _terms
 
-    formula = render_derivative(regime, args.order, args.style, skeleton)
+    rows = _terms(regime, args.order, args.style, skeleton)[2]
     if args.style != "machine":
-        return 0, str(formula) + "\n"
+        return 0, _join(args.style, rows) + "\n"
     # A machine term ends "(tree T))", and T has no space: each tree is formatted once.
-    trees = [t.text[t.text.rindex(" ") + 1 : -2] for t in formula.terms]
-    return 0, {
-        "regime": regime.value,
-        "order": args.order,
-        "terms": [
-            {"sign": term.sign, "weight": str(term.weight), "tree": tree, "machine": term.text}
-            for term, tree in zip(formula.terms, trees)
-        ],
-    }
+    trees = [text[text.rindex(" ") + 1 : -2] for _, _, text in rows]
+    terms = [
+        {"sign": sign, "weight": str(weight), "tree": tree, "machine": text}
+        for (sign, weight, text), tree in zip(rows, trees)
+    ]
+    return 0, {"regime": regime.value, "order": args.order, "terms": terms}
 
 
 def _cmd_verify(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):

@@ -4,19 +4,24 @@ Three styles: ``text`` (unicode, human-readable), ``latex``, and ``machine``
 (a stable parenthesized prefix grammar that round-trips through
 :func:`parse_machine_term`).  Multilinear arguments are always printed in
 canonical tree order.
+
+A term is written from its root's children, a run of ``_Family.roots``, so
+the ``formula`` command builds no root and no record; :func:`render_derivative`
+builds each term's graph record on top.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .enumeration import DerivativeGraph, Regime, WeightedGraph, enumerate_graphs, family_of
+from .enumeration import _COEFFICIENTS, DerivativeGraph, Regime, WeightedGraph, family_of
 from .enumeration import in_regime, weigh
-from .trees import Tree, format_trees, parse_tree, write_trees
+from .trees import Tree, format_roots, numbers, parse_tree, write_trees
 
 if TYPE_CHECKING:
+    from .enumeration import _Family
     from .skeletons import Skeleton
 
 STYLES = ("text", "latex", "machine")
@@ -49,7 +54,8 @@ def _joiners(style: str) -> tuple[str, str, str]:
 # ---------------------------------------------------------------------------
 # Per-regime term bodies (unsigned, weight-free): each vertex's text before
 # and after its arguments' texts, which are joined by commas.  In the ode and
-# inverse regimes they depend on the degree only.
+# inverse regimes they depend on the degree only.  A run, the tuple of a
+# root's children, stands for the root over it, as in ``format_roots``.
 
 
 def _degree_parts(regime: Regime, style: str):
@@ -69,47 +75,55 @@ def _degree_parts(regime: Regime, style: str):
             return "", tail  # an ode chain prints unbracketed: f(y)·Df(y)
         return lbr, rbr + tail
 
-    return lambda t: parts(len(t.children))
+    return lambda t: parts(len(_children(t)))
 
 
-def _composite_parts(style: str, skeleton: Skeleton):
+def _children(t: Tree | tuple[Tree, ...]) -> tuple[Tree, ...]:
+    return t if type(t) is tuple else t.children
+
+
+def _composite_parts(style: str, family: _Family):
     from .skeletons import _skeleton_parts  # only the composite regime reads one
 
     lbr, rbr, dot = _joiners(style)
-    family = family_of(Regime.COMPOSITE, skeleton)
     # Each position's evaluation point "(…)": its text minus its name, in one pass.
     texts = write_trees(family.nodes, _skeleton_parts, ",")
     point = [text[len(node.name) :] for node, text in zip(family.nodes, texts)]
 
-    # Increments are implicit in the multilinear form: a variable prints nothing.
+    # Increments are implicit in the multilinear form: a variable prints
+    # nothing, so only the positions with a variable slot drop children.
     variables = {Tree(family.palette[i]) for i in family.leaves}
+    mixed = {ci for ci, kinds in family.children.items() if not family.leaves.isdisjoint(kinds)}
 
-    def printed(t: Tree) -> list[Tree]:
-        return [c for c in t.children if c not in variables]
-
-    def parts(t: Tree) -> tuple[str, str]:
-        ci = t.colour.index
-        head = family.nodes[ci].name + _prime(len(t.children), style) + point[ci]
-        if variables.issuperset(t.children):
+    @cache
+    def part(ci: int, k: int, shown: bool) -> tuple[str, str]:
+        head = family.nodes[ci].name + _prime(k, style) + point[ci]
+        if not shown:
             return head, ""
-        if len(t.children) == 1:
+        if k == 1:
             return head + dot, ""
         return lbr, rbr + dot + head
+
+    def parts(t) -> tuple[str, str]:
+        ci, kids = (family.root, t) if type(t) is tuple else (t.colour.index, t.children)
+        return part(ci, len(kids), ci not in mixed or not variables.issuperset(kids))
+
+    def printed(t) -> tuple[Tree, ...] | list[Tree]:
+        ci, kids = (family.root, t) if type(t) is tuple else (t.colour.index, t.children)
+        return [c for c in kids if c not in variables] if ci in mixed else kids
 
     return parts, printed
 
 
-def _term_texts(
-    wgs: list[WeightedGraph], regime: Regime, skeleton: Skeleton | None, style: str
-) -> list[str]:
-    """Each graph's term text, printing a subtree shared by several graphs once."""
-    trees = [wg.graph.tree for wg in wgs]
+def _term_texts(family: _Family, runs: list[tuple], regime: Regime, style: str) -> list[str]:
+    """Each run's term body, or its tree's notation in the machine style; a
+    subtree shared by several terms is printed once."""
     if style == "machine":
-        return [_machine_term(wg, tree) for wg, tree in zip(wgs, format_trees(trees))]
+        return format_roots(family.palette[family.root], runs)
     if regime is Regime.COMPOSITE:
-        parts, printed = _composite_parts(style, skeleton)
-        return write_trees(trees, parts, ",", printed)
-    return write_trees(trees, _degree_parts(regime, style), ",")
+        parts, printed = _composite_parts(style, family)
+        return write_trees(runs, parts, ",", printed)
+    return write_trees(runs, _degree_parts(regime, style), ",", _children)
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +146,48 @@ class Formula(NamedTuple):
     terms: tuple[FormulaTerm, ...]
 
     def __str__(self) -> str:
-        if self.style == "machine":
-            return "\n".join(term.text for term in self.terms)
-        if not self.terms:
-            return "0"  # the derivative of a constant
-        pieces: list[str] = []
-        for i, term in enumerate(self.terms):
-            body = term.text if term.weight == 1 else f"{term.weight}{term.text}"
-            if i == 0:
-                pieces.append("-" + body if term.sign < 0 else body)
-            else:
-                pieces.append((" - " if term.sign < 0 else " + ") + body)
-        return "".join(pieces)
+        return _join(self.style, (term[:3] for term in self.terms))
+
+
+def _join(style: str, rows: Iterable[tuple[int, int, str]]) -> str:
+    """A formula's text from its terms' (sign, weight, text): one machine term
+    a line, or the signed sum, "0" for the derivative of a constant."""
+    if style == "machine":
+        return "\n".join(text for _, _, text in rows)
+    signed = "".join(
+        (" - " if sign < 0 else " + ") + ("" if weight == 1 else str(weight)) + text
+        for sign, weight, text in rows
+    )
+    if not signed:
+        return "0"
+    # The first sign is written without spaces, and a plus not at all.
+    return ("-" if signed[1] == "-" else "") + signed[3:]
 
 
 # The inverse order 1 is the lone leaf, Dg(y), printed as its closed form.
 _INVERSE_ORDER_1 = {"text": "(Df(g(y)))⁻¹", "latex": "(Df(g(y)))^{-1}"}
+
+
+def _terms(regime: Regime, n: int, style: str, skeleton: Skeleton | None):
+    """The family, each order-n root's children (a run) and its term's
+    (sign, weight, text), building no root: a term is written from its run."""
+    if style not in STYLES:
+        raise ValueError(f"unsupported style {style!r}")
+    family = family_of(regime, skeleton)
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    runs = family.roots(n)
+    rule = _COEFFICIENTS[regime]
+    coefficients = [rule(*numbers(run))[2:] for run in runs]
+    texts = _term_texts(family, runs, regime, style)
+    if style == "machine":  # the grammar below
+        texts = [
+            f"(term (regime {regime.value}) (sign {sign}) (weight {weight}) (tree {tree}))"
+            for (sign, weight), tree in zip(coefficients, texts)
+        ]
+    elif regime is Regime.INVERSE and n == 1:
+        texts = [_INVERSE_ORDER_1[style]]
+    return family, runs, [(*coefficient, text) for coefficient, text in zip(coefficients, texts)]
 
 
 def render_derivative(
@@ -156,28 +196,19 @@ def render_derivative(
     style: str = "text",
     skeleton: Skeleton | None = None,
 ) -> Formula:
-    """Enumerate, weigh and render the full order-n derivative."""
+    """The full order-n derivative: the ``formula`` command's terms, each with its graph."""
     regime = Regime(regime)
-    if style not in STYLES:
-        raise ValueError(f"unsupported style {style!r}")
-    wgs = [weigh(graph) for graph in enumerate_graphs(regime, n, skeleton)]
-    texts = _term_texts(wgs, regime, skeleton, style)
-    if regime is Regime.INVERSE and n == 1 and style in _INVERSE_ORDER_1:
-        texts = [_INVERSE_ORDER_1[style]]
-    terms = (FormulaTerm(wg.sign, wg.weight, text, wg) for wg, text in zip(wgs, texts))
+    family, runs, rows = _terms(regime, n, style, skeleton)
+    root = family.palette[family.root]
+    if regime is not Regime.COMPOSITE:
+        skeleton = None  # only composite graphs carry one
+    graphs = (DerivativeGraph(Tree(root, run), regime, skeleton) for run in runs)
+    terms = (FormulaTerm(*row, WeightedGraph(g, *row[:2])) for g, row in zip(graphs, rows))
     return Formula(regime, n, style, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
 # Machine grammar: (term (regime R) (sign S) (weight W) (tree T))
-
-
-def _machine_term(wg: WeightedGraph, tree: str) -> str:
-    return (
-        f"(term (regime {wg.graph.regime.value}) (sign {wg.sign}) "
-        f"(weight {wg.weight}) (tree {tree}))"
-    )
-
 
 # Compiled when a term is first parsed (re caches it), not when a formula is rendered.
 _MACHINE = (

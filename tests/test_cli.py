@@ -273,8 +273,8 @@ def test_trees_and_table_build_no_root(run, monkeypatch, command):
         return node
 
     monkeypatch.setattr(Tree, "__new__", watch)
-    # The watch sees the roots that enumeration builds for the formula command.
-    assert run("formula", "--regime", "ode", "--order", "3")[0] == 0
+    # The watch sees the roots that enumeration builds for the verify command.
+    assert run("verify", "--regime", "ode", "--order", "3", "--trials", "1")[0] == 0
     assert [t for t in built if t.vertices == 3]
     monkeypatch.setattr(enumeration._Family, "trees", refuse)
     for argv, result, (colour, measure, order) in zip(cases, expected, roots):
@@ -328,18 +328,19 @@ class TestFormula:
         # not a second formatting of the same trees.
         import derivgraph.cli as cli
         from derivgraph import formulas
+        from derivgraph.trees import format_roots
 
         formatted = []
 
-        def counting(roots):
-            roots = list(roots)
-            formatted.extend(roots)
-            return format_trees(roots)
+        def counting(colour, runs):
+            runs = list(runs)
+            formatted.extend(runs)
+            return format_roots(colour, runs)
 
         def refuse(*args):
             raise AssertionError("cli formatted the terms' trees again")
 
-        monkeypatch.setattr(formulas, "format_trees", counting)
+        monkeypatch.setattr(formulas, "format_roots", counting)
         # cli's one writer is for listings, which formula does not run.
         monkeypatch.setattr(cli, "format_roots", refuse)
         for regime, order, skeleton in [
@@ -353,6 +354,108 @@ class TestFormula:
             terms = json.loads(out)["terms"]
             assert code == 0 and terms
             assert len(formatted) == len(terms)
+
+
+# The formula cases whose bytes are pinned while every root and record is refused.
+NO_ROOT_FORMULAS = [
+    ("ode", 1, []),
+    ("ode", 5, []),
+    ("inverse", 1, []),
+    ("inverse", 7, []),
+    ("composite", 6, ["--skeleton", "f(g(h(k(x))))"]),
+    ("composite", 4, ["--skeleton", "F(f(x),g(h(x),x))"]),
+]
+
+
+def test_formula_builds_no_root_and_no_record(run, monkeypatch):
+    # A term is written from its root's children, and its sign and weight
+    # come from them too: formula lists no tree and builds no root, no graph
+    # record and no formula record, in any style.
+    import derivgraph.cli as cli
+    from derivgraph import enumeration, formulas
+    from derivgraph.trees import Tree
+
+    cases, roots = [], []
+    for regime, order, skeleton in NO_ROOT_FORMULAS:
+        family = enumeration.family_of(regime, skeleton and parse_skeleton(skeleton[1]))
+        for style in ("text", "latex", "machine"):
+            argv = ["formula", "--regime", regime, "--order", str(order), "--style", style]
+            cases.append(argv + skeleton)
+            roots.append((family.palette[family.root], family.measure, order))
+    expected = [run(*argv) for argv in cases]
+    assert {code for code, _, _ in expected} == {0}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a root or a record was built")
+
+    monkeypatch.setattr(enumeration._Family, "trees", refuse)
+    records = ("enumerate_graphs", "weigh", "DerivativeGraph", "WeightedGraph", "FormulaTerm")
+    for module in (enumeration, formulas, cli):
+        for name in (*records, "Formula", "render_derivative"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    built = []
+    new = Tree.__new__
+
+    def watch(cls, *args):
+        node = new(cls, *args)
+        if cls is Tree:
+            built.append(node)
+        return node
+
+    monkeypatch.setattr(Tree, "__new__", watch)
+    for argv, result, (colour, measure, order) in zip(cases, expected, roots):
+        built.clear()
+        assert run(*argv) == result, argv
+        assert built or order == 1, argv  # the pool is built while it is watched
+        assert not [t for t in built if t.colour == colour and getattr(t, measure) == order]
+
+
+# The render_derivative cases: ode 1-8, inverse 1-8, each test skeleton at 1-5.
+RENDERED = [
+    ("ode", None, range(1, 9)),
+    ("inverse", None, range(1, 9)),
+    *(("composite", sk, range(1, 6)) for sk in SKELETONS),
+]
+
+
+@pytest.mark.parametrize(
+    "regime,skeleton,orders", RENDERED, ids=[f"{r}-{sk}" if sk else r for r, sk, _ in RENDERED]
+)
+def test_render_derivative_builds_its_records_on_the_formula_terms(run, regime, skeleton, orders):
+    # The library adds each term's graph record to the terms that the
+    # formula command prints: the weighed graphs, in enumeration order.
+    from derivgraph.formulas import render_derivative
+
+    parsed = skeleton and parse_skeleton(skeleton)
+    for order in orders:
+        weighed = list(map(weigh, enumerate_graphs(regime, order, parsed)))
+        argv = ["formula", "--regime", regime, "--order", str(order)]
+        argv += ["--skeleton", skeleton] if skeleton else []
+        for style in ("text", "latex", "machine"):
+            formula = render_derivative(regime, order, style, parsed)
+            assert [term.graph for term in formula.terms] == weighed
+            assert [term[:2] for term in formula.terms] == [wg[1:] for wg in weighed]
+            code, out, err = run(*argv, "--style", style)
+            assert (code, err) == (0, "")
+            if style == "machine":
+                terms = json.loads(out)["terms"]
+                assert str(formula) == "\n".join(term["machine"] for term in terms)
+            else:
+                assert str(formula) + "\n" == out
+
+
+def test_formula_reports_the_first_error_first(run, capsys):
+    # A bad style is argparse's, before anything runs; then order 0, then
+    # the missing skeleton.
+    argv = ("formula", "--regime", "composite", "--order", "0")
+    with pytest.raises(SystemExit) as stopped:
+        main([*argv, "--style", "bogus"])
+    assert stopped.value.code == 2
+    assert "argument --style: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert run(*argv) == (1, "", "derivgraph: error: order must be >= 1\n")
+    argv = ("formula", "--regime", "composite", "--order", "2")
+    assert run(*argv) == (1, "", "derivgraph: error: the composite regime requires --skeleton\n")
 
 
 class TestVerify:
@@ -822,6 +925,25 @@ def test_a_passing_ode_or_inverse_verify_imports_no_fractions_or_jets():
     loaded = set(done.stderr.split())
     assert "derivgraph.oracle" in loaded
     assert not loaded & {"fractions", "decimal", "derivgraph.jets"}, sorted(loaded)
+
+
+@pytest.mark.parametrize("named", [True, False], ids=["pythonpath", "checkout"])
+def test_conftest_puts_the_checkout_after_pythonpath(tmp_path, named):
+    # PYTHONPATH=<other checkout>/src tests the package it names: here a
+    # marked stand-in.  Without PYTHONPATH the suite tests this checkout.
+    copy = tmp_path / "src" / "derivgraph" / "__init__.py"
+    copy.parent.mkdir(parents=True)
+    copy.write_text("")
+    tests = Path(__file__).resolve().parent
+    code = f"import sys; sys.path.insert(0, {str(tests)!r}); import conftest, derivgraph; "
+    code += "print(derivgraph.__file__)"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if named:
+        env["PYTHONPATH"] = str(copy.parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    checkout = tests.parent / "src" / "derivgraph" / "__init__.py"
+    assert Path(done.stdout.strip()).resolve() == (copy if named else checkout).resolve()
 
 
 def derivgraph_imports(*argv: str) -> set[str]:

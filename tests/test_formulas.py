@@ -198,3 +198,18 @@ class TestRenderDerivative:
             "(term (regime ode) (sign 1) (weight 1) (tree *{*{*{}}}))\n"
             "(term (regime ode) (sign 1) (weight 1) (tree *{*{},*{}}))"
         )
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("bogus", 0, "bogus"), "'bogus' is not a valid Regime"),
+            ((Regime.COMPOSITE, 0, "bogus"), "unsupported style 'bogus'"),
+            ((Regime.COMPOSITE, 0, "text"), "composite regime requires a skeleton"),
+            ((Regime.COMPOSITE, 0, "text", CHAIN), "order must be >= 1"),
+        ],
+    )
+    def test_the_first_error_is_reported(self, args, message):
+        # The regime, then the style, then the skeleton, then the order.
+        with pytest.raises(ValueError) as err:
+            render_derivative(*args)
+        assert str(err.value) == message

@@ -63,6 +63,8 @@ def test_formula_matches_golden(name, capsys):
 # against; the order-8 inverse and composite tables pin the text layout,
 # which the golden files above, all --style machine, do not.  The ode-12
 # trees and the inverse-10 table are the deepest listings of each regime.
+# The inverse-10 latex formula and the machine formula of a skeleton with a
+# variable slot beside a function slot pin the formula's other styles.
 DIGESTS = {
     ("table", "--regime", "ode", "--order", "12", "--max-order", "12"):
         "084adf65260cdd1fc0f55e41dd9bd7ca1cbbc6f7fd667e8da14bc73b685d6537",
@@ -76,6 +78,12 @@ DIGESTS = {
         "7f1a77b34f1fb3244911a28f4dec11234655e2e9c66f738e951e407e4512eb99",
     ("table", "--regime", "inverse", "--order", "10", "--max-order", "10"):
         "db27d32df1009466d5d56ba5023bf77b88fb4deea9ad34c3fde7778b62d8fb8f",
+    ("formula", "--regime", "inverse", "--order", "10", "--max-order", "10", "--style", "latex"):
+        "a23108d1e95a82a6c61f7982403f49b832a71fa38832e6fe2205be128944bd71",
+    (
+        "formula", "--regime", "composite", "--skeleton", "F(f(x),g(h(x),x))", "--order", "6",
+        "--style", "machine",
+    ): "fc187177f672eaf95af6c0e55fe9c5b55953a58d015865cccdf2b81b27143a72",
 }
 
 

@@ -5,7 +5,6 @@ import random
 import sys
 import timeit
 import weakref
-from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import factorial
@@ -20,7 +19,6 @@ from brute import brute_automorphism_count, brute_rooted_trees, isomorphic
 from derivgraph.enumeration import (
     DerivativeGraph,
     Regime,
-    WeightedGraph,
     enumerate_ode,
     family_of,
     weigh,
@@ -505,8 +503,9 @@ class TestWriters:
             return format_trees([t])[0]
 
         def ode_body(t):
-            wg = WeightedGraph(DerivativeGraph(t, Regime.ODE), 1, Fraction(1))
-            return formulas._term_texts([wg], Regime.ODE, None, "text")[0]
+            # The root's children, a run, stand for the root t itself.
+            ode = family_of(Regime.ODE, None)
+            return formulas._term_texts(ode, [t.children], Regime.ODE, "text")[0]
 
         assert ode_body(chains[20_000]) == "f(y)" + "·Df(y)" * 19_999
         for write in (repr, str, format_one, ode_body):
