@@ -59,8 +59,8 @@ def _check_order(args: argparse.Namespace) -> None:
 # A command returns its exit code and its document: the text to write, or for
 # ``--style machine`` the object that ``main`` writes as JSON.  ``formula`` and
 # ``verify`` import their modules when they run, so the other commands start
-# without them.  ``trees``, ``table`` and ``formula`` build no graph record
-# and no root: a row or a term, its S, tau, sign and weight too, comes from
+# without them.  No command builds a graph record or an order-n root: a
+# row, a term or an oracle row, its S, tau, sign and weight too, comes from
 # its root's children.
 
 

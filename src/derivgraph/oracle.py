@@ -8,7 +8,9 @@ inverse share one recursion, ``_flow``: for F = D·f, D the lcm of f's
 denominators, the flow's k!·D^k·u_k are integers, and the inverse g, the flow
 of x' = 1/f'(x), has k!·g_k = U_k / a^(2k-1), a = F_1, from the int field of
 z = x/a.  Only a mismatch builds ``Fraction``s, to report the per-term
-breakdown.  Nothing is ever compared with a tolerance.
+breakdown.  Nothing is ever compared with a tolerance.  A row is a run of
+``_Family.roots`` (a root's children) with its coefficient rule's sign and
+weight: no root or record is built.  Only composite loads ``composite_draw``.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import partial
-from itertools import combinations_with_replacement
 from math import comb, factorial, gcd, lcm, prod
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .enumeration import Regime, _Family, enumerate_graphs, family_of, weigh
-from .trees import Tree, format_trees
+from .enumeration import _COEFFICIENTS, Regime, family_of
+from .trees import Tree, format_roots, numbers
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -38,19 +39,6 @@ def _random_rational(rng: random.Random, nonzero: bool = False) -> Pair:
         if p or not nonzero:
             g = gcd(p, q)
             return p // g, q // g
-
-
-def _exponents(arity: int, n: int) -> list[tuple[int, ...]]:
-    """Multi-indices with ``arity`` entries and total at most ``n``, in lexicographic order."""
-    out = []
-    for m in range(n + 1):
-        # One per multiset of m argument slots, as its count per slot.
-        for slots in combinations_with_replacement(range(arity), m):
-            alpha = [0] * arity
-            for s in slots:
-                alpha[s] += 1
-            out.append(tuple(alpha))
-    return sorted(out)
 
 
 class TermValue(NamedTuple):
@@ -132,14 +120,19 @@ def verify(
     regime = Regime(regime)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    graphs = enumerate_graphs(regime, n, skeleton)
-    rows = [(wg.graph.tree, wg.sign, wg.weight) for wg in map(weigh, graphs)]
-    row_monomial, monomials, coefficients = _like_terms(rows)
+    family = family_of(regime, skeleton)
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    runs = family.roots(n)
+    rule = _COEFFICIENTS[regime]
+    rows = [rule(*numbers(run))[2:] for run in runs]
+    row_monomial, monomials, coefficients = _like_terms(family.root, runs, rows)
 
     rng = random.Random(seed)
     draw = partial(_draw_ode if regime is Regime.ODE else _draw_inverse, n)
     if regime is Regime.COMPOSITE:
-        family = family_of(regime, skeleton)
+        from .composite_draw import _draw_composite, _exponents  # only composite compiles it
+
         arities = {len(c) for c in family.children.values()}
         draw = partial(_draw_composite, family, {m: _exponents(m, n) for m in arities}, n)
 
@@ -156,13 +149,13 @@ def verify(
             from fractions import Fraction  # only a failing report holds rationals
 
             if texts is None:
-                texts = format_trees(t for t, _, _ in rows)
+                texts = format_roots(family.palette[family.root], runs)
             terms = tuple(
                 TermValue(text, sign, weight, Fraction(values[m], q ** sizes[m]))
-                for text, (_, sign, weight), m in zip(texts, rows, row_monomial)
+                for text, (sign, weight), m in zip(texts, rows, row_monomial)
             )
             mismatches.append(Mismatch(trial, Fraction(num, den), Fraction(total, q**top), terms))
-    return Report(regime, n, trials, seed, len(graphs), tuple(mismatches))
+    return Report(regime, n, trials, seed, len(runs), tuple(mismatches))
 
 
 def _vertex_key(t: Tree) -> tuple[int, ...]:
@@ -170,8 +163,8 @@ def _vertex_key(t: Tree) -> tuple[int, ...]:
     return (t.colour.index,) + tuple(c.colour.index for c in t.children)
 
 
-def _like_terms(rows: list[tuple[Tree, int, int]]) -> tuple[list[int], list, list[int]]:
-    """Group (tree, sign, weight) rows into like terms, once for all trials.
+def _like_terms(root: int, runs: list, rows: list) -> tuple[list[int], list, list[int]]:
+    """Group the roots of colour ``root`` over ``runs`` into like terms, once for all trials.
 
     A tree's value is the product of its vertex factors, each fixed by the
     vertex's ``_vertex_key``, so trees with equal key multisets are like
@@ -181,8 +174,9 @@ def _like_terms(rows: list[tuple[Tree, int, int]]) -> tuple[list[int], list, lis
     index: dict[tuple, int] = {}  # a tree's sorted vertex keys -> its monomial
     key_of: dict[Tree, tuple[int, ...]] = {}  # each distinct node's _vertex_key
     row_monomial = []
-    for tree, _, _ in rows:
-        keys, stack = [], [tree]  # every vertex, on an explicit stack: no depth limit
+    for run in runs:
+        # The root's key, then every vertex below, on an explicit stack: no depth limit.
+        keys, stack = [(root,) + tuple(c.colour.index for c in run)], list(run)
         while stack:
             t = stack.pop()
             key = key_of.get(t)
@@ -192,7 +186,7 @@ def _like_terms(rows: list[tuple[Tree, int, int]]) -> tuple[list[int], list, lis
             stack.extend(t.children)
         row_monomial.append(index.setdefault(tuple(sorted(keys)), len(index)))
     coefficients = [0] * len(index)
-    for m, (_, sign, weight) in zip(row_monomial, rows):
+    for m, (sign, weight) in zip(row_monomial, rows):
         coefficients[m] += sign * weight
     return row_monomial, [tuple(Counter(keys).items()) for keys in index], coefficients
 
@@ -259,52 +253,3 @@ def _draw_inverse(n: int, rng: random.Random) -> Draw:
     # Over q = a = F_1: a leaf is Dg = D/a, an inner vertex k! f_k Dg = k! F_k / a.
     factor = [d] + [factorial(k) * c for k, c in enumerate(f) if k]
     return (_reverse(f, d)[n], f[1] ** (2 * n - 1)), f[1], lambda key: factor[len(key) - 1]
-
-
-def _draw_composite(
-    family: _Family, exponents: dict[int, list[tuple[int, ...]]], n: int, rng: random.Random
-) -> Draw:
-    # F's Taylor coefficients c_alpha, 1 <= |alpha| <= n, per position, with
-    # one exponent per slot colour: slots of one colour are one base
-    # variable, so they always receive the same inner jet.  outer holds the
-    # integers q c_alpha, q the lcm of the drawn denominators.
-    classes = family.children
-    keys = {ci: [a for a in exponents[len(cls)] if any(a)] for ci, cls in classes.items()}
-    q, scaled = _scaled([_random_rational(rng) for alphas in keys.values() for _ in alphas])
-    values = iter(scaled)
-    outer = {ci: {a: next(values) for a in alphas} for ci, alphas in keys.items()}
-    # A jet (U, h) is u_k = U_k / q^(h k); a variable is (t, 0).  At a position, h is
-    # its arguments' largest height and U~_i(t) = u_i(q^h t), so u(q^h t) = P(t) / q for
-    # P = sum q c_alpha prod U~_i^alpha_i, P_0 = 0: its jet is (P_k q^(k-1), h + 1).
-    # Positions are coloured in preorder, so a position's arguments have
-    # higher colours: highest first, each argument's jet is ready in time.
-    jets = {ci: ([0, 1] + [0] * (n - 1), 0) for ci in family.leaves}
-    for ci in reversed(classes):
-        args = [jets[c] for c in classes[ci]]
-        h = max((hi for _, hi in args), default=0)
-        lifted = [[u * q ** ((h - hi) * k) for k, u in enumerate(U)] for U, hi in args]
-        # Sorted, alpha follows alpha - e_j, j its first slot in use: U~_j times that.
-        monomial, p = {(0,) * len(args): [1] + [0] * n}, [0] * (n + 1)
-        for alpha, c in outer[ci].items():
-            j = next(i for i, e in enumerate(alpha) if e)
-            m, u = monomial[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]], lifted[j]
-            m = monomial[alpha] = [sum(m[i] * u[k - i] for i in range(k)) for k in range(n + 1)]
-            p = [s + c * x for s, x in zip(p, m)]
-        jets[ci] = ([0] + [p[k] * q ** (k - 1) for k in range(1, n + 1)], h + 1)
-
-    # D^k F[v_1..v_k] is d^alpha F(0) = alpha! c_alpha, alpha counting the children per slot
-    # colour; 0 if a child fits no slot, 1 at a variable.
-    factors: dict[tuple[int, ...], int] = {}
-
-    def vertex_factor(key: tuple[int, ...]) -> int:
-        ci = key[0]
-        if ci not in outer:
-            return q  # a variable
-        if key not in factors:
-            alpha = tuple(map(key[1:].count, classes[ci]))
-            c = outer[ci][alpha] if sum(alpha) == len(key) - 1 else 0
-            factors[key] = prod(map(factorial, alpha)) * c
-        return factors[key]
-
-    u, h = jets[family.root]
-    return (factorial(n) * u[n], q ** (h * n)), q, vertex_factor

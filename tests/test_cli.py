@@ -273,8 +273,8 @@ def test_trees_and_table_build_no_root(run, monkeypatch, command):
         return node
 
     monkeypatch.setattr(Tree, "__new__", watch)
-    # The watch sees the roots that enumeration builds for the verify command.
-    assert run("verify", "--regime", "ode", "--order", "3", "--trials", "1")[0] == 0
+    # The watch sees the roots that the library's enumeration builds.
+    assert len(enumeration.enumerate_graphs(enumeration.Regime.ODE, 3)) == 2
     assert [t for t in built if t.vertices == 3]
     monkeypatch.setattr(enumeration._Family, "trees", refuse)
     for argv, result, (colour, measure, order) in zip(cases, expected, roots):
@@ -392,6 +392,69 @@ def test_formula_builds_no_root_and_no_record(run, monkeypatch):
     records = ("enumerate_graphs", "weigh", "DerivativeGraph", "WeightedGraph", "FormulaTerm")
     for module in (enumeration, formulas, cli):
         for name in (*records, "Formula", "render_derivative"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    built = []
+    new = Tree.__new__
+
+    def watch(cls, *args):
+        node = new(cls, *args)
+        if cls is Tree:
+            built.append(node)
+        return node
+
+    monkeypatch.setattr(Tree, "__new__", watch)
+    for argv, result, (colour, measure, order) in zip(cases, expected, roots):
+        built.clear()
+        assert run(*argv) == result, argv
+        assert built or order == 1, argv  # the pool is built while it is watched
+        assert not [t for t in built if t.colour == colour and getattr(t, measure) == order]
+
+
+# The verify cases whose bytes are pinned while every root and record is refused.
+NO_ROOT_VERIFIES = [
+    ("ode", 1, []),
+    ("ode", 6, []),
+    ("inverse", 1, []),
+    ("inverse", 8, []),
+    ("composite", 4, ["--skeleton", "f(g(h(k(x))))"]),
+    ("composite", 4, ["--skeleton", "F(f(x),g(h(x),x))"]),
+]
+
+
+@pytest.mark.parametrize("crooked", [False, True], ids=["passing", "crooked"])
+def test_verify_builds_no_root_and_no_record(run, monkeypatch, crooked):
+    # The oracle's rows come from the roots' children and the coefficient
+    # rule: verify lists no tree and builds no root and no graph record,
+    # whether it passes or fails and prints every term.
+    from fractions import Fraction
+
+    import derivgraph.cli as cli
+    from derivgraph import enumeration, oracle
+    from derivgraph.trees import Tree
+
+    def heavier(rule):
+        return lambda *fields: rule(*fields)[:3] + (rule(*fields)[3] + Fraction(1, 7),)
+
+    if crooked:  # every weight 1/7 too heavy: each run fails and prints its terms
+        for regime, rule in list(enumeration._COEFFICIENTS.items()):
+            monkeypatch.setitem(enumeration._COEFFICIENTS, regime, heavier(rule))
+    cases, roots = [], []
+    for regime, order, skeleton in NO_ROOT_VERIFIES:
+        family = enumeration.family_of(regime, skeleton and parse_skeleton(skeleton[1]))
+        for style in ("text", "machine"):
+            argv = ["verify", "--regime", regime, "--order", str(order), "--style", style]
+            cases.append(argv + ["--trials", "4"] + skeleton)
+            roots.append((family.palette[family.root], family.measure, order))
+    expected = [run(*argv) for argv in cases]
+    assert {code for code, _, _ in expected} == {int(crooked)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a root or a record was built")
+
+    monkeypatch.setattr(enumeration._Family, "trees", refuse)
+    for module in (enumeration, oracle, cli):
+        for name in ("enumerate_graphs", "weigh", "DerivativeGraph", "WeightedGraph"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     built = []
@@ -893,7 +956,7 @@ def test_start_up_imports_no_dataclasses_inspect_or_json():
         # Every regime's trials run on ints: no Fraction jets.
         ("verify", {"oracle"}),
         ("verify --regime inverse", {"oracle"}),
-        ("verify --regime composite --skeleton f(g(x))", {"oracle", "skeletons"}),
+        ("verify --regime composite --skeleton f(g(x))", {"oracle", "composite_draw", "skeletons"}),
     ],
 )
 def test_each_subcommand_imports_only_its_modules(command, own):
@@ -906,13 +969,14 @@ def test_each_subcommand_imports_only_its_modules(command, own):
 def test_a_passing_ode_or_inverse_verify_imports_no_fractions_or_jets():
     # A fresh interpreter: the trials of every regime compare ints, so
     # neither fractions (nor decimal, which it imports) nor derivgraph.jets
-    # is loaded.
+    # is loaded, and only the composite regime loads its draw.
     code = (
         "import sys\n"
         "import derivgraph.cli\n"
         "for regime in ('inverse', 'ode'):\n"
         "    argv = ['verify', '--regime', regime, '--order', '8', '--seed', '5']\n"
         "    assert derivgraph.cli.main(argv) == 0, argv\n"
+        "    assert 'derivgraph.composite_draw' not in sys.modules, argv\n"
         "argv = ['verify', '--regime', 'composite', '--skeleton', 'F(f(x),g(h(x),x))']\n"
         "assert derivgraph.cli.main(argv + ['--order', '5']) == 0, argv\n"
         "sys.stderr.write(' '.join(sorted(sys.modules)))\n"
@@ -923,7 +987,7 @@ def test_a_passing_ode_or_inverse_verify_imports_no_fractions_or_jets():
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("PASS") == 3, done.stdout
     loaded = set(done.stderr.split())
-    assert "derivgraph.oracle" in loaded
+    assert {"derivgraph.oracle", "derivgraph.composite_draw"} <= loaded
     assert not loaded & {"fractions", "decimal", "derivgraph.jets"}, sorted(loaded)
 
 

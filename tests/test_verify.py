@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import comb, factorial, gcd, prod
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import compose, integer_partitions, reference_ode_flow, reference_reverse
+from derivgraph import enumeration
 from derivgraph.enumeration import Regime, enumerate_graphs, family_of, weigh
 from derivgraph.jets import Jet, jet_reverse
 from derivgraph.oracle import verify
@@ -19,6 +21,7 @@ from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree
 
 verify_module = importlib.import_module("derivgraph.oracle")
+draw_module = importlib.import_module("derivgraph.composite_draw")
 
 CHAIN = parse_skeleton("f(g(x))")
 TWO_COLOUR = parse_skeleton("F(f(x),g(x))")
@@ -26,15 +29,19 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def crooked(monkeypatch):
-    """Make ``verify`` weigh every graph 1/7 too heavily; return the crooked ``weigh``."""
-    real = verify_module.weigh
+    """Make every regime's coefficient rule weigh each graph 1/7 too heavily,
+    for ``verify`` and ``weigh`` alike; return ``weigh``, which now reads them."""
 
-    def weigh_plus_one_seventh(graph):
-        wg = real(graph)
-        return wg._replace(weight=wg.weight + Fraction(1, 7))
+    def plus_one_seventh(rule):
+        def heavier(*fields):
+            s, tau, sign, weight = rule(*fields)
+            return s, tau, sign, weight + Fraction(1, 7)
 
-    monkeypatch.setattr(verify_module, "weigh", weigh_plus_one_seventh)
-    return weigh_plus_one_seventh
+        return heavier
+
+    for regime, rule in list(enumeration._COEFFICIENTS.items()):
+        monkeypatch.setitem(enumeration._COEFFICIENTS, regime, plus_one_seventh(rule))
+    return weigh
 
 
 def tree_values(trees, vertex_factor):
@@ -59,10 +66,14 @@ def tree_values(trees, vertex_factor):
 
 @cache
 def grouped(regime: Regime, n: int, skeleton: str | None = None):
-    """The (tree, sign, weight) rows ``verify`` groups, and its grouping of them."""
-    graphs = enumerate_graphs(regime, n, skeleton and parse_skeleton(skeleton))
+    """The weighed (tree, sign, weight) rows, and ``verify``'s grouping of
+    them: of their roots' children, under the family's root colour."""
+    parsed = skeleton and parse_skeleton(skeleton)
+    graphs = enumerate_graphs(regime, n, parsed)
     rows = [(wg.graph.tree, wg.sign, wg.weight) for wg in map(weigh, graphs)]
-    return rows, verify_module._like_terms(rows)
+    runs = [t.children for t, _, _ in rows]
+    root = family_of(regime, parsed).root
+    return rows, verify_module._like_terms(root, runs, [(s, w) for _, s, w in rows])
 
 
 GROUPED_CASES = (
@@ -100,11 +111,12 @@ def draw_with_reference(regime: Regime, n: int, skeleton: str | None, seed: int)
     rng = random.Random(seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify_module, "_random_rational", record)
+        patch.setattr(draw_module, "_random_rational", record)
         if regime is Regime.COMPOSITE:
             family = family_of(regime, parse_skeleton(skeleton))
             arities = {len(c) for c in family.children.values()}
-            exponents = {m: verify_module._exponents(m, n) for m in arities}
-            expected, q, factor = verify_module._draw_composite(family, exponents, n, rng)
+            exponents = {m: draw_module._exponents(m, n) for m in arities}
+            expected, q, factor = draw_module._draw_composite(family, exponents, n, rng)
         elif regime is Regime.ODE:
             expected, q, factor = verify_module._draw_ode(n, rng)
         else:
@@ -151,6 +163,28 @@ def test_a_draw_is_the_reduced_fraction_of_the_same_two_randints():
             p, q = verify_module._random_rational(rng)
             assert q > 0 and gcd(p, q) == 1
             assert Fraction(p, q) == Fraction(ref.randint(-9, 9), ref.randint(1, 9))
+
+
+# verify's argument faults, in the order it reports them: each one's
+# message, and its faulty and its sound arguments.
+FAULTS = {
+    "regime": ("is not a valid Regime", {"regime": "bogus"}, {"regime": "composite"}),
+    "trials": ("trials must be >= 1", {"trials": 0}, {"trials": 1}),
+    "skeleton": ("composite regime requires a skeleton", {"skeleton": None}, {"skeleton": CHAIN}),
+    "order": ("order must be >= 1", {"n": 0}, {"n": 2}),
+}
+
+
+@pytest.mark.parametrize("faulty", [*combinations(FAULTS, 2), tuple(FAULTS)], ids="+".join)
+def test_verify_reports_the_first_error_first(faulty):
+    # All four faults together, and each pair: the one listed first is reported.
+    sound = {k: v for _, _, good in FAULTS.values() for k, v in good.items()}
+    assert verify(seed=0, **sound).passed
+    arguments = dict(sound)
+    for name in faulty:
+        arguments.update(FAULTS[name][1])
+    with pytest.raises(ValueError, match=FAULTS[faulty[0]][0]):
+        verify(seed=0, **arguments)
 
 
 class TestLikeTerms:
@@ -235,7 +269,7 @@ def slot_draws(draw):
     slot_root = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
     n = draw(st.integers(1, 4))
     rational = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-    exponents = [a for a in verify_module._exponents(len(slot_root), n) if any(a)]
+    exponents = [a for a in draw_module._exponents(len(slot_root), n) if any(a)]
     c = dict(zip(exponents, draw(st.lists(rational, min_size=len(exponents), max_size=len(exponents)))))
     # Colour 4 is in no class; so is any of 1..3 that no slot has.
     children = tuple(sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=n))))
@@ -269,17 +303,17 @@ class TestSlotColours:
         assert per_slot == compose(c_tilde, [inners[r] for r in classes], n)
 
         # verify's own draw, fed c~ in its draw order, agrees with both.
-        exponents = verify_module._exponents(len(classes), n)
+        exponents = draw_module._exponents(len(classes), n)
         drawn = iter([Fraction(c_tilde[a]).as_integer_ratio() for a in exponents if any(a)])
         family = SimpleNamespace(children={0: classes}, leaves=range(1, 5), root=0)
-        original = verify_module._random_rational
-        verify_module._random_rational = lambda rng: next(drawn)
+        original = draw_module._random_rational
+        draw_module._random_rational = lambda rng: next(drawn)
         try:
-            expected, q, factor = verify_module._draw_composite(
+            expected, q, factor = draw_module._draw_composite(
                 family, {len(classes): exponents}, n, None
             )
         finally:
-            verify_module._random_rational = original
+            draw_module._random_rational = original
         assert Fraction(factor((0,) + children), q) == old
         assert Fraction(*expected) == compose(c, [Jet([0, 1], order=n)] * len(slot_root), n)[n] * factorial(n)
 
@@ -292,9 +326,9 @@ class TestSlotColours:
         # colours; where no slot colour repeats, m is the arity.  One draw
         # per slot would take C(42, 2) - 1 = 860 for 40 x at order 2.
         calls = []
-        real = verify_module._random_rational
+        real = draw_module._random_rational
         monkeypatch.setattr(
-            verify_module, "_random_rational", lambda *a: calls.append(1) or real(*a)
+            draw_module, "_random_rational", lambda *a: calls.append(1) or real(*a)
         )
         skeleton = parse_skeleton(text)
         family = family_of(Regime.COMPOSITE, skeleton)
@@ -461,10 +495,10 @@ class TestReport:
 
     def test_a_passing_run_formats_no_tree(self, monkeypatch):
         # Only a failing report prints the trees.
-        def refuse(trees):
-            raise AssertionError("format_trees called on a passing run")
+        def refuse(colour, runs):
+            raise AssertionError("format_roots called on a passing run")
 
-        monkeypatch.setattr(verify_module, "format_trees", refuse)
+        monkeypatch.setattr(verify_module, "format_roots", refuse)
         for regime, n, skeleton in [
             (Regime.ODE, 6, None),
             (Regime.INVERSE, 6, None),
