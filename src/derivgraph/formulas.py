@@ -54,8 +54,8 @@ def _joiners(style: str) -> tuple[str, str, str]:
 # ---------------------------------------------------------------------------
 # Per-regime term bodies (unsigned, weight-free): each vertex's text before
 # and after its arguments' texts, which are joined by commas.  In the ode and
-# inverse regimes they depend on the degree only.  A run, the tuple of a
-# root's children, stands for the root over it, as in ``format_roots``.
+# inverse regimes they depend on the degree only.  Only these bodies hand
+# ``write_trees`` a run, a root's children tuple, to walk as the root over it.
 
 
 def _degree_parts(regime: Regime, style: str):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cmp_to_key, lru_cache
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 from weakref import ref
@@ -344,12 +345,11 @@ def format_trees(roots: Iterable[Tree]) -> list[str]:
 
 
 def format_roots(colour: Colour, runs: Iterable[tuple[Tree, ...]]) -> list[str]:
-    """``format_trees`` of ``Tree(colour, run)`` for each run, building no root."""
-    head = _brace_parts(colour.name)
-    return write_trees(
-        runs, lambda t: head if type(t) is tuple else _braces(t), ",",
-        lambda t: t if type(t) is tuple else t.children,
-    )
+    """``format_trees`` of each ``Tree(colour, run)``: one join per run, building no root."""
+    runs, head = list(runs), colour.name + "{"
+    text = dict.fromkeys(chain.from_iterable(runs))  # each distinct child, written once
+    text.update(zip(text, format_trees(text)))  # the values replaced, the keys kept
+    return [head + ",".join([text[c] for c in run]) + "}" for run in runs]
 
 
 def make_palette(*names: str) -> dict[str, Colour]:

@@ -507,8 +507,13 @@ class TestWriters:
             ode = family_of(Regime.ODE, None)
             return formulas._term_texts(ode, [t.children], Regime.ODE, "text")[0]
 
+        def root_text(t):
+            # The root's children, a run, written with one join over their texts.
+            return trees.format_roots(t.colour, [t.children])[0]
+
         assert ode_body(chains[20_000]) == "f(y)" + "·Df(y)" * 19_999
-        for write in (repr, str, format_one, ode_body):
+        assert all(root_text(t) == str(t) for t in chains.values())
+        for write in (repr, str, format_one, ode_body, root_text):
             # Each round times the two depths in turn, so that a drift in the
             # host's speed hits both; the median round ignores the rounds that
             # noise hit on one side.  Best times, taken from different rounds,
@@ -517,6 +522,48 @@ class TestWriters:
                       for _ in range(15)]
             ratio = median(large / small for small, large in rounds)
             assert ratio <= 2.5, (write, ratio, rounds)
+
+
+def runs_of(regime: Regime, text: str | None, n: int):
+    family = family_of(regime, text and parse_skeleton(text))
+    return family.palette[family.root], family.roots(n), family.trees(n)
+
+
+@pytest.mark.parametrize("regime, text, n", [
+    (Regime.ODE, None, 1), (Regime.ODE, None, 9),
+    (Regime.INVERSE, None, 1), (Regime.INVERSE, None, 8),
+    (Regime.COMPOSITE, "F(f(x),g(h(x),x))", 4), (Regime.COMPOSITE, "f(g(h(k(x))))", 6),
+])
+def test_format_roots_hands_write_trees_no_run(monkeypatch, regime, text, n):
+    # The runs' distinct children are written by the one walker, and each
+    # run's text is joined from theirs: no run is walked as a root.
+    colour, runs, built = runs_of(regime, text, n)
+    expected = format_trees(built)
+    calls, write = [], trees.write_trees
+
+    def recording(roots, *args):
+        roots = list(roots)
+        calls.append(roots)
+        return write(roots, *args)
+
+    monkeypatch.setattr(trees, "write_trees", recording)
+    assert trees.format_roots(colour, runs) == expected
+    assert len(calls) == 1
+    assert not any(type(root) is tuple for root in calls[0])
+
+
+@pytest.mark.parametrize("regime, text", [
+    (Regime.ODE, None), (Regime.INVERSE, None),
+    (Regime.COMPOSITE, "F(x,x)"), (Regime.COMPOSITE, "F(f(x),g(h(x),x))"),
+])
+def test_format_roots_takes_any_runs(regime, text):
+    colour, runs, _ = runs_of(regime, text, 5)
+    assert runs
+    # All runs, one run twice, none, and a leaf root; each also as a generator.
+    for listed in (runs, runs[-1:] * 2, [], [()]):
+        expected = format_trees([Tree(colour, run) for run in listed])
+        assert trees.format_roots(colour, listed) == expected, listed
+        assert trees.format_roots(colour, (run for run in listed)) == expected, listed
 
 
 def reference_notation(t: Tree) -> str:
