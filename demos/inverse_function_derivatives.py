@@ -6,15 +6,9 @@ the printed expression.  Signs alternate with the number of internal
 vertices; weights are n!/S.
 """
 
-from derivgraph import (
-    Jet,
-    Regime,
-    enumerate_inverse,
-    jet_reverse,
-    render_derivative,
-    verify,
-    weigh,
-)
+from fractions import Fraction
+
+from derivgraph import Regime, enumerate_inverse, render_derivative, verify, weigh
 
 print("== derivative formulas ==")
 for n in range(1, 5):
@@ -31,9 +25,13 @@ for n in range(1, 6):
 
 print()
 print("== series reversion agrees coefficient by coefficient ==")
-f = Jet([0, 1, 1], order=5)  # f(x) = x + x^2
-g = jet_reverse(f)
-print("  reverse(x + x^2):", [str(c) for c in g.coeffs])
+# g = f^(-1) for f(x) = x + x^2 solves g + g^2 = x: g_1 = 1 and, for k >= 2,
+# g_k = -sum_{i=1}^{k-1} g_i g_{k-i}.
+g = [Fraction(0), Fraction(1)]
+for k in range(2, 6):
+    g.append(-sum(g[i] * g[k - i] for i in range(1, k)))
+print("  reverse(x + x^2):", [str(c) for c in g])
+assert g == [0, 1, -1, 2, -5, 14]  # the signed Catalan numbers (-1)^(k-1) C_(k-1)
 
 for n in range(1, 8):
     report = verify(Regime.INVERSE, n, trials=20, seed=7)

@@ -21,7 +21,6 @@ _MODULES = {
         "enumeration": "DerivativeGraph Regime WeightedGraph enumerate_composite "
         "enumerate_graphs enumerate_inverse enumerate_ode weigh",
         "formulas": "Formula FormulaTerm parse_machine_term render_derivative",
-        "jets": "Jet jet_ode_flow jet_reverse",
         "oracle": "Report verify",
         "skeletons": "Skeleton SkeletonSyntaxError parse_skeleton",
         "trees": "Colour DEFAULT_COLOUR Tree TreeSyntaxError canonicalize compare_trees "

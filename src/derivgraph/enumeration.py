@@ -107,6 +107,8 @@ class _Family(NamedTuple):
 
     def roots(self, size: int) -> list[tuple[Tree, ...]]:
         """The children of each tree that ``trees(size)`` lists, building no root."""
+        if size < 1:
+            raise ValueError("order must be >= 1")
         # memo maps (colour, size) to _up_to's result for each argument colour,
         # sizes ascending (up to size - 1 for the root's colour).  Colours
         # with no arguments come first, then the deepest: a colour's arguments
@@ -262,8 +264,6 @@ def enumerate_graphs(
     """
     regime = Regime(regime)  # the value string works too; any other value raises
     family = family_of(regime, skeleton)
-    if n < 1:
-        raise ValueError("order must be >= 1")
     if regime is not Regime.COMPOSITE:
         skeleton = None  # only composite graphs carry one
     # tuple.__new__ builds the record without the constructor's Python-level call.

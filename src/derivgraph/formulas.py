@@ -174,8 +174,6 @@ def _terms(regime: Regime, n: int, style: str, skeleton: Skeleton | None):
     if style not in STYLES:
         raise ValueError(f"unsupported style {style!r}")
     family = family_of(regime, skeleton)
-    if n < 1:
-        raise ValueError("order must be >= 1")
     runs = family.roots(n)
     rule = _COEFFICIENTS[regime]
     coefficients = [rule(*numbers(run))[2:] for run in runs]

@@ -5,12 +5,13 @@ weighted-graph expansion of the requested derivative and the same derivative
 computed directly, by int kernels, and compares the two exactly, in ints.  A
 composite jet is scaled by powers of q, the lcm of F's denominators.  Ode and
 inverse share one recursion, ``_flow``: for F = D·f, D the lcm of f's
-denominators, the flow's k!·D^k·u_k are integers, and the inverse g, the flow
-of x' = 1/f'(x), has k!·g_k = U_k / a^(2k-1), a = F_1, from the int field of
-z = x/a.  Only a mismatch builds ``Fraction``s, to report the per-term
-breakdown.  Nothing is ever compared with a tolerance.  A row is a run of
-``_Family.roots`` (a root's children) with its coefficient rule's sign and
-weight: no root or record is built.  Only composite loads ``composite_draw``.
+denominators (``_scaled``), the flow's k!·D^k·u_k are integers, and
+``_reverse`` gives the inverse g, the flow of x' = 1/f'(x), as
+k!·g_k = U_k / a^(2k-1), a = F_1, from the int field of z = x/a.  Only a
+mismatch builds ``Fraction``s, to report the per-term breakdown.  Nothing is
+ever compared with a tolerance.  A row is a run of ``_Family.roots`` (a
+root's children) with its coefficient rule's sign and weight: no root or
+record is built.  Only composite loads ``composite_draw``.
 """
 
 from __future__ import annotations
@@ -121,8 +122,6 @@ def verify(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     family = family_of(regime, skeleton)
-    if n < 1:
-        raise ValueError("order must be >= 1")
     runs = family.roots(n)
     rule = _COEFFICIENTS[regime]
     rows = [rule(*numbers(run))[2:] for run in runs]

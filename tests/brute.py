@@ -5,17 +5,70 @@ decided by explicit child matching (not canonical forms), rooted trees are
 generated from parent arrays, automorphisms are counted by trying every
 vertex permutation, inverse-regime trees come from labelled set
 partitions, and a multivariate series is composed one ``Jet`` product at a
-time, as are the ODE flow and the compositional inverse built on it.  Slow
-on purpose; used only at test scale.
+time, as are the ODE flow and the compositional inverse built on it.  ``Jet``
+is this module's own series class: the package's series code is int kernels
+that these references check.  Slow on purpose; used only at test scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
+from typing import Iterable
 
-from derivgraph.jets import Jet
 from derivgraph.trees import Tree
+
+Rat = int | Fraction
+
+
+class Jet:
+    """Univariate series c_0 + c_1 x + ... + c_N x^N, truncated at order N."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Rat], order: int | None = None):
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        if order is not None:
+            cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
+        if not cs:
+            raise ValueError("a jet needs at least the constant coefficient")
+        self.coeffs = tuple(cs)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, k: int) -> Fraction:
+        return self.coeffs[k]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Jet) and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"Jet({[str(c) for c in self.coeffs]})"
+
+    def __add__(self, other: Jet | Rat) -> Jet:
+        o = other if isinstance(other, Jet) else Jet([other], order=self.order)
+        n = min(self.order, o.order)
+        return Jet([self.coeffs[k] + o.coeffs[k] for k in range(n + 1)])
+
+    def __mul__(self, other: Jet | Rat) -> Jet:
+        if not isinstance(other, Jet):
+            return Jet([c * Fraction(other) for c in self.coeffs])
+        n = min(self.order, other.order)
+        out = [0] * (n + 1)
+        for i, a in enumerate(self.coeffs[: n + 1]):
+            if a:
+                for j in range(n + 1 - i):
+                    out[i + j] += a * other.coeffs[j]
+        return Jet(out)
+
+    __rmul__ = __mul__
+
+    def derivative_at_zero(self, k: int) -> Fraction:
+        """k-th derivative at the expansion point: k! * c_k."""
+        return self.coeffs[k] * factorial(k)
 
 
 def isomorphic(a: Tree, b: Tree) -> bool:

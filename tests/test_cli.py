@@ -1045,21 +1045,25 @@ def test_dir_lists_the_public_names_and_unknown_names_raise():
 
 
 PUBLIC_NAMES = """
-    Colour DEFAULT_COLOUR DerivativeGraph Formula FormulaTerm Jet Regime Report
+    Colour DEFAULT_COLOUR DerivativeGraph Formula FormulaTerm Regime Report
     Skeleton SkeletonSyntaxError Tree TreeSyntaxError WeightedGraph canonicalize
     compare_trees enumerate_composite enumerate_graphs enumerate_inverse
-    enumerate_ode format_trees jet_ode_flow jet_reverse make_palette
-    parse_machine_term parse_skeleton parse_tree render_derivative verify weigh
+    enumerate_ode format_trees make_palette parse_machine_term parse_skeleton
+    parse_tree render_derivative verify weigh
 """.split()
 
-# Deleted names, each with the module that defined it (for the deleted module
-# ``weights``, the module that took its code): no lookup may find one.
+# Deleted names, each with the module that defined it (for the deleted modules
+# ``weights`` and ``jets``, the module that took their code or holds the
+# kernels they wrapped): no lookup may find one.
 REMOVED_NAMES = [
+    ("composite_draw", "compose"),
+    ("composite_draw", "identity_jet"),
     ("enumeration", "totally_asymmetric"),
     ("enumeration", "totally_symmetric"),
     ("formulas", "render_term"),
-    ("jets", "compose"),
-    ("jets", "identity_jet"),
+    ("oracle", "Jet"),
+    ("oracle", "jet_ode_flow"),
+    ("oracle", "jet_reverse"),
     ("trees", "LEAF"),
     ("trees", "format_tree"),
     ("trees", "tree_from_dict"),
@@ -1068,7 +1072,7 @@ REMOVED_NAMES = [
 
 
 def test_public_surface_is_pinned():
-    assert sorted(derivgraph.__all__) == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 29
+    assert sorted(derivgraph.__all__) == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 26
     for name in PUBLIC_NAMES:
         getattr(derivgraph, name)
     for module, name in REMOVED_NAMES:
@@ -1076,6 +1080,21 @@ def test_public_surface_is_pinned():
             getattr(derivgraph, name)
         with pytest.raises(AttributeError):
             getattr(importlib.import_module(f"derivgraph.{module}"), name)
+
+
+def test_the_brute_force_references_take_only_tree_from_the_package():
+    # tests/brute.py cross-checks the package: it may build trees with its
+    # Tree, and must share no algorithm or series class with it.
+    source = (Path(__file__).resolve().parent / "brute.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "", a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(a.name, None) for a in node.names}
+    assert {(m, n) for m, n in imported if m.split(".")[0] == "derivgraph"} == {
+        ("derivgraph.trees", "Tree")
+    }
 
 
 def annotation_names(node: ast.AST):

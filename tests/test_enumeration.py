@@ -451,6 +451,18 @@ def test_at_most_lists_the_comprehension_positions(regime, text, sizes):
 
 
 @pytest.mark.parametrize(
+    "regime, text", [(Regime.ODE, None), (Regime.INVERSE, None), (Regime.COMPOSITE, "F(f(x),g(x))")]
+)
+def test_the_family_names_an_order_below_one(regime, text):
+    # The one order check: every caller reaches it through roots or trees.
+    family = family_of(regime, text and parse_skeleton(text))
+    for k in (0, -1):
+        for call in (family.roots, family.trees):
+            with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+                call(k)
+
+
+@pytest.mark.parametrize(
     "regime, text, sizes",
     [(Regime.ODE, None, range(1, 11)), (Regime.INVERSE, None, range(1, 10))]
     + [(Regime.COMPOSITE, text, range(1, 6)) for text in SKELETONS],

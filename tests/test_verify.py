@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import compose, integer_partitions, reference_ode_flow, reference_reverse
+from brute import Jet, compose, integer_partitions, reference_ode_flow, reference_reverse
 from derivgraph import enumeration
 from derivgraph.enumeration import Regime, enumerate_graphs, family_of, weigh
-from derivgraph.jets import Jet, jet_reverse
 from derivgraph.oracle import verify
 from derivgraph.skeletons import parse_skeleton
 from derivgraph.trees import Tree
@@ -482,7 +481,7 @@ class TestReport:
 
     def test_ode_and_inverse_share_one_kernel(self, monkeypatch):
         # The inverse is the flow of x' = 1/f'(x): ode and inverse trials, and
-        # the public reversion, all run ``_flow``, the one series recursion.
+        # the reversion kernel, all run ``_flow``, the one series recursion.
         def refuse(*args):
             raise AssertionError("_flow ran")
 
@@ -491,7 +490,7 @@ class TestReport:
             with pytest.raises(AssertionError, match="_flow ran"):
                 verify_module.verify(regime, 5, 5, 0)
         with pytest.raises(AssertionError, match="_flow ran"):
-            jet_reverse(Jet([0, 1, 1]))
+            verify_module._reverse([0, 1, 1], 1)
 
     def test_a_passing_run_formats_no_tree(self, monkeypatch):
         # Only a failing report prints the trees.
