@@ -246,6 +246,9 @@ def run() -> None:
         code = main()
     except SystemExit as exc:  # argparse has printed help or a usage error
         code = exc.code
+    except KeyboardInterrupt:  # one line, then the shell's status for SIGINT
+        _fail("interrupted")
+        code = 130
     finally:
         # The process is about to end, so nothing it leaves needs collecting,
         # and frozen objects are outside the full collections that the

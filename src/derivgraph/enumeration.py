@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from functools import lru_cache
+from itertools import accumulate
 from math import factorial
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .trees import DEFAULT_COLOUR, Colour, Tree, compare_trees, fold
@@ -163,19 +164,21 @@ class _Family(NamedTuple):
         # Natural order compares colour first, so the pool is sorted as built.
         kinds = sorted(self.children.get(colour, ())) if cap > 0 else []
         pool = [t for c in kinds for t in memo[c, cap]]
-        measures = [getattr(t, self.measure) for t in pool]
-        # Ascending pool positions of the trees measuring at most r, one append each.
-        at_most = [[] for _ in range(budget + 1)]
+        measures = list(map(attrgetter(self.measure), pool))
+        # Ascending pool positions of the trees measuring exactly r, one append
+        # each, then at most r: at_most[r - 1] and exactly[r] merged in one sort.
+        exactly = [[] for _ in range(budget + 1)]
         for i, m in enumerate(measures):
-            for r in range(m, budget + 1):
-                at_most[r].append(i)
+            exactly[m].append(i)
+        at_most = list(accumulate(exactly, lambda below, more: sorted(below + more)))
         # Non-decreasing runs of pool positions: one more child per pass, and
-        # in natural order within a pass.
+        # in natural order within a pass.  A full run, with no measure left,
+        # grows no further (no tree measures 0), so it never reads the index.
         runs = [((), 0, budget)]  # (children, least next position, measure left)
         degree = 0
         while runs:
             longer = []
-            for kids, start, left in runs:
+            for kids, start, left in filter(itemgetter(2), runs):
                 positions = at_most[left]
                 for i in positions[bisect_left(positions, start) :]:
                     longer.append((kids + (pool[i],), i, left - measures[i]))
@@ -199,56 +202,13 @@ _ODE = _Family((DEFAULT_COLOUR,), 0, {0: (0,)}, frozenset({0}), min_degree=1, me
 _INVERSE = _Family(_ODE.palette, 0, _ODE.children, _ODE.leaves, min_degree=2, measure="entrances")
 
 
-@lru_cache(maxsize=1)  # the latest skeleton's: a dropped one is freed
-def _composite_family(skeleton: Skeleton) -> _Family:
-    """The family of a skeleton's graphs, from one preorder walk of its positions.
-
-    Base variables get the lowest colour ranks in order of first appearance,
-    followed by function positions in preorder, so a position's arguments
-    have higher colours than the position itself.  A function name occurring
-    at several positions is disambiguated with an ordinal suffix (f, f.2, ...).
-    ``children`` holds each position's slot colours once, in slot order: x in
-    F(x,x) is one kind of child, and F() has none, so no graph.
-    """
-    from .skeletons import Skeleton, positions  # only the composite regime reads one
-
-    if skeleton.is_variable:
-        raise ValueError("skeleton root must be a function")
-    variables: dict[str, int] = {}  # each variable's rank, by first appearance
-    functions: list[Skeleton] = []  # each function position's node, in preorder
-    codes: list[int] = []  # each position's variable rank, or ~ its function's number
-    slots: list[list[int]] = []  # each function's argument codes, in slot order
-    for parent, node in positions(skeleton):
-        if node.is_variable:
-            code = variables.setdefault(node.name, len(variables))
-        else:
-            code = ~len(functions)
-            functions.append(node)
-            slots.append([])
-        if parent >= 0:
-            slots[~codes[parent]].append(code)
-        codes.append(code)
-    first = len(variables)  # the colour of the first function, the root
-    labels = list(variables)
-    count: dict[str, int] = {}
-    for node in functions:
-        if node.name in variables:
-            raise ValueError(f"{node.name!r} names both a function and a variable")
-        count[node.name] = count.get(node.name, 0) + 1
-        labels.append(node.name if count[node.name] == 1 else f"{node.name}.{count[node.name]}")
-    # Each function's distinct argument colours, in slot order: the draw order.
-    kinds = [tuple(c if c >= 0 else first + ~c for c in dict.fromkeys(cs)) for cs in slots]
-    palette = tuple(Colour(ci, label) for ci, label in enumerate(labels))
-    nodes = (*map(Skeleton, variables), *functions)  # a variable's node is interned
-    children = dict(enumerate(kinds, first))
-    return _Family(palette, first, children, frozenset(range(first)), 1, "entrances", nodes)
-
-
 def family_of(regime: Regime, skeleton: Skeleton | None) -> _Family:
     """The generator of ``regime``'s trees: the one place each regime's rules live."""
     if regime is Regime.COMPOSITE:
         if skeleton is None:
             raise ValueError("composite regime requires a skeleton")
+        from .skeletons import _composite_family  # only the composite regime builds one
+
         return _composite_family(skeleton)
     if regime is not Regime.ODE and regime is not Regime.INVERSE:
         return family_of(Regime(regime), skeleton)  # a value string; any other value raises

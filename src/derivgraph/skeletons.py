@@ -3,14 +3,18 @@
 A skeleton declares the joint mapping whose higher derivatives are to be
 expanded, e.g. ``f(g(x))`` or ``F(f(x),g(x))``.  Bare identifiers are base
 variables; identifiers followed by parentheses are functions with the
-written arity.  Argument positions are meaningful and ordered.
+written arity.  Argument positions are meaningful and ordered.  A skeleton's
+generator family is built here, by ``_composite_family``: ode and inverse
+requests never load this module, so they never compile it.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterator
 
+from .enumeration import _Family
 from .trees import Colour, Tree, TreeSyntaxError, scan_brackets, write_trees
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -76,3 +80,46 @@ def positions(s: Skeleton) -> Iterator[tuple[int, Skeleton]]:
         yield parent, node
         stack.extend((number, c) for c in reversed(node.children))
         number += 1
+
+
+@lru_cache(maxsize=1)  # the latest skeleton's: a dropped one is freed
+def _composite_family(skeleton: Skeleton) -> _Family:
+    """The family of a skeleton's graphs, from one preorder walk of its positions.
+
+    Base variables get the lowest colour ranks in order of first appearance,
+    followed by function positions in preorder, so a position's arguments
+    have higher colours than the position itself.  A function name occurring
+    at several positions is disambiguated with an ordinal suffix (f, f.2, ...).
+    ``children`` holds each position's slot colours once, in slot order: x in
+    F(x,x) is one kind of child, and F() has none, so no graph.
+    """
+    if skeleton.is_variable:
+        raise ValueError("skeleton root must be a function")
+    variables: dict[str, int] = {}  # each variable's rank, by first appearance
+    functions: list[Skeleton] = []  # each function position's node, in preorder
+    codes: list[int] = []  # each position's variable rank, or ~ its function's number
+    slots: list[list[int]] = []  # each function's argument codes, in slot order
+    for parent, node in positions(skeleton):
+        if node.is_variable:
+            code = variables.setdefault(node.name, len(variables))
+        else:
+            code = ~len(functions)
+            functions.append(node)
+            slots.append([])
+        if parent >= 0:
+            slots[~codes[parent]].append(code)
+        codes.append(code)
+    first = len(variables)  # the colour of the first function, the root
+    labels = list(variables)
+    count: dict[str, int] = {}
+    for node in functions:
+        if node.name in variables:
+            raise ValueError(f"{node.name!r} names both a function and a variable")
+        count[node.name] = count.get(node.name, 0) + 1
+        labels.append(node.name if count[node.name] == 1 else f"{node.name}.{count[node.name]}")
+    # Each function's distinct argument colours, in slot order: the draw order.
+    kinds = [tuple(c if c >= 0 else first + ~c for c in dict.fromkeys(cs)) for cs in slots]
+    palette = tuple(Colour(ci, label) for ci, label in enumerate(labels))
+    nodes = (*map(Skeleton, variables), *functions)  # a variable's node is interned
+    children = dict(enumerate(kinds, first))
+    return _Family(palette, first, children, frozenset(range(first)), 1, "entrances", nodes)

@@ -747,6 +747,19 @@ class TestCollector:
         assert "invalid int value" in capsys.readouterr().err
         assert gc.isenabled() is caller
 
+    def test_restored_after_an_interrupt(self, caller, monkeypatch, capsys):
+        # An interrupt passes through main, to the process entry, which reports it.
+        import derivgraph.cli as cli
+
+        def interrupted(args, regime, skeleton):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "trees", (interrupted, *cli._COMMANDS["trees"][1:]))
+        with pytest.raises(KeyboardInterrupt):
+            main(["trees", "--regime", "ode", "--order", "3"])
+        assert capsys.readouterr() == ("", "")
+        assert gc.isenabled() is caller
+
 
 class TestProcessEntry:
     """``python -m derivgraph.cli`` starts at ``run``: what ``main`` prints and returns."""
@@ -798,6 +811,24 @@ class TestProcessEntry:
         assert done.stdout == (b"" if code else b"*{*{*{}}}\n*{*{},*{}}\n")
         name, count = done.stderr.splitlines()[-1].split()
         assert name == b"frozen" and int(count) > 0
+
+    def test_an_interrupt_is_one_line_and_status_130(self, monkeypatch, capsys):
+        # Ctrl-C ends the process as the shell reports SIGINT, without a traceback.
+        import derivgraph.cli as cli
+
+        def interrupted(argv=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "main", interrupted)
+        frozen = gc.get_freeze_count()
+        try:
+            with pytest.raises(SystemExit) as stopped:
+                cli.run()
+            assert gc.get_freeze_count() > frozen  # the usual step after main ran
+        finally:
+            gc.unfreeze()
+        assert stopped.value.code == 130
+        assert capsys.readouterr() == ("", "derivgraph: error: interrupted\n")
 
 
 def unwritable(number: int) -> str:

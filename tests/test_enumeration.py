@@ -39,10 +39,10 @@ from derivgraph.trees import (
 CHAIN = parse_skeleton("f(g(x))")
 TWO_COLOUR = parse_skeleton("F(f(x),g(x))")
 
-# OEIS A000081: rooted trees by vertices, n = 1..12.
-A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
-# OEIS A000669: series-reduced rooted trees by leaves, n = 2..9.
-A000669 = [1, 2, 5, 12, 33, 90, 261, 766]
+# OEIS A000081: rooted trees by vertices, n = 1..13.
+A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486]
+# OEIS A000669: series-reduced rooted trees by leaves, n = 2..11.
+A000669 = [1, 2, 5, 12, 33, 90, 261, 766, 2312, 7068]
 
 SKELETONS = [
     "f(g(x))",
@@ -370,7 +370,7 @@ class TestBuiltOnce:
 
     def test_ode_12_builds_each_tree_of_at_most_12_vertices_once(self, tree_calls):
         graphs = enumerate_ode(12)
-        assert len(tree_calls) == distinct_nodes([g.tree for g in graphs]) == sum(A000081) == 7813
+        assert len(tree_calls) == distinct_nodes([g.tree for g in graphs]) == sum(A000081[:12]) == 7813
 
     @pytest.mark.parametrize(
         "enumerate_graphs",
@@ -448,6 +448,28 @@ def test_at_most_lists_the_comprehension_positions(regime, text, sizes):
         built, expected = family.trees(n), reference.trees(n)
         assert len(built) == len(expected)
         assert all(map(operator.is_, built, expected)), (regime, text, n)
+
+
+def test_full_runs_never_read_the_index(monkeypatch):
+    # A run with no measure left grows no child, so it bisects no index: no
+    # tree measures 0, and at_most[0] is empty.
+    def bisect_nonempty(positions, start):
+        assert positions, "bisected an empty index"
+        return bisect_left(positions, start)
+
+    monkeypatch.setattr(enumeration, "bisect_left", bisect_nonempty)
+    for n in range(1, 13):
+        assert len(family_of(Regime.ODE, None).roots(n)) == A000081[n - 1]
+
+
+def test_the_composite_family_is_built_in_skeletons():
+    # Only the composite regime loads skeletons: enumeration holds no copy.
+    from derivgraph import skeletons
+
+    assert not hasattr(enumeration, "_composite_family")
+    for text in SKELETONS:
+        s = parse_skeleton(text)
+        assert family_of(Regime.COMPOSITE, s) is skeletons._composite_family(s)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derivgraph import enumeration, trees
+from derivgraph import skeletons, trees
 from derivgraph.cli import main
 from derivgraph.enumeration import Regime, enumerate_composite, family_of, weigh
 from derivgraph.formulas import parse_machine_term, render_derivative
@@ -237,7 +237,7 @@ class TestMemory:
     def test_dropped_skeletons_leave_at_most_the_latest_interned(self):
         # The composite family cache holds one skeleton, the latest: the ones
         # before it, their families and their graphs leave the intern table.
-        enumeration._composite_family.cache_clear()
+        skeletons._composite_family.cache_clear()
         gc.collect()
         baseline = set(trees._INTERNED)
         for i in range(200):
@@ -250,6 +250,6 @@ class TestMemory:
         left = [ref() for ident, ref in trees._INTERNED.items() if ident not in baseline]
         assert len(left) <= len(latest) and {(type(n), str(n)) for n in left} <= latest
         del left  # the nodes themselves
-        enumeration._composite_family.cache_clear()
+        skeletons._composite_family.cache_clear()
         gc.collect()
         assert set(trees._INTERNED) == baseline

@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 
 from brute import brute_increasing_tree_census, isomorphic
-from derivgraph import enumeration
+from derivgraph import enumeration, skeletons
 from derivgraph.enumeration import (
     DerivativeGraph,
     Regime,
@@ -174,9 +174,9 @@ def test_weigh_rebuilds_no_family():
     # that reached family_of would rebuild a family at each change of skeleton.
     one = enumerate_composite(CHAIN, 4)
     two = enumerate_composite(parse_skeleton("F(f(x),g(x))"), 4)
-    misses = enumeration._composite_family.cache_info().misses
+    misses = skeletons._composite_family.cache_info().misses
     weighed = [weigh((one, two)[i % 2][i // 2 % len(one)]) for i in range(100)]
-    assert enumeration._composite_family.cache_info().misses == misses
+    assert skeletons._composite_family.cache_info().misses == misses
     assert {wg.graph.skeleton for wg in weighed} == {CHAIN, two[0].skeleton}
 
 
