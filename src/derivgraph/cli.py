@@ -17,8 +17,8 @@ import sys
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .enumeration import _COEFFICIENTS, Regime, family_of
-from .trees import format_roots, numbers
+from .enumeration import Regime, _request
+from .trees import format_roots
 
 if TYPE_CHECKING:
     from .skeletons import Skeleton
@@ -34,7 +34,7 @@ def _load_skeleton(args: argparse.Namespace, regime: Regime) -> Skeleton | None:
     text = args.skeleton
     if text.startswith("@"):
         try:
-            with open(text[1:], encoding="utf-8") as file:
+            with open(text[1:], encoding="utf-8-sig") as file:  # a BOM is not the skeleton's
                 text = file.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read skeleton file: {exc}") from exc
@@ -65,14 +65,13 @@ def _check_order(args: argparse.Namespace) -> None:
 
 
 def _listing(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
-    """Each order-n root's children and its text."""
-    family = family_of(regime, skeleton)
-    runs = family.roots(args.order)
-    return runs, format_roots(family.palette[family.root], runs)
+    """Each order-n root's text, and lazily its (S, tau column, sign, weight)."""
+    family, runs, coefficients = _request(regime, args.order, skeleton)
+    return format_roots(family.palette[family.root], runs), coefficients
 
 
 def _cmd_trees(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
-    lines = _listing(args, regime, skeleton)[1]
+    lines = _listing(args, regime, skeleton)[0]
     if args.style == "machine":
         return 0, {"regime": regime.value, "order": args.order, "trees": lines}
     return 0, "".join(line + "\n" for line in lines)
@@ -81,16 +80,11 @@ def _cmd_trees(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | No
 _COLUMNS = ("tree", "S", "tau", "sign", "weight")
 
 
-def _table_rows(runs: list[tuple], texts: list[str], regime: Regime) -> list[tuple]:
-    """One (tree text, S, tau, sign, weight) tuple per root."""
-    rule = _COEFFICIENTS[regime]
-    return [(text,) + rule(*numbers(run)) for text, run in zip(texts, runs)]
-
-
 def _cmd_table(args: argparse.Namespace, regime: Regime, skeleton: Skeleton | None):
-    # The runs, and the interned trees they hold, are released before the
-    # layout: holding them through it raises the peak memory.
-    rows = _table_rows(*_listing(args, regime, skeleton), regime)
+    # One (tree text, S, tau, sign, weight) tuple per root.  The runs, and the
+    # interned trees they hold, are released before the layout: holding them
+    # through it raises the peak memory.
+    rows = [(text,) + row for text, row in zip(*_listing(args, regime, skeleton))]
     if args.style == "machine":
         rows = [dict(zip(_COLUMNS, row[:4]), weight=str(row[4])) for row in rows]
         return 0, {"regime": regime.value, "order": args.order, "rows": rows}

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, starmap
 from math import factorial
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .trees import DEFAULT_COLOUR, Colour, Tree, compare_trees, fold
+from .trees import DEFAULT_COLOUR, Colour, Tree, compare_trees, fold, numbers
 
 if TYPE_CHECKING:
     from .skeletons import Skeleton
@@ -101,6 +101,11 @@ class _Family(NamedTuple):
     min_degree: int
     measure: str
     nodes: tuple[Skeleton, ...] = ()
+
+    @property
+    def skeleton(self) -> Skeleton | None:
+        """The skeleton whose graphs these are, its root's node; None outside composite."""
+        return self.nodes[self.root] if self.nodes else None
 
     def trees(self, size: int) -> list[Tree]:
         """Every canonical tree with measure ``size``, in natural order."""
@@ -215,6 +220,14 @@ def family_of(regime: Regime, skeleton: Skeleton | None) -> _Family:
     return _ODE if regime is Regime.ODE else _INVERSE
 
 
+def _request(regime: Regime, n: int, skeleton: Skeleton | None):
+    """The one path of every command: the family, each order-n root's children
+    (a run) and, lazily, each run's (S, tau column, sign, weight)."""
+    family = family_of(regime, skeleton)
+    runs = family.roots(n)
+    return family, runs, starmap(_COEFFICIENTS[regime], map(numbers, runs))
+
+
 def enumerate_graphs(
     regime: Regime, n: int, skeleton: Skeleton | None = None
 ) -> list[DerivativeGraph]:
@@ -224,8 +237,7 @@ def enumerate_graphs(
     """
     regime = Regime(regime)  # the value string works too; any other value raises
     family = family_of(regime, skeleton)
-    if regime is not Regime.COMPOSITE:
-        skeleton = None  # only composite graphs carry one
+    skeleton = family.skeleton  # only composite graphs carry one
     # tuple.__new__ builds the record without the constructor's Python-level call.
     return [tuple.__new__(DerivativeGraph, (t, regime, skeleton)) for t in family.trees(n)]
 

@@ -16,9 +16,9 @@ import re
 from functools import cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .enumeration import _COEFFICIENTS, DerivativeGraph, Regime, WeightedGraph, family_of
+from .enumeration import DerivativeGraph, Regime, WeightedGraph, _request, family_of
 from .enumeration import in_regime, weigh
-from .trees import Tree, format_roots, numbers, parse_tree, write_trees
+from .trees import Tree, format_roots, parse_tree, write_trees
 
 if TYPE_CHECKING:
     from .enumeration import _Family
@@ -173,10 +173,8 @@ def _terms(regime: Regime, n: int, style: str, skeleton: Skeleton | None):
     (sign, weight, text), building no root: a term is written from its run."""
     if style not in STYLES:
         raise ValueError(f"unsupported style {style!r}")
-    family = family_of(regime, skeleton)
-    runs = family.roots(n)
-    rule = _COEFFICIENTS[regime]
-    coefficients = [rule(*numbers(run))[2:] for run in runs]
+    family, runs, coefficients = _request(regime, n, skeleton)
+    coefficients = [coefficient[2:] for coefficient in coefficients]
     texts = _term_texts(family, runs, regime, style)
     if style == "machine":  # the grammar below
         texts = [
@@ -198,9 +196,7 @@ def render_derivative(
     regime = Regime(regime)
     family, runs, rows = _terms(regime, n, style, skeleton)
     root = family.palette[family.root]
-    if regime is not Regime.COMPOSITE:
-        skeleton = None  # only composite graphs carry one
-    graphs = (DerivativeGraph(Tree(root, run), regime, skeleton) for run in runs)
+    graphs = (DerivativeGraph(Tree(root, run), regime, family.skeleton) for run in runs)
     terms = (FormulaTerm(*row, WeightedGraph(g, *row[:2])) for g, row in zip(graphs, rows))
     return Formula(regime, n, style, tuple(terms))
 
@@ -228,10 +224,9 @@ def parse_machine_term(text: str, skeleton: Skeleton | None = None) -> WeightedG
     if m is None:
         raise ValueError(f"not a machine-style term: {text!r}")
     regime = Regime(m.group("regime"))
-    palette = {c.name: c for c in family_of(regime, skeleton).palette}
-    if regime is not Regime.COMPOSITE:
-        skeleton = None  # only composite graphs carry one
-    graph = DerivativeGraph(parse_tree(m.group("tree"), palette), regime, skeleton)
+    family = family_of(regime, skeleton)
+    palette = {c.name: c for c in family.palette}
+    graph = DerivativeGraph(parse_tree(m.group("tree"), palette), regime, family.skeleton)
     if not in_regime(graph):
         raise ValueError(f"{m.group('tree')} is not a canonical {regime.value} graph")
     wg = weigh(graph)

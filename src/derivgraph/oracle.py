@@ -22,8 +22,8 @@ from functools import partial
 from math import comb, factorial, gcd, lcm, prod
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .enumeration import _COEFFICIENTS, Regime, family_of
-from .trees import Tree, format_roots, numbers
+from .enumeration import Regime, _request
+from .trees import Tree, format_roots
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -121,10 +121,8 @@ def verify(
     regime = Regime(regime)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    family = family_of(regime, skeleton)
-    runs = family.roots(n)
-    rule = _COEFFICIENTS[regime]
-    rows = [rule(*numbers(run))[2:] for run in runs]
+    family, runs, rows = _request(regime, n, skeleton)
+    rows = [row[2:] for row in rows]  # (sign, weight)
     row_monomial, monomials, coefficients = _like_terms(family.root, runs, rows)
 
     rng = random.Random(seed)

@@ -4,16 +4,19 @@ Nothing here shares an algorithm with the production paths: isomorphism is
 decided by explicit child matching (not canonical forms), rooted trees are
 generated from parent arrays, automorphisms are counted by trying every
 vertex permutation, inverse-regime trees come from labelled set
-partitions, and a multivariate series is composed one ``Jet`` product at a
-time, as are the ODE flow and the compositional inverse built on it.  ``Jet``
+partitions, composite terms from the chain rule applied one step at a
+time, shapes are compared by sorted child texts, and a multivariate
+series is composed one ``Jet`` product at a time, as are the ODE flow and
+the compositional inverse built on it.  ``Jet``
 is this module's own series class: the package's series code is int kernels
 that these references check.  Slow on purpose; used only at test scale.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 from typing import Iterable
 
@@ -203,6 +206,88 @@ def _set_partitions(items: tuple[int, ...]):
         for i in range(len(sub)):
             yield sub[:i] + [sub[i] + (first,)] + sub[i + 1 :]
         yield sub + [(first,)]
+
+
+def shape_text(t: Tree) -> str:
+    """A tree's text with its children's texts sorted: equal exactly for isomorphic trees."""
+    return t.colour.name + "{" + ",".join(sorted(map(shape_text, t.children))) + "}"
+
+
+def brute_inverse_census(n: int) -> Counter:
+    """Each inverse shape's ``shape_text`` and its number of labelled hierarchies on n items.
+
+    A hierarchy (a total partition) is a lone item, or a partition of its
+    items into at least two blocks, each a hierarchy: Schröder's fourth
+    problem, so the counts sum to A000311(n).  Every one is listed.
+    """
+
+    def hierarchies(items: tuple[int, ...]) -> list[str]:
+        if len(items) == 1:
+            return ["*{}"]
+        return [
+            "*{" + ",".join(sorted(kids)) + "}"
+            for split in _set_partitions(items)
+            if len(split) > 1
+            for kids in product(*map(hierarchies, split))
+        ]
+
+    return Counter(hierarchies(tuple(range(n))))
+
+
+def brute_composite_census(skeleton: Tree, n: int) -> Counter:
+    """Each shape's ``shape_text`` and its number of terms in ``skeleton``'s order-n derivative.
+
+    A term is a tree of skeleton positions over base-variable leaves; the
+    0th derivative is the root position alone.  One chain-rule step
+    differentiates one function vertex of a term: it adds a child that is a
+    first-order path from one of the vertex's distinct slots down to a base
+    variable (a variable slot is its leaf; a function slot is its vertex
+    over a path from one of its own slots).  Each sequence of n steps is one
+    term, its k-th leaf labelled k, and every one is listed.  The slots come
+    from the skeleton's nodes: a variable is one slot however often a
+    position takes it, a function argument is a slot of its own.  A
+    position is named as the notation names it: f, then f.2, ... in preorder.
+    """
+    names: list[str] = []
+    slots: list[list] = []  # each position's distinct slots: a variable's name, or a position
+    seen: dict[str, int] = {}
+
+    def walk(node: Tree) -> int:
+        i = len(names)
+        seen[node.name] = seen.get(node.name, 0) + 1
+        names.append(node.name if seen[node.name] == 1 else f"{node.name}.{seen[node.name]}")
+        slots.append([])
+        for c in node.children:
+            slot = c.name if c.is_variable else walk(c)
+            if slot not in slots[i]:
+                slots[i].append(slot)
+        return i
+
+    walk(skeleton)
+
+    # A leaf is its variable's name; a function vertex is (position, children).
+    def paths(slot):
+        if isinstance(slot, str):
+            return [slot]
+        return [(slot, (p,)) for s in slots[slot] for p in paths(s)]
+
+    def steps(term):
+        i, kids = term
+        for p in (p for s in slots[i] for p in paths(s)):
+            yield i, kids + (p,)
+        for k, kid in enumerate(kids):
+            if not isinstance(kid, str):
+                yield from ((i, kids[:k] + (g,) + kids[k + 1 :]) for g in steps(kid))
+
+    def text(term) -> str:
+        if isinstance(term, str):
+            return term + "{}"
+        return names[term[0]] + "{" + ",".join(sorted(map(text, term[1]))) + "}"
+
+    terms = [(0, ())]
+    for _ in range(n):
+        terms = [grown for term in terms for grown in steps(term)]
+    return Counter(map(text, terms))
 
 
 def integer_partitions(n: int) -> list[tuple[int, ...]]:

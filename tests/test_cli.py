@@ -223,6 +223,45 @@ def listing_cases(command: str) -> list[list[str]]:
     ]
 
 
+def test_only_enumeration_reads_the_coefficients_and_the_roots():
+    # One request path: enumeration._request lists a request's runs and rows;
+    # only it and _Family.trees call .roots(, and no other module names
+    # _COEFFICIENTS.
+    callers, named = set(), set()
+    for path in sorted(Path(derivgraph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "roots"
+                for call in ast.walk(node)
+            ):
+                callers.add((path.name, node.name))
+            # A name read, an attribute or an imported name.
+            if "_COEFFICIENTS" in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+                isinstance(node, ast.alias) and node.name == "_COEFFICIENTS"
+            ):
+                named.add(path.name)
+    assert callers == {("enumeration.py", "trees"), ("enumeration.py", "_request")}
+    assert named == {"enumeration.py"}
+
+
+def test_trees_never_reads_the_coefficient_rows(run, monkeypatch):
+    # The request's rows are a lazy stream: trees never reads them, so a
+    # fault in them is the table's alone.
+    from derivgraph import enumeration
+
+    trees, tables = listing_cases("trees"), listing_cases("table")
+    expected = [run(*argv) for argv in trees]
+    assert {code for code, _, _ in expected} == {0}
+
+    def broken(children):
+        raise RuntimeError("no numbers")
+
+    monkeypatch.setattr(enumeration, "numbers", broken)
+    assert [run(*argv) for argv in trees] == expected
+    for argv in tables:
+        assert run(*argv) == (1, "", "derivgraph: error: RuntimeError: no numbers\n"), argv
+
+
 @pytest.mark.parametrize("command", ["trees", "table"])
 def test_trees_and_table_build_no_graph_record(run, monkeypatch, command):
     # Both read the trees alone: a row's S, tau, sign and weight come from
@@ -649,6 +688,26 @@ class TestOutputFile:
         assert done.returncode == 1 and done.stdout == b""
         assert done.stderr.startswith(b"derivgraph: error: cannot read skeleton file: ")
         assert done.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xef\xbb\xbff(g(x))\n",
+            b"f(g(x))\r\n",
+            b"\xef\xbb\xbff(g(x))\r\n",
+            b"\xef\xbb\xbff(g(x))",
+        ],
+        ids=["bom", "crlf", "bom-crlf", "bom-no-newline"],
+    )
+    def test_a_skeleton_file_may_carry_a_bom(self, run, tmp_path, content):
+        # Editors on some systems start a UTF-8 file with a byte-order mark and
+        # end its lines in CRLF; neither is part of the skeleton.
+        sk = tmp_path / "skeleton.txt"
+        sk.write_bytes(content)
+        argv = ("trees", "--regime", "composite", "--order", "2", "--skeleton")
+        expected = run(*argv, "f(g(x))")
+        assert expected[0] == 0 and expected[1]
+        assert run(*argv, f"@{sk}") == expected
 
 
 class TestNesting:

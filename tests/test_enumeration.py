@@ -176,6 +176,15 @@ class TestComposite:
     def test_ode_and_inverse_families_have_no_nodes(self):
         assert family_of(Regime.ODE, None).nodes == family_of(Regime.INVERSE, None).nodes == ()
 
+    @pytest.mark.parametrize("text", SKELETONS)
+    def test_a_family_names_its_skeleton(self, text):
+        # The skeleton its graphs carry: the one passed in, interned, or None outside composite.
+        skeleton = parse_skeleton(text)
+        assert family_of(Regime.COMPOSITE, skeleton).skeleton is skeleton
+        for regime in (Regime.ODE, Regime.INVERSE):
+            assert family_of(regime, skeleton).skeleton is None
+        assert all(g.skeleton is skeleton for g in enumerate_composite(skeleton, 2))
+
     def test_repeated_function_positions_are_named_by_path(self):
         # Positions are coloured in preorder: the first f is "f", the second "f.2".
         family = family_of(Regime.COMPOSITE, parse_skeleton("F(f(x),f(x))"))

@@ -6,7 +6,13 @@ from math import comb, factorial
 
 import pytest
 
-from brute import brute_increasing_tree_census, isomorphic
+from brute import (
+    brute_composite_census,
+    brute_increasing_tree_census,
+    brute_inverse_census,
+    isomorphic,
+    shape_text,
+)
 from derivgraph import enumeration, skeletons
 from derivgraph.enumeration import (
     DerivativeGraph,
@@ -21,7 +27,8 @@ from derivgraph.enumeration import (
 from derivgraph.formulas import render_derivative
 from derivgraph.oracle import Mismatch, TermValue, verify
 from derivgraph.skeletons import parse_skeleton
-from derivgraph.trees import Colour, Tree, make_palette
+from derivgraph.trees import Colour, Tree, format_trees, make_palette
+from test_enumeration import SKELETONS
 
 CHAIN = parse_skeleton("f(g(x))")
 
@@ -150,6 +157,98 @@ class TestOde:
             1,
             1,
         )
+
+
+def census(regime: Regime, n: int, skeleton=None):
+    """The brute-force labelled census of ``regime``'s order-n shapes."""
+    if regime is Regime.INVERSE:
+        return brute_inverse_census(n)
+    return brute_composite_census(skeleton, n)
+
+
+def disagreements(counts, regime: Regime, n: int, skeleton=None) -> list[str]:
+    """The order-n shapes whose labelled census count is not their weight,
+    by ``weigh`` or in the coefficient rows every command reads."""
+    graphs = enumerate_graphs(regime, n, skeleton)
+    weighed = {shape_text(g.tree): enumeration.weigh(g).weight for g in graphs}
+    family, runs, coefficients = enumeration._request(regime, n, skeleton)
+    root = family.palette[family.root]
+    rows = {shape_text(Tree(root, run)): row[3] for run, row in zip(runs, coefficients)}
+    assert len(weighed) == len(rows) == len(graphs)  # isomorphic shapes have equal texts
+    shapes = counts.keys() | weighed.keys() | rows.keys()
+    return sorted(s for s in shapes if not counts.get(s) == weighed.get(s) == rows.get(s))
+
+
+# OEIS A000311: Schröder's fourth problem, the labelled hierarchies on n items, n = 1..7.
+A000311 = [1, 1, 4, 26, 236, 2752, 39208]
+# Bell numbers, the terms of Faà di Bruno's formula, n = 1..7.
+BELL = [1, 2, 5, 15, 52, 203, 877]
+# Every skeleton the tests read, each to order 4, and two chains further.
+CENSUS_ORDERS = {
+    **dict.fromkeys(SKELETONS, 4),
+    **dict.fromkeys(["f(x)", "f(g(h(x)))", "F(f(x),g(h(x),x))", "F(f(x),f(y),g_1(x))"], 4),
+    **dict.fromkeys(["F(x,y)", "f(x,x,y)"], 4),
+    "f(g(x))": 7,
+    "f(g(h(k(x))))": 6,
+}
+
+
+class TestLabelledCensus:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_inverse_weights_count_total_partitions(self, n):
+        counts = census(Regime.INVERSE, n)
+        assert sum(counts.values()) == A000311[n - 1]
+        assert disagreements(counts, Regime.INVERSE, n) == []
+
+    @pytest.mark.parametrize("text", CENSUS_ORDERS)
+    def test_composite_weights_count_chain_rule_terms(self, text):
+        skeleton = parse_skeleton(text)
+        for n in range(1, CENSUS_ORDERS[text] + 1):
+            counts = census(Regime.COMPOSITE, n, skeleton)
+            assert disagreements(counts, Regime.COMPOSITE, n, skeleton) == [], n
+            if text == "f(g(x))":
+                assert sum(counts.values()) == BELL[n - 1]
+
+    # Two graphs in one oracle monomial, whose swapped weights the oracle passes.
+    @pytest.mark.parametrize(
+        "regime,text,n,swapped",
+        [
+            (
+                Regime.INVERSE,
+                None,
+                6,
+                (
+                    "*{*{},*{*{},*{*{},*{*{},*{*{},*{}}}}}}",
+                    "*{*{},*{*{},*{*{*{},*{}},*{*{},*{}}}}}",
+                ),
+            ),
+            (
+                Regime.COMPOSITE,
+                "f(g(h(k(x))))",
+                6,
+                (
+                    "f{g{h{k{x{}}},h{k{x{}},k{x{},x{},x{},x{}}}}}",
+                    "f{g{h{k{x{},x{},x{},x{}}},h{k{x{}},k{x{}}}}}",
+                ),
+            ),
+        ],
+        ids=["inverse-6", "f(g(h(k(x))))-6"],
+    )
+    def test_a_weight_swap_fails_the_census(self, monkeypatch, regime, text, n, swapped):
+        skeleton = text and parse_skeleton(text)
+        graphs = enumerate_graphs(regime, n, skeleton)
+        a, b = [g for g in graphs if format_trees([g.tree])[0] in swapped]
+        weights = {a.tree: weigh(b).weight, b.tree: weigh(a).weight}
+        assert len(set(weights.values())) == 2
+
+        def swapping(graph):
+            wg = weigh(graph)
+            return wg._replace(weight=weights[graph.tree]) if graph.tree in weights else wg
+
+        counts = census(regime, n, skeleton)
+        assert disagreements(counts, regime, n, skeleton) == []
+        monkeypatch.setattr(enumeration, "weigh", swapping)
+        assert disagreements(counts, regime, n, skeleton) == sorted(map(shape_text, weights))
 
 
 def test_weights_are_ints(monkeypatch):
